@@ -185,18 +185,6 @@ def face_fan(delta: Polytope) -> Fan:
     return Fan(cones, "face", delta, dual, cone_facets)
 
 
-def all_face_cones(fan: Fan):
-    """One cone per proper face of the source polytope, grouped by the cone
-    dimension.  Only meaningful for face fans; refined fans get their lower
-    cones as subsets of the maximal ones."""
-    if fan.provenance != "face":
-        raise InputError("face-cone listing is defined for face fans")
-    by_dim = {}
-    for d, faces in fan.source.faces().by_dim.items():
-        by_dim[d + 1] = [Cone(f.vertices) for f in faces]
-    return by_dim
-
-
 # -- MPCP refinement -------------------------------------------------------------
 
 

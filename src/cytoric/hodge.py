@@ -130,9 +130,12 @@ def euler(delta: Polytope) -> int:
     return 2 * (h11(delta) - h12(delta))
 
 
-def divisor_census(delta: Polytope) -> DivisorCensus:
+def divisor_census(delta: Polytope, h11_value: int | None = None) -> DivisorCensus:
     """Bucket the dual boundary points by how their divisors meet the
-    hypersurface; component counts use the lattice length of the dual edge."""
+    hypersurface; component counts use the lattice length of the dual edge.
+
+    The census rank is checked against h11; pass `h11_value` when it is
+    already known to skip recounting it."""
     _require_reflexive_4d(delta, "divisor census")
     dual = delta.dual()
     classified = classify_boundary(dual)
@@ -149,7 +152,9 @@ def divisor_census(delta: Polytope) -> DivisorCensus:
         else:
             skipped.append(p)
     census = DivisorCensus(tuple(irreducible), tuple(split), tuple(skipped))
-    assert census.rank == h11(delta)
+    if h11_value is None:
+        h11_value = h11(delta)
+    assert census.rank == h11_value
     return census
 
 
@@ -166,5 +171,5 @@ def report(delta: Polytope) -> HodgeReport:
         n_dual_points=n,
         facet_interior_correction=facet_corr,
         two_face_pairing_term=pair_term,
-        census=divisor_census(delta),
+        census=divisor_census(delta, h11_value),
     )

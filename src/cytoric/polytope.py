@@ -9,6 +9,7 @@ degenerate, so nothing here assumes general position.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 from ._linalg import (
@@ -353,40 +354,38 @@ class Polytope:
     # -- lattice points ------------------------------------------------------
 
     def census(self):
-        """Enumerate all lattice points and assign each to the face whose
-        relative interior contains it.  Also fills per-face point counts."""
+        """Enumerate all lattice points, in lexicographic order, and assign
+        each to the face whose relative interior contains it.  Also fills
+        per-face point counts.
+
+        Points are enumerated slice by slice, with each coordinate bounded
+        by the facet inequalities (see :func:`_lattice_points`), so the cost
+        scales with the lattice points in the slices the facets allow, not
+        with the bounding box.
+        """
         if self._census is not None:
             return self._census
         lattice = self.faces()
-        lo = [min(v[i] for v in self.vertices) for i in range(self.ambient_dim)]
-        hi = [max(v[i] for v in self.vertices) for i in range(self.ambient_dim)]
         points = []
         interior = []
         boundary = []
         face_of = {}
-        saturated = {}
-        for raw in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+        n_saturating = Counter()  # saturated facet set -> number of points
+        for raw, satset in _lattice_points(self.vertices, self.facets):
             p = self.point_cls(raw)
-            slacks = [f.evaluate(p) for f in self.facets]
-            if any(s < 0 for s in slacks):
-                continue
             points.append(p)
-            satset = frozenset(i for i, s in enumerate(slacks) if s == 0)
-            saturated[p] = satset
-            if not satset:
-                interior.append(p)
-                face_of[p] = None
-            else:
+            n_saturating[satset] += 1
+            if satset:
                 boundary.append(p)
                 face_of[p] = lattice.by_facet_set(satset)
+            else:
+                interior.append(p)
+                face_of[p] = None
         for face in lattice:
-            face._n_interior = 0
+            face._n_interior = n_saturating[face.facet_set]
             face._n_points = sum(
-                1 for p in points if face.facet_set <= saturated[p]
+                n for satset, n in n_saturating.items() if face.facet_set <= satset
             )
-        for p, face in face_of.items():
-            if face is not None:
-                face._n_interior += 1
         self._census = PointCensus(
             tuple(points), tuple(interior), tuple(boundary), face_of
         )
@@ -447,6 +446,56 @@ def _normalized_volume(vertices, facets, point_cls):
         sub = hull([point_cls(chart.project(v)) for v in on])
         total += height * sub.normalized_volume()
     return total
+
+
+def _lattice_points(vertices, facets):
+    """Yield (coordinates, saturated facet indices) for every lattice point
+    of conv(vertices), in lexicographic order.
+
+    Depth-first over x0 .. x_{d-1}: each facet's partial sum <normal, x>
+    over the coordinates fixed so far is carried down, and x_k takes only
+    the values every facet inequality allows once the coordinates not yet
+    fixed are relaxed to their bounding-box range.  At the last level
+    nothing is relaxed, so every point reached is inside and none is missed.
+    """
+    d = len(vertices[0])
+    lo = [min(v[i] for v in vertices) for i in range(d)]
+    hi = [max(v[i] for v in vertices) for i in range(d)]
+    offsets = tuple(f.offset for f in facets)
+    columns = [tuple(f.normal[k] for f in facets) for k in range(d)]
+    # reach[k][j]: the most the coordinates after x_k can add to <normal_j, x>.
+    reach = [None] * d
+    acc = (0,) * len(facets)
+    for k in range(d - 1, -1, -1):
+        reach[k] = acc
+        acc = tuple(r + max(a * lo[k], a * hi[k]) for r, a in zip(acc, columns[k]))
+
+    def descend(k, prefix, partial):
+        column = columns[k]
+        low, high = lo[k], hi[k]
+        # Facet j can still hold below this level only if a * x_k >= need.
+        # A facet with a = 0 needs no test: its need here equals the bound
+        # already met one level up (at level 0, met by every vertex).
+        for a, s, b, r in zip(column, partial, offsets, reach[k]):
+            need = b - s - r
+            if a > 0:
+                low = max(low, -(-need // a))
+            elif a < 0:
+                high = min(high, need // a)
+        if k == d - 1:
+            slack = [s - b for s, b in zip(partial, offsets)]
+            for x in range(low, high + 1):
+                saturated = frozenset(
+                    j for j, (s, a) in enumerate(zip(slack, column)) if s + a * x == 0
+                )
+                yield prefix + (x,), saturated
+            return
+        for x in range(low, high + 1):
+            yield from descend(
+                k + 1, prefix + (x,), tuple(s + a * x for s, a in zip(partial, column))
+            )
+
+    yield from descend(0, (), (0,) * len(facets))
 
 
 # -- convex hull ------------------------------------------------------------------

@@ -36,6 +36,14 @@ def cross4():
     return hull(mpoints(pts))
 
 
+def ray_simplex(weights):
+    """conv(e1..e4, -(w1..w4)): the mirror side of the hypersurface in the
+    weighted projective space P(1, w1..w4)."""
+    rows = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    rows.append(tuple(-w for w in weights))
+    return hull(mpoints(rows))
+
+
 def example_s3_vertices():
     """The 15-vertex reflexive 4-polytope used as the running worked example."""
     rows = []

@@ -4,7 +4,7 @@ from cytoric import hodge
 from cytoric.errors import InputError, NotReflexiveError
 from cytoric.hodge import PointType
 from cytoric.polytope import hull
-from conftest import mpoints
+from conftest import mpoints, ray_simplex
 from oracles import grid_points, saturation_census
 
 
@@ -123,6 +123,28 @@ def test_term_non_negativity(example_s3, quintic, cube4, cross4):
         assert rep.facet_interior_correction >= 0
         assert rep.two_face_pairing_term >= 0
         assert rep.euler == 2 * (rep.h11 - rep.h12)
+
+
+@pytest.mark.parametrize(
+    "weights, h11, h12",
+    [
+        ((1, 2, 2, 2), 86, 2),
+        ((1, 1, 1, 4), 149, 1),
+        ((1, 1, 6, 9), 272, 2),
+        ((1, 12, 28, 42), 491, 11),
+    ],
+)
+def test_weighted_p4_mirror_hodge_pairs(weights, h11, h12):
+    # the ray simplex of P(1, w1..w4) is the mirror side, so the literature
+    # pair of the weighted hypersurface comes out swapped
+    rep = hodge.report(ray_simplex(weights))
+    assert (rep.h11, rep.h12) == (h11, h12)
+    assert rep.euler == 2 * (h11 - h12)
+
+
+def test_thinnest_ray_simplex_point_count():
+    # 35 lattice points in a bounding box of 779,688
+    assert ray_simplex((15, 24, 40, 40)).n_points == 35
 
 
 # -- divisor census ----------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from cytoric.errors import NotFullDimensionalError, OriginNotInteriorError
 from cytoric.lattice import MPoint, NPoint, pairing
+from cytoric.fixtures import CORPUS_4D, fixture_points
 from cytoric.polytope import RationalPolytope, hull
-from conftest import example_s3_vertices, mpoints
+from conftest import example_s3_vertices, mpoints, ray_simplex
 from oracles import brute_facets, grid_points
 
 
@@ -163,6 +166,77 @@ def test_census_partition_identity(square, cube4, cross4, example_s3, quintic):
 def test_edge_point_relation(cube4):
     for edge in cube4.faces(1):
         assert edge.n_points == edge.n_interior + 2
+
+
+def _shear(rows, steps):
+    """Apply the transvections x_i += c * x_j, one (i, j, c) per step: a
+    unimodular map, so lattice points and faces correspond one to one."""
+    for i, j, c in steps:
+        rows = [p[:i] + (p[i] + c * p[j],) + p[i + 1:] for p in rows]
+    return rows
+
+
+def assert_census_matches_grid_oracle(poly):
+    rows = [tuple(v) for v in poly.vertices]
+    oracle = grid_points(rows)
+    # same facets in the same order, so saturated sets compare as indices
+    assert [(tuple(f.normal), f.offset) for f in poly.facets] == sorted(brute_facets(rows))
+    census = poly.census()
+    assert [tuple(p) for p in census.points] == list(oracle)
+    saturated = {
+        p: frozenset() if census.face_of[p] is None else census.face_of[p].facet_set
+        for p in census.points
+    }
+    assert [saturated[p] for p in census.points] == list(oracle.values())
+    assert list(census.interior) == [p for p in census.points if not saturated[p]]
+    assert list(census.boundary) == [p for p in census.points if saturated[p]]
+    for face in poly.faces():
+        assert face.n_points == sum(1 for s in oracle.values() if face.facet_set <= s)
+        assert face.n_interior == sum(1 for s in oracle.values() if s == face.facet_set)
+
+
+@pytest.mark.parametrize("weights", [(6, 7, 14, 14), (2, 9, 24, 36), (4, 15, 20, 20)])
+def test_census_thin_ray_simplex_against_grid_oracle(weights):
+    # boxes of 18k-49k points holding 17-21 lattice points, and their duals
+    simplex = ray_simplex(weights)
+    assert_census_matches_grid_oracle(simplex)
+    assert_census_matches_grid_oracle(simplex.dual())
+
+
+@pytest.mark.parametrize("name", CORPUS_4D + ("pgon_hexagon", "pgon_triangle_p123"))
+def test_census_sheared_fixture_against_grid_oracle(name):
+    rows = [tuple(v) for v in fixture_points(name)]
+    rng = random.Random(name)
+    steps = [(*rng.sample(range(len(rows[0])), 2), rng.choice((-1, 1))) for _ in range(3)]
+    assert_census_matches_grid_oracle(hull(mpoints(_shear(rows, steps))))
+
+
+def test_census_polygon_without_interior_origin_against_grid_oracle():
+    assert_census_matches_grid_oracle(hull(mpoints([(0, 0), (7, 3), (2, 5), (-1, 2)])))
+
+
+def test_census_invariant_under_unimodular_shears():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    transvection = st.tuples(
+        st.integers(0, 3), st.integers(0, 3), st.sampled_from((-2, -1, 1, 2))
+    ).filter(lambda t: t[0] != t[1])
+
+    def signature(poly):
+        per_dim = {
+            d: sorted((f.n_points, f.n_interior) for f in poly.faces(d))
+            for d in range(poly.dim)
+        }
+        return poly.n_points, poly.n_interior, per_dim
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(CORPUS_4D), st.lists(transvection, min_size=1, max_size=4))
+    def run(name, steps):
+        rows = [tuple(v) for v in fixture_points(name)]
+        assert signature(hull(mpoints(_shear(rows, steps)))) == signature(hull(mpoints(rows)))
+
+    run()
 
 
 # -- duality -------------------------------------------------------------------
