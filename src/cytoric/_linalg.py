@@ -1,20 +1,19 @@
 """Exact integer and rational linear algebra on plain Python numbers.
 
-Everything in this module works on tuples/lists of ``int`` or
-``fractions.Fraction`` and never touches floating point.  The geometric
-predicates elsewhere in the package rely on that exactness.
+Everything works on ``int`` tuples/lists, never on floats; the geometric
+predicates elsewhere rely on that exactness.  Rank, solutions and kernels
+come from one fraction-free Gauss-Jordan elimination, :func:`row_reduce`,
+and solutions are integer numerators over one denominator.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 
 def vector_gcd(v):
     """gcd of the entries of an integer vector (0 for the zero vector)."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
+    return gcd(*v)
 
 
 def primitive_vector(v):
@@ -29,7 +28,7 @@ def primitive_vector(v):
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b, strict=True))
+    return sum(map(mul, a, b))
 
 
 def int_det(rows):
@@ -69,98 +68,107 @@ def hyperplane_normal(diffs):
     d = len(diffs[0])
     if len(diffs) != d - 1:
         raise ValueError(f"need {d - 1} difference vectors in dimension {d}")
-    normal = []
-    for i in range(d):
-        minor = [[row[j] for j in range(d) if j != i] for row in diffs]
-        normal.append((-1) ** i * int_det(minor))
-    return tuple(normal)
+    return tuple(
+        (-1) ** i * int_det([row[:i] + row[i + 1 :] for row in diffs]) for i in range(d)
+    )
 
 
-def _to_fraction_rows(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+def _integer_rows(rows):
+    """The rows with int entries.  A row holding a Fraction is scaled by the
+    lcm of its denominators, which changes neither row space nor pivots."""
+    if all(type(x) is int for row in rows for x in row):
+        return list(rows)
+    out = []
+    for row in rows:
+        den = lcm(*[x.denominator for x in row])
+        out.append([x.numerator * (den // x.denominator) for x in row])
+    return out
 
 
-def row_reduce(rows):
-    """Reduced row echelon form over the rationals.
+def row_reduce(rows, reduced=True):
+    """Fraction-free Gauss-Jordan elimination over the integers.
 
-    Returns (reduced_rows, pivot_columns).  Deterministic: pivots are chosen
-    left to right, first nonzero row wins.
+    Returns (rows, pivot_columns), pivots chosen left to right, first
+    nonzero row wins; row k over its entry in column pivots[k] is row k of
+    the reduced row echelon form.  A step sets a row to p * row - f * pivot
+    row and divides out its gcd, which keeps entries small (Bareiss, 1968,
+    uses an exact division instead).  ``reduced=False`` leaves the rows
+    above a pivot alone: an echelon form, all a rank needs.
     """
-    a = _to_fraction_rows(rows)
+    a = _integer_rows(rows)
     if not a:
         return [], []
-    ncols = len(a[0])
+    m = len(a)
     pivots = []
     r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(a)):
-            if a[i][c] != 0:
-                pivot_row = i
+    for c in range(len(a[0])):
+        for i in range(r, m):
+            if a[i][c]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = Fraction(1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        a[r], a[i] = a[i], a[r]
+        top = a[r]
+        p = top[c]
+        for i in range(0 if reduced else r + 1, m):
+            row = a[i]
+            f = row[c]
+            if f and i != r:
+                row = [p * x - f * y for x, y in zip(row, top)]
+                g = gcd(*row)
+                a[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-        if r == len(a):
+        if r == m:
             break
     return a[:r], pivots
 
 
 def matrix_rank(rows):
-    return len(row_reduce(rows)[0])
+    return len(row_reduce(rows, reduced=False)[1])
 
 
 def solve_linear(a_rows, b):
     """One exact solution of A x = b, or None if the system is inconsistent.
 
-    Free variables are set to zero, which makes the returned solution
+    The solution is (numerators, denominator), x_j = numerators[j] /
+    denominator, in lowest terms with the denominator positive.  Free
+    variables are set to zero, which makes the returned solution
     deterministic; that determinism is load-bearing for memoised callers.
     """
     if not a_rows:
-        return ()
+        return (), 1
     ncols = len(a_rows[0])
-    aug = [list(row) + [bi] for row, bi in zip(a_rows, b, strict=True)]
-    reduced, pivots = row_reduce(aug)
-    if ncols in pivots:
+    reduced, pivots = row_reduce([list(row) + [bi] for row, bi in zip(a_rows, b, strict=True)])
+    if pivots and pivots[-1] == ncols:
         return None
-    x = [Fraction(0)] * ncols
+    den = lcm(*[row[c] for row, c in zip(reduced, pivots)])
+    num = [0] * ncols
     for row, c in zip(reduced, pivots):
-        x[c] = row[-1]
-    return tuple(x)
+        num[c] = row[-1] * (den // row[c])
+    g = gcd(den, *num)
+    return tuple(x // g for x in num), den // g
 
 
 def nullspace(a_rows):
-    """Basis of {x : A x = 0} over the rationals (list of Fraction tuples)."""
+    """Basis of {x : A x = 0}: a Fraction tuple per free column, 1 there."""
     if not a_rows:
         return []
     ncols = len(a_rows[0])
     reduced, pivots = row_reduce(a_rows)
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for f in free:
+    for f in (c for c in range(ncols) if c not in pivots):
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
         for row, c in zip(reduced, pivots):
-            vec[c] = -row[f]
+            vec[c] = Fraction(-row[f], row[c])
         basis.append(tuple(vec))
     return basis
 
 
 def left_nullspace(a_rows):
     """Basis of {w : w A = 0}, i.e. the nullspace of the transpose."""
-    if not a_rows:
-        return []
-    ncols = len(a_rows[0])
-    transpose = [[row[i] for row in a_rows] for i in range(ncols)]
-    return nullspace(transpose)
+    return nullspace([list(col) for col in zip(*a_rows)])
 
 
 def smith_normal_form(mat):
@@ -209,17 +217,12 @@ def smith_normal_form(mat):
     rank_bound = min(m, n)
     t = 0
     while t < rank_bound:
-        # Find a pivot of minimal absolute value in the remaining block.
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    pivot = (i, j)
-        if pivot is None:
+        # A pivot of minimal absolute value in the remaining block, first
+        # in row-major order among ties.
+        nonzero = [(abs(a[i][j]), i, j) for i in range(t, m) for j in range(t, n) if a[i][j]]
+        if not nonzero:
             break
-        pi, pj = pivot
+        _, pi, pj = min(nonzero)
         swap_rows(t, pi)
         swap_cols(t, pj)
         # Clear row and column t; repeat, since clearing one can dirty the other.
@@ -290,16 +293,12 @@ class AffineChart:
             diffs = [tuple(0 for _ in self.base)]
         diag, _u, v, v_inv = smith_normal_form(diffs)
         self.rank = sum(1 for i in range(min(len(diag), len(diag[0]))) if diag[i][i] != 0)
-        self._v = v  # n x n, columns of interest: first `rank`
+        self._columns = list(zip(*v))  # coordinate functionals; the first `rank` span the chart
         self.basis = [tuple(v_inv[i]) for i in range(self.rank)]
 
     def project(self, point):
         w = [x - b for x, b in zip(point, self.base)]
-        n = len(w)
-        coords = []
-        for j in range(n):
-            c = sum(w[i] * self._v[i][j] for i in range(n))
-            coords.append(c)
-        if any(coords[j] != 0 for j in range(self.rank, n)):
+        coords = [dot(w, col) for col in self._columns]
+        if any(coords[self.rank :]):
             raise ValueError(f"point {point} is outside the affine hull of the chart")
         return tuple(coords[: self.rank])

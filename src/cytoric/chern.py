@@ -23,8 +23,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import solve_linear
-from .errors import InputError, NotSimplicialError
+from ._linalg import dot, solve_linear
+from .errors import InputError, InternalInvariantError, NotSimplicialError
 from .fan import Fan, WeilDivisor, is_nef
 from .hodge import PointType, classify_boundary
 from .polytope import Polytope
@@ -92,20 +92,21 @@ class IntersectionForm:
         others = [r for r in sorted(counts) if r != target]
         # functional: 1 on the repeated ray, 0 on the rest of the support
         rows = [tuple(target)] + [tuple(r) for r in others]
-        rhs = [Fraction(1)] + [Fraction(0)] * len(others)
-        m = solve_linear(rows, rhs)
-        assert m is not None, "rays of a simplicial cone are independent"
+        m = solve_linear(rows, [1] + [0] * len(others))
+        if m is None:
+            raise InternalInvariantError("rays of a simplicial cone are dependent")
+        num, den = m
         rest = list(key)
         rest.remove(target)
         total = Fraction(0)
         for ray in self.star_rays(support) | support:
             if ray == target or ray in others:
                 continue
-            coeff = sum(mi * vi for mi, vi in zip(m, ray))
+            coeff = dot(num, ray)
             if coeff == 0:
                 continue
             total -= coeff * self.value(tuple(rest) + (ray,))
-        return total
+        return total / den
 
 
 def intersection_number(form, d1, d2, d3, d4) -> Fraction:

@@ -5,6 +5,14 @@ class CytoricError(Exception):
     """Base class for all toolkit errors."""
 
 
+class InternalInvariantError(AssertionError):
+    """An internal consistency check failed: a bug, not a bad input.
+
+    Unlike a bare ``assert`` it is raised under ``python -O`` too.  It is
+    deliberately not a CytoricError, so the CLI does not report it as an
+    input error."""
+
+
 class InputError(CytoricError, ValueError):
     """Malformed or out-of-contract input (dimension mismatch, zero vector, ...)."""
 

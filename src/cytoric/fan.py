@@ -20,6 +20,7 @@ from functools import cached_property
 
 from ._linalg import (
     AffineChart,
+    dot,
     int_det,
     left_nullspace,
     matrix_rank,
@@ -299,6 +300,9 @@ def singularity_census(fan: Fan):
     return [(c, c.multiplicity) for c in fan.maximal_cones if c.multiplicity > 1]
 
 
+_ZERO = Fraction(0)
+
+
 @dataclass(frozen=True)
 class WeilDivisor:
     """Formal rational combination of the toric boundary divisors, keyed by
@@ -325,11 +329,12 @@ class WeilDivisor:
     def anticanonical(cls, fan: Fan):
         return cls.from_dict({r: Fraction(1) for r in fan.rays})
 
+    @cached_property
+    def _lookup(self):
+        return dict(self.coeffs)
+
     def coeff(self, ray) -> Fraction:
-        for r, c in self.coeffs:
-            if r == ray:
-                return c
-        return Fraction(0)
+        return self._lookup.get(ray, _ZERO)
 
     @property
     def support(self):
@@ -363,10 +368,11 @@ def _check_support(fan: Fan, divisor: WeilDivisor):
             raise InputError(f"divisor supported on {tuple(r)} which is not a fan ray")
 
 
-def _cone_support_data(fan: Fan, cone: Cone, divisor: WeilDivisor):
-    """Rational m with <m, v> = -a_v on every ray v of the cone, or None."""
+def _cone_support_data(cone: Cone, coeffs):
+    """Local data m with <m, v> = -a_v on every ray v of the cone, as
+    (numerators, denominator), or None; `coeffs` maps rays to a_v."""
     rows = [tuple(r) for r in cone.rays]
-    rhs = [-divisor.coeff(r) for r in cone.rays]
+    rhs = [-coeffs.get(r, 0) for r in cone.rays]
     return solve_linear(rows, rhs)
 
 
@@ -374,13 +380,13 @@ def is_qcartier(fan: Fan, divisor: WeilDivisor):
     """Whether per-cone linear support data exists; if so, also the smallest
     positive integer clearing all denominators (the Cartier index)."""
     _check_support(fan, divisor)
+    coeffs = divisor._lookup
     index = 1
     for cone in fan.maximal_cones:
-        m = _cone_support_data(fan, cone, divisor)
+        m = _cone_support_data(cone, coeffs)
         if m is None:
             return False, None
-        for x in m:
-            index = index * x.denominator // math.gcd(index, x.denominator)
+        index = math.lcm(index, m[1])  # solve_linear gives lowest terms
     return True, index
 
 
@@ -408,19 +414,25 @@ def picard_rank_q(fan: Fan) -> int:
 
 def is_nef(fan: Fan, divisor: WeilDivisor) -> bool:
     """Convexity of the support function: for every maximal cone's local
-    data m and every ray v outside the cone, <m, v> >= -a_v."""
+    data m and every ray v outside the cone, <m, v> >= -a_v.
+
+    The divisor is scaled once to integer coefficients A_v (nefness is
+    invariant under positive scaling), so with m = num / den the test is
+    <num, v> >= -A_v * den in integers."""
     if not fan.is_simplicial:
         raise NotSimplicialError("nef test expects a simplicial fan")
     _check_support(fan, divisor)
+    scale = math.lcm(*[c.denominator for _, c in divisor.coeffs])
+    coeffs = {r: c.numerator * (scale // c.denominator) for r, c in divisor.coeffs}
     for cone in fan.maximal_cones:
-        m = _cone_support_data(fan, cone, divisor)
+        m = _cone_support_data(cone, coeffs)
         if m is None:
             raise NotQCartierError("divisor is not Q-Cartier on this fan")
+        num, den = m
         in_cone = set(cone.rays)
         for v in fan.rays:
             if v in in_cone:
                 continue
-            value = sum(mi * vi for mi, vi in zip(m, v))
-            if value < -divisor.coeff(v):
+            if dot(num, v) < -coeffs.get(v, 0) * den:
                 return False
     return True

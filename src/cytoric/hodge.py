@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import InputError, NotReflexiveError
+from .errors import InputError, InternalInvariantError, NotReflexiveError
 from .polytope import Face, Polytope
 
 
@@ -114,7 +114,8 @@ def h11(delta: Polytope) -> int:
     _require_reflexive_4d(delta, "h11")
     n, facet_corr, pair_term = _h11_terms(delta)
     value = n - 5 - facet_corr + pair_term
-    assert facet_corr >= 0 and pair_term >= 0
+    if facet_corr < 0 or pair_term < 0:
+        raise InternalInvariantError("negative Hodge count term")
     return value
 
 
@@ -154,7 +155,8 @@ def divisor_census(delta: Polytope, h11_value: int | None = None) -> DivisorCens
     census = DivisorCensus(tuple(irreducible), tuple(split), tuple(skipped))
     if h11_value is None:
         h11_value = h11(delta)
-    assert census.rank == h11_value
+    if census.rank != h11_value:
+        raise InternalInvariantError(f"divisor census rank {census.rank} != h11 {h11_value}")
     return census
 
 

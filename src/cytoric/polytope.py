@@ -20,17 +20,16 @@ from ._linalg import (
 )
 from .errors import (
     InputError,
+    InternalInvariantError,
     NotFullDimensionalError,
     NotReflexiveError,
     OriginNotInteriorError,
 )
 from .lattice import (
     DUAL_LATTICE,
-    LatticeVector,
     MPoint,
     NPoint,
     RationalHyperplane,
-    pairing,
 )
 
 
@@ -187,6 +186,7 @@ class Polytope:
         self._census = None
         self._dual = None
         self._volume = None
+        self._reflexive = None
 
     # -- construction-time consistency ------------------------------------
 
@@ -264,8 +264,10 @@ class Polytope:
 
         Requires the origin to be strictly interior.  The equivalent
         statement "the dual has integral vertices" is re-derived from the
-        facet data and asserted rather than assumed.
+        facet data and checked rather than assumed.  The verdict is cached.
         """
+        if self._reflexive is not None:
+            return self._reflexive
         if not self.strictly_contains(self.origin()):
             raise OriginNotInteriorError(
                 "reflexivity is only defined for polytopes with 0 strictly interior"
@@ -274,7 +276,9 @@ class Polytope:
         by_dual_integrality = all(
             all(c % -f.offset == 0 for c in f.normal) for f in self.facets
         )
-        assert by_distance == by_dual_integrality
+        if by_distance != by_dual_integrality:
+            raise InternalInvariantError("facet distances disagree with dual integrality")
+        self._reflexive = by_distance
         return by_distance
 
     def dual(self):
@@ -299,9 +303,10 @@ class Polytope:
         if d.vertex_set != frozenset(dual_vertices):
             raise InputError("dual vertex/facet bijection failed")
         # Bidual consistency: the dual's facets must be cut out by our vertices.
-        assert {(tuple(f.normal), f.offset) for f in d.facets} == {
+        if {(tuple(f.normal), f.offset) for f in d.facets} != {
             (tuple(v), -1) for v in self.vertices
-        }
+        }:
+            raise InternalInvariantError("bidual facets differ from the vertices")
         self._dual = d
         d._dual = self
         return d
@@ -409,17 +414,16 @@ class Polytope:
 
         Defined for reflexive polytopes; dimensions satisfy
         dim(face) + dim(dual) = ambient_dim - 1 and the map is an involution.
+        Dual vertex i is the normal of facet i, so the dual face's vertices
+        are the normals of the facets containing `face`.
         """
         if not self.is_reflexive():
             raise NotReflexiveError("dual faces need a reflexive polytope")
-        dual = self.dual()
-        verts = tuple(
-            w
-            for w in dual.vertices
-            if all(pairing(x, w) == -1 for x in face.vertices)
+        dual_face = self.dual().faces().by_vertex_set(
+            self.facets[i].normal for i in face.facet_set
         )
-        dual_face = dual.faces().by_vertex_set(verts)
-        assert face.dim + dual_face.dim == self.ambient_dim - 1
+        if face.dim + dual_face.dim != self.ambient_dim - 1:
+            raise InternalInvariantError("dual face has the wrong dimension")
         return dual_face
 
     # -- volume -----------------------------------------------------------------
@@ -574,7 +578,8 @@ def hull(points) -> Polytope:
             for v in key:
                 ridge = key - {v}
                 owners = ridge_owners[ridge]
-                assert len(owners) == 2, "boundary complex lost a ridge"
+                if len(owners) != 2:
+                    raise InternalInvariantError("boundary complex lost a ridge")
                 other = owners[0] if owners[1] == key else owners[1]
                 if other in visible:
                     continue

@@ -2,9 +2,11 @@
 
 Each oracle deliberately avoids the code path it checks: facet enumeration
 by subset search instead of incremental hulls, naive cofactor determinants
-instead of Bareiss, grid partitions instead of the face-lattice census.
+instead of Bareiss, Fraction row reduction instead of the integer
+elimination, grid partitions instead of the face-lattice census.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 from math import gcd
@@ -121,28 +123,103 @@ def _affine_rank(rows):
 
 
 def _matrix_rank_int(rows):
-    from fractions import Fraction as F
+    return len(fraction_rref(rows)[1])
 
-    a = [[F(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(a[0]) if a else 0
-    for c in range(cols):
-        pivot = None
-        for i in range(rank, len(a)):
-            if a[i][c] != 0:
-                pivot = i
-                break
+
+def fraction_rref(rows):
+    """Reduced row echelon form over Fraction: (rows, pivot columns), pivots
+    left to right, first nonzero row wins.  The elimination the library used
+    before its integer kernel, kept as the reference for it."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    if not a:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(a[0])):
+        pivot = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
         if pivot is None:
             continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = F(1) / a[rank][c]
-        a[rank] = [x * inv for x in a[rank]]
+        a[r], a[pivot] = a[pivot], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
         for i in range(len(a)):
-            if i != rank and a[i][c] != 0:
+            if i != r and a[i][c] != 0:
                 f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-    return rank
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(a):
+            break
+    return a[:r], pivots
+
+
+def fraction_solve(a_rows, b):
+    """Solution of A x = b as Fractions with free variables at zero, or None."""
+    ncols = len(a_rows[0])
+    reduced, pivots = fraction_rref([list(row) + [bi] for row, bi in zip(a_rows, b)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, c in zip(reduced, pivots):
+        x[c] = row[-1]
+    return tuple(x)
+
+
+def fraction_nullspace(a_rows):
+    """Nullspace basis, one vector per free column with 1 in that column."""
+    ncols = len(a_rows[0])
+    reduced, pivots = fraction_rref(a_rows)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for row, c in zip(reduced, pivots):
+            vec[c] = -row[f]
+        basis.append(tuple(vec))
+    return basis
+
+
+def fraction_support_data(cone_rays, coeffs):
+    """Local data m with <m, v> = -a_v on the cone's rays, as Fractions."""
+    return _memo_fraction_solve(
+        tuple(tuple(r) for r in cone_rays), tuple(-coeffs.get(r, 0) for r in cone_rays)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _memo_fraction_solve(rows, rhs):
+    # divisors sharing a cone's coefficients (mostly all zero) share its solve
+    return fraction_solve(rows, rhs)
+
+
+def fraction_is_nef(fan, divisor):
+    """The all-rays nef test in Fractions: <m, v> >= -a_v for every maximal
+    cone's local data m and every ray v outside the cone."""
+    coeffs = dict(divisor.coeffs)
+    for cone in fan.maximal_cones:
+        m = fraction_support_data(cone.rays, coeffs)
+        nonzero = any(m)  # skips the Fraction sums where <m, v> is 0 anyway
+        for v in fan.rays:
+            if v in cone.rays:
+                continue
+            value = sum(a * b for a, b in zip(m, v)) if nonzero else 0
+            if value < -coeffs.get(v, 0):
+                return False
+    return True
+
+
+def fraction_cartier_index(fan, divisor):
+    """lcm of the denominators of all local data, or None if some cone has
+    none."""
+    coeffs = dict(divisor.coeffs)
+    index = 1
+    for cone in fan.maximal_cones:
+        m = fraction_support_data(cone.rays, coeffs)
+        if m is None:
+            return None
+        for x in m:
+            index = index * x.denominator // gcd(index, x.denominator)
+    return index
 
 
 def saturation_census(points):

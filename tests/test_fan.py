@@ -1,4 +1,7 @@
+import hashlib
+import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -14,9 +17,11 @@ from cytoric.fan import (
     picard_rank_q,
     singularity_census,
 )
+from cytoric.fixtures import fixture_polytope
 from cytoric.lattice import NPoint, pairing
 from cytoric.polytope import hull
-from conftest import mpoints
+from conftest import mpoints, ray_simplex
+from oracles import fraction_cartier_index, fraction_is_nef
 
 
 def npt(*coords):
@@ -41,6 +46,17 @@ def p4_fan(quintic):
 @pytest.fixture(scope="module")
 def cube_mpcp(cube4):
     return mpcp_triangulate(cube4)
+
+
+@pytest.fixture(scope="module")
+def cross4d_mpcp():
+    return mpcp_triangulate(fixture_polytope("cross4d"))
+
+
+@pytest.fixture(scope="module")
+def wp11222_mpcp():
+    """Refinement for the mirror of the degree-8 hypersurface in P(1,1,2,2,2)."""
+    return mpcp_triangulate(ray_simplex((1, 2, 2, 2)))
 
 
 # -- face fans ---------------------------------------------------------------
@@ -180,6 +196,25 @@ def test_mpcp_volume_conservation(example_s3, cube4, quintic, square):
         assert total == dual.normalized_volume()
 
 
+def cone_digest(fan):
+    cones = sorted(tuple(tuple(r) for r in c.rays) for c in fan.maximal_cones)
+    return hashlib.sha256(repr(cones).encode()).hexdigest()
+
+
+def test_mpcp_golden_cone_lists(cross4d_mpcp, example_mpcp, wp11222_mpcp):
+    # sha256 of the sorted maximal-cone ray tuples, recorded from the Fraction
+    # elimination; any change to the refinement must reproduce the same
+    # triangulation, not merely an equivalent one
+    golden = (
+        (cross4d_mpcp, 384, "721ff25aad065c7d6eb9307a026b0e860885290e1255b57d945ba5d6e9c2c02b"),
+        (example_mpcp, 16, "a9cb04acfcd5786b24e2b0ec6f8d51effbf1bf31f76b5821351424a9f27f4130"),
+        (wp11222_mpcp, 488, "952cf14217d1a21f1dd787d4b47efbfec000c3580fee5678479a27231f4fde13"),
+    )
+    for fan, n_cones, digest in golden:
+        assert len(fan.maximal_cones) == n_cones
+        assert cone_digest(fan) == digest
+
+
 def test_mpcp_wall_consistency(example_mpcp, cube_mpcp):
     assert example_mpcp.wall_consistency()
     assert cube_mpcp.wall_consistency()
@@ -224,6 +259,44 @@ def test_qcartier_anticanonical_example(example_face_fan):
     assert ok and index == 1
 
 
+def seeded_divisors(fan, seed, count):
+    """Seeded divisors of both verdicts: every fourth is c * (-K) plus s
+    times a principal divisor sum <m, v> D_v, so nef for c >= 0, with
+    coefficients of mixed denominators; the rest add +-1, +-2 or +-1/2
+    times a few rays to 0, -K or 2 * (-K)."""
+    rng = random.Random(seed)
+    minus_k = WeilDivisor.anticanonical(fan)
+    out = []
+    for i in range(count):
+        if i % 4 == 0:
+            m = [rng.randint(-3, 3) for _ in range(fan.dim)]
+            principal = WeilDivisor.from_dict({v: sum(map(mul, m, v)) for v in fan.rays})
+            c = rng.choice((0, 1, 2, Fraction(1, 2), Fraction(1, 3)))
+            out.append(c * minus_k + rng.choice((1, Fraction(1, 2), Fraction(1, 3))) * principal)
+            continue
+        d = rng.choice((WeilDivisor.zero(), minus_k, 2 * minus_k))
+        for r in rng.sample(fan.rays, rng.randint(1, 4)):
+            d = d + WeilDivisor.ray(r, rng.choice((-2, -1, 1, 2, Fraction(1, 2), Fraction(-1, 2))))
+        out.append(d)
+    return out
+
+
+def test_qcartier_index_matches_fraction_reference(example_face_fan, quintic):
+    # the mirror quintic's face fan is P4/(Z5)^3: simplicial, every cone of
+    # multiplicity 125, every ray divisor of Cartier index 5
+    mirror_fan = face_fan(quintic.dual())
+    assert {c.multiplicity for c in mirror_fan.maximal_cones} == {125}
+    for r in mirror_fan.rays:
+        assert is_qcartier(mirror_fan, WeilDivisor.ray(r)) == (True, 5)
+    for fan in (mirror_fan, example_face_fan):
+        divisors = [WeilDivisor.anticanonical(fan)]
+        divisors += [WeilDivisor.ray(r) for r in fan.rays]
+        divisors += seeded_divisors(fan, 41, 20)
+        for d in divisors:
+            index = fraction_cartier_index(fan, d)
+            assert is_qcartier(fan, d) == (index is not None, index)
+
+
 # -- Picard ranks ----------------------------------------------------------------------
 
 
@@ -258,6 +331,18 @@ def test_nef_anticanonical_on_example_mpcp(example_mpcp):
     assert is_nef(example_mpcp, WeilDivisor.anticanonical(example_mpcp))
 
 
+def test_nef_matches_fraction_reference(cross4d_mpcp, wp11222_mpcp, example_mpcp):
+    # example_s3's refinement has cones of multiplicity 2, so local data
+    # with denominators
+    for seed, fan in ((5, cross4d_mpcp), (6, wp11222_mpcp), (7, example_mpcp)):
+        divisors = [WeilDivisor.anticanonical(fan)]
+        divisors += [WeilDivisor.ray(r) for r in fan.rays]
+        divisors += seeded_divisors(fan, seed, 8)
+        verdicts = [is_nef(fan, d) for d in divisors]
+        assert verdicts == [fraction_is_nef(fan, d) for d in divisors]
+        assert verdicts[0] and verdicts[-8] and not all(verdicts)
+
+
 def test_nef_rejects_non_qcartier(example_face_fan):
     # the face fan keeps its non-simplicial cone, so the nef test refuses it
     with pytest.raises(NotSimplicialError):
@@ -271,3 +356,8 @@ def test_divisor_arithmetic():
     assert s.coeff(npt(1, 0, 0, 0)) == 2
     assert s.coeff(npt(0, 1, 0, 0)) == Fraction(1, 2)
     assert (a + (-1 * a)).is_zero()
+    assert s.coeff(npt(0, 0, 1, 0)) == 0
+    # the cached coefficient lookup leaves equality and hash to `coeffs`
+    t = b + a
+    assert s == t and hash(s) == hash(t)
+    assert s != a

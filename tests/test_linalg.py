@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cytoric._linalg import (
     AffineChart,
@@ -15,7 +18,7 @@ from cytoric._linalg import (
     smith_normal_form,
     solve_linear,
 )
-from oracles import naive_det
+from oracles import fraction_nullspace, fraction_rref, fraction_solve, naive_det
 
 
 def random_matrix(rng, n, m, bound=9):
@@ -53,11 +56,14 @@ def test_matrix_rank():
 
 def test_solve_linear_consistent_and_inconsistent():
     sol = solve_linear([[2, 0], [0, 4]], [4, 8])
-    assert sol == (Fraction(2), Fraction(2))
+    assert sol == ((2, 2), 1)
     assert solve_linear([[1, 1], [2, 2]], [1, 3]) is None
     # underdetermined: free variable pinned to zero for determinism
     sol = solve_linear([[1, 1]], [5])
-    assert sol == (Fraction(5), Fraction(0))
+    assert sol == ((5, 0), 1)
+    # Fraction right-hand sides: (1/4, 2/9) over the common denominator
+    assert solve_linear([[2, 0], [0, 3]], [Fraction(1, 2), Fraction(2, 3)]) == ((9, 8), 36)
+    assert solve_linear([[1, 1], [1, 1]], [Fraction(1, 2), Fraction(1, 3)]) is None
 
 
 def test_solve_linear_random_roundtrip():
@@ -70,8 +76,9 @@ def test_solve_linear_random_roundtrip():
         b = [sum(r[j] * x[j] for j in range(n)) for r in a]
         sol = solve_linear(a, b)
         assert sol is not None
+        num, den = sol
         for r, bi in zip(a, b):
-            assert sum(Fraction(c) * s for c, s in zip(r, sol)) == bi
+            assert sum(c * s for c, s in zip(r, num)) == bi * den
 
 
 def test_nullspaces():
@@ -88,7 +95,91 @@ def test_nullspaces():
 def test_row_reduce_pivots():
     reduced, pivots = row_reduce([[0, 2, 4], [1, 1, 1]])
     assert pivots == [0, 1]
-    assert reduced[0][0] == 1 and reduced[1][1] == 1
+    assert rref(reduced, pivots) == [[1, 0, -1], [0, 1, 2]]
+
+
+def rref(reduced, pivots):
+    """The integer rows of row_reduce scaled to the reduced row echelon form."""
+    return [[Fraction(x, row[c]) for x in row] for row, c in zip(reduced, pivots)]
+
+
+def as_fractions(sol):
+    if sol is None:
+        return None
+    num, den = sol
+    assert den > 0
+    return tuple(Fraction(x, den) for x in num)
+
+
+def assert_kernel_matches_reference(rows):
+    """Rank, RREF, nullspaces and solves equal the Fraction reference."""
+    ref_rows, ref_pivots = fraction_rref(rows)
+    reduced, pivots = row_reduce(rows)
+    assert pivots == ref_pivots
+    assert rref(reduced, pivots) == ref_rows
+    assert all(type(x) is int for row in reduced for x in row)
+    assert matrix_rank(rows) == len(ref_pivots)
+    assert nullspace(rows) == fraction_nullspace(rows)
+    transpose = [list(col) for col in zip(*rows)]
+    assert left_nullspace(rows) == fraction_nullspace(transpose)
+    ncols = len(rows[0])
+    # a consistent right-hand side, an arbitrary one, a Fraction one
+    for b in (
+        [sum(rows[i][j] * (j - 1) for j in range(ncols)) for i in range(len(rows))],
+        [(3 * i) % 5 - 2 for i in range(len(rows))],
+        [Fraction(i + 1, 3) for i in range(len(rows))],
+    ):
+        sol = solve_linear(rows, b)
+        assert as_fractions(sol) == fraction_solve(rows, b)
+        if sol is not None:
+            assert math.gcd(sol[1], *sol[0]) == 1
+
+
+def random_kernel_case(rng):
+    """A small matrix with seeded structure: rank deficiency, zero rows and
+    columns, wide and tall shapes, and rows with Fraction entries."""
+    n = rng.randint(1, 6)
+    m = rng.randint(1, 6)
+    rows = random_matrix(rng, n, m, rng.choice((1, 3, 9)))
+    kind = rng.randrange(5)
+    if kind == 0 and n > 1:  # rank-deficient: a row is a combination of two others
+        i, j = rng.randrange(n), rng.randrange(n)
+        rows[rng.randrange(n)] = [2 * x - 3 * y for x, y in zip(rows[i], rows[j])]
+    elif kind == 1:
+        rows[rng.randrange(n)] = [0] * m
+    elif kind == 2:
+        col = rng.randrange(m)
+        for row in rows:
+            row[col] = 0
+    elif kind == 3:
+        k = rng.randrange(n)
+        rows[k] = [Fraction(x, rng.randint(1, 6)) for x in rows[k]]
+    return rows
+
+
+def test_kernel_matches_fraction_reference_seeded():
+    rng = random.Random(23)
+    for _ in range(600):
+        assert_kernel_matches_reference(random_kernel_case(rng))
+
+
+small_entries = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda m: st.lists(
+            st.lists(small_entries, min_size=m, max_size=m), min_size=1, max_size=6
+        )
+    )
+)
+def test_kernel_matches_fraction_reference_hypothesis(rows):
+    assert_kernel_matches_reference(rows)
+
 
 
 def test_smith_normal_form_properties():
