@@ -2,37 +2,65 @@
 Chern class of the anticanonical hypersurface, paired against divisor
 classes.
 
-The quadrilinear form on boundary divisors is generated from two facts:
-four distinct rays spanning a maximal cone meet in 1/multiplicity, and any
-lattice functional m gives the relation sum_i <m, v_i> D_i ~ 0.  Repeated
-rays are eliminated with a functional chosen to take value 1 on the
-repeated ray and 0 on the other rays of the multiset, which strictly
-reduces the number of repeated slots and so terminates; memoisation keeps
-the recursion cheap.  Everything is an exact rational.
+A class is a rational combination of orbit closures V(g), one per cone g.
+A divisor D = sum_u a_u D_u acts by the product rule (Fulton, Introduction
+to Toric Varieties, 5.1): D . V(g) = sum_u (a_u + <m_g, u>) mult(g) /
+mult(g + u) V(g + u) over the rays u with g + u a cone, where <m_g, v_i> =
+-a_i on the rays of g.  In the classes W(g) = V(g) / mult(g), the products
+of the D_i over the rays of g, the multiplicities cancel from the rule;
+only a maximal cone's is left, as the degree 1 / mult(g) of W(g).
+Everything is an exact rational.
 
-Restriction to the hypersurface is multiplication by the anticanonical
-class: the hypersurface is an anticanonical section, and since it misses
-the isolated singular points of the refined ambient variety only boundary
-divisor terms survive, so the computation can stay on the simplicial fan.
+The hypersurface X is an anticanonical section that misses the isolated
+singular points of the refined ambient variety V, so restricting to it is
+multiplying by X = -K on the simplicial fan.  With c(V) = prod_u (1 + D_u),
+c_k(V) is the sum of W(g) over the k-cones; c2(X) . L =
+c2(V) . X . L and, by adjunction, chi(X) = (c3(V) - c2(V) . X) . X.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
+from math import lcm
+from operator import mul
 
-from ._linalg import dot, solve_linear
-from .errors import InputError, InternalInvariantError, NotSimplicialError
+from ._linalg import dot, solve_linear  # noqa: F401  bench/spans.py wraps chern.solve_linear
+from .errors import InputError, NotSimplicialError
 from .fan import Fan, WeilDivisor, is_nef
 from .hodge import PointType, classify_boundary
 from .polytope import Polytope
 
+_PAIRS = tuple(combinations(range(4), 2))
+
+
+def _minors(y, z):
+    """The 2x2 minors of the rows y, z of a 2x4 matrix, by column pair."""
+    return {(p, q): y[p] * z[q] - y[q] * z[p] for p, q in _PAIRS}
+
+
+def _cofactors(x, m):
+    """n with <n, w> = det(w, x, y, z) for every w, from m = _minors(y, z)."""
+    n = []
+    for j in range(4):
+        p, q, r = (k for k in range(4) if k != j)
+        n.append((-1) ** j * (x[p] * m[q, r] - x[q] * m[p, r] + x[r] * m[p, q]))
+    return n
+
 
 class IntersectionForm:
-    """Memoised quadrilinear intersection form on the rays of a simplicial
-    complete 4-fan.  Safe for concurrent reads; inserts are idempotent."""
+    """The Chow ring of a simplicial complete 4-fan, built once.
+
+    Cones are sorted tuples of ray indices.  `_cones[g]` holds the
+    determinant det of a maximal cone containing g, M / det for the lcm M
+    of all maximal cones' determinants, and per link ray u the entry
+    (u, g + u, c) with <m_i, u> = c_i / det for that cone's dual basis m_i.
+    `_top[g]` is M / mult(g) for the maximal cones.  Classes are integer
+    numerators on the W(g) over one denominator.
+    """
 
     def __init__(self, fan: Fan):
         if not fan.is_simplicial:
@@ -43,122 +71,109 @@ class IntersectionForm:
             raise InputError("fan is not complete: some wall has one incident cone")
         self.fan = fan
         self.rays = fan.rays
-        self._memo = {}
-        self._max_sets = {}
+        self._index = {r: i for i, r in enumerate(fan.rays)}
+        vec = [tuple(r) for r in fan.rays]
+        self._lcm = lcm(*(cone.multiplicity for cone in fan.maximal_cones))
+        mult, host, link = {}, {}, {}
         for cone in fan.maximal_cones:
-            self._max_sets[frozenset(cone.rays)] = Fraction(1, cone.multiplicity)
-        self._spanning = {}
-        self._star = {}
-        for cone_set in self._max_sets:
-            for k in range(1, 5):
-                for sub in itertools.combinations(sorted(cone_set), k):
-                    self._spanning[frozenset(sub)] = True
-        for cone_set in self._max_sets:
-            for k in range(1, 4):
-                for sub in itertools.combinations(sorted(cone_set), k):
-                    self._star.setdefault(frozenset(sub), set()).update(cone_set)
+            top = tuple(self._index[r] for r in cone.rays)
+            mult[top] = cone.multiplicity
+            for k in range(4):
+                for g in combinations(top, k):
+                    host.setdefault(g, top)  # the first maximal cone containing g
+                    link.setdefault(g, set()).update(top)
+        duals = {}  # n_i with <n_i, v_j> = det * (i == j) on the cone's rays
+        for top in set(host.values()):
+            rows = v0, v1, v2, v3 = [vec[i] for i in top]
+            m01, m23 = _minors(v0, v1), _minors(v2, v3)
+            ns = _cofactors(v1, m23), _cofactors(v0, m23), _cofactors(v3, m01), _cofactors(v2, m01)
+            duals[top] = [n if dot(n, v) > 0 else [-x for x in n] for n, v in zip(ns, rows)]
+        self._top = {top: self._lcm // m for top, m in mult.items()}
+        self._cones = {}
+        for g, top in host.items():
+            basis = [duals[top][top.index(i)] for i in g]
+            entries = tuple(
+                (u, tuple(sorted(g + (u,))), tuple(dot(n, vec[u]) for n in basis))
+                for u in sorted(link[g].difference(g))
+            )
+            self._cones[g] = (mult[top], self._top[top], entries)
+        self._all_rays = (dict.fromkeys(range(len(vec)), 1), 1)
 
-    def spans_cone(self, rays) -> bool:
-        return frozenset(rays) in self._spanning
+    def _times(self, cls, divisor):
+        """The class `cls` = (cone -> numerator, denominator) times a divisor
+        (ray index -> integer coefficient, denominator), by the product rule."""
+        coeffs, scale = divisor
+        out = {}
+        for g, x in cls[0].items():
+            det, w, entries = self._cones[g]
+            ag = [coeffs.get(i, 0) for i in g]
+            for u, child, c in entries:
+                y = det * coeffs.get(u, 0) - sum(map(mul, ag, c))
+                if y:
+                    out[child] = out.get(child, 0) + x * w * y
+        return out, cls[1] * scale * self._lcm
 
-    def star_rays(self, rays):
-        """All rays appearing in some maximal cone containing the given set."""
-        return self._star.get(frozenset(rays), set())
+    def _degree(self, divisors, cls=({(): 1}, 1)) -> Fraction:
+        """Degree of the class `cls` (by default V(0) = [V]) times the divisors."""
+        for d in divisors:
+            cls = self._times(cls, d)
+        return Fraction(sum(x * self._top[g] for g, x in cls[0].items()), cls[1] * self._lcm)
+
+    def _coeffs(self, divisor: WeilDivisor):
+        """The divisor as (ray index -> integer coefficient, denominator)."""
+        for r in divisor.support:
+            if r not in self._index:
+                raise InputError(f"divisor supported outside the fan: {tuple(r)}")
+        scale = lcm(*[a.denominator for _, a in divisor.coeffs])
+        return {self._index[r]: int(a * scale) for r, a in divisor.coeffs}, scale
 
     def value(self, multiset) -> Fraction:
         """Intersection number of the four prime divisors in `multiset`
         (a 4-element tuple of rays, repetitions allowed)."""
-        key = tuple(sorted(multiset))
-        if len(key) != 4:
+        multiset = tuple(multiset)
+        if len(multiset) != 4:
             raise InputError("the form takes exactly four divisors")
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        support = frozenset(key)
-        if support not in self._spanning:
-            result = Fraction(0)
-        elif len(support) == 4:
-            result = self._max_sets.get(support, Fraction(0))
-        else:
-            result = self._eliminate(key, support)
-        self._memo[key] = result
-        return result
+        if any(r not in self._index for r in multiset):
+            return Fraction(0)
+        return self._degree([({self._index[r]: 1}, 1) for r in multiset])
 
-    def _eliminate(self, key, support):
-        counts = {}
-        for r in key:
-            counts[r] = counts.get(r, 0) + 1
-        target = max(sorted(counts), key=lambda r: counts[r])
-        others = [r for r in sorted(counts) if r != target]
-        # functional: 1 on the repeated ray, 0 on the rest of the support
-        rows = [tuple(target)] + [tuple(r) for r in others]
-        m = solve_linear(rows, [1] + [0] * len(others))
-        if m is None:
-            raise InternalInvariantError("rays of a simplicial cone are dependent")
-        num, den = m
-        rest = list(key)
-        rest.remove(target)
-        total = Fraction(0)
-        for ray in self.star_rays(support) | support:
-            if ray == target or ray in others:
-                continue
-            coeff = dot(num, ray)
-            if coeff == 0:
-                continue
-            total -= coeff * self.value(tuple(rest) + (ray,))
-        return total / den
+    @cached_property
+    def _c2_x(self):
+        """c2(V) . X, a class on the 3-cones."""
+        return self._times(({g: 1 for g in self._cones if len(g) == 2}, 1), self._all_rays)
+
+    @cached_property
+    def _c2_rays(self):
+        """c2(V) . X . D_l for every ray l: each wall's term of c2(V) . X
+        times D_l by the product rule, scattered over the rays in one pass."""
+        f = [0] * len(self.rays)
+        walls, den = self._c2_x
+        for wall, x in walls.items():
+            det, w, entries = self._cones[wall]
+            for u, top, c in entries:
+                y = x * w * self._top[top]
+                f[u] += y * det
+                for i, ci in zip(wall, c):
+                    f[i] -= y * ci
+        return [Fraction(n, den * self._lcm**2) for n in f]
 
 
 def intersection_number(form, d1, d2, d3, d4) -> Fraction:
-    """Quadrilinear extension of the form to rational divisor combinations.
-
-    Sparse divisors expand directly over their supports; dense ones (like
-    the anticanonical class) are evaluated cone by cone over the multisets
-    that can meet, with the coefficient symmetrised over the distinct ways
-    of assigning the multiset to the four slots.
-    """
+    """d1 . d2 . d3 . d4 for rational divisor combinations: V(0) times each
+    divisor in turn by the product rule, then the degree."""
     form = _as_form(form)
-    divisors = (d1, d2, d3, d4)
-    rayset = set(form.rays)
-    for d in divisors:
-        for r in d.support:
-            if r not in rayset:
-                raise InputError(f"divisor supported outside the fan: {tuple(r)}")
-    lookups = [dict(d.coeffs) for d in divisors]
-    sizes = 1
-    for d in divisors:
-        sizes *= max(len(d.support), 1)
-    total = Fraction(0)
-    if sizes <= 4096:
-        for rays in itertools.product(*(d.support for d in divisors)):
-            if not form.spans_cone(set(rays)):
-                continue
-            c = Fraction(1)
-            for look, r in zip(lookups, rays):
-                c *= look[r]
-            total += c * form.value(rays)
-        return total
-    seen = set()
-    zero = Fraction(0)
-    for cone in form.fan.maximal_cones:
-        for multiset in itertools.combinations_with_replacement(sorted(cone.rays), 4):
-            if multiset in seen:
-                continue
-            seen.add(multiset)
-            value = form.value(multiset)
-            if not value:
-                continue
-            coeff = zero
-            for rays in set(itertools.permutations(multiset)):
-                c = Fraction(1)
-                for look, r in zip(lookups, rays):
-                    c *= look.get(r, zero)
-                    if not c:
-                        break
-                coeff += c
-            if coeff:
-                total += coeff * value
-    return total
+    return form._degree([form._coeffs(d) for d in (d1, d2, d3, d4)])
+
+
+def euler_characteristic(fan_or_form) -> Fraction:
+    """chi of the anticanonical hypersurface from the intersection ring,
+    (c3(V) - c2(V) . X) . X; Batyrev's count gives 2 (h11 - h12)."""
+    form = _as_form(fan_or_form)
+    c2x, den = form._c2_x
+    cls = {g: den for g in form._cones if len(g) == 3}  # c3(V), over den
+    for g, x in c2x.items():
+        cls[g] -= x
+    return form._degree([form._all_rays], (cls, den))
 
 
 def _as_form(fan_or_form) -> IntersectionForm:
@@ -175,31 +190,15 @@ def _check_is_refinement_of(delta: Polytope, fan: Fan):
 
 
 def c2_dot(delta: Polytope, fan_or_form, divisor: WeilDivisor) -> Fraction:
-    """Second Chern class of the hypersurface paired with a divisor class.
-
-    Evaluates sum over unordered ray pairs {i,j} of D_i . D_j . L . (-K),
-    where the pair sum is the ambient degree-2 Chern piece and multiplying
-    by -K restricts to the anticanonical hypersurface.  Exact rational; can
-    be non-integral on orbifold classes and is reported as is.
-    """
+    """Second Chern class of the hypersurface paired with a divisor class,
+    c2(V) . L . X = sum_l a_l F_l, with F_l = c2(V) . X . D_l computed for
+    all rays at once and cached on the form.  Exact rational; can be
+    non-integral on orbifold classes and is reported as is."""
     form = _as_form(fan_or_form)
     _check_is_refinement_of(delta, form.fan)
-    rayset = set(form.rays)
-    for r in divisor.support:
-        if r not in rayset:
-            raise InputError(f"divisor supported outside the fan: {tuple(r)}")
-    coeffs = dict(divisor.coeffs)
-    total = Fraction(0)
-    for a, b in form.fan.edges():
-        for c, lc in coeffs.items():
-            base = (a, b, c)
-            if not form.spans_cone(set(base)):
-                continue
-            for k in form.star_rays(set(base)) | set(base):
-                v = form.value(base + (k,))
-                if v:
-                    total += lc * v
-    return total
+    f = form._c2_rays
+    coeffs, scale = form._coeffs(divisor)
+    return sum((a * f[i] for i, a in coeffs.items()), Fraction(0)) / scale
 
 
 class CurveClass(enum.Enum):

@@ -9,12 +9,15 @@ deterministic byte-identical output, `--jobs N` fans independent input
 files out to worker processes, results merged in input order.
 
 Exit status: 0 success, 1 domain error (e.g. non-reflexive input where
-reflexivity is required), 2 usage error.
+reflexivity is required), 2 usage error, 3 internal error.  Domain and
+internal errors are reported per file, so the other files of a batch
+still get their results; the status is the worst one.
 """
 
 from __future__ import annotations
 
 import json
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
@@ -358,8 +361,13 @@ _COMMANDS = {
 def _run_one(command, path, opts):
     try:
         return 0, _COMMANDS[command](path, opts)
+    except click.ClickException:
+        raise
     except CytoricError as exc:
         return 1, {"error": str(exc)}
+    except Exception as exc:  # an internal fault fails this file, not the batch
+        traceback.print_exc()
+        return 3, {"error": {"type": type(exc).__name__, "message": str(exc)}}
 
 
 def _render_text(tree, indent=0):

@@ -36,6 +36,22 @@ def cross4():
     return hull(mpoints(pts))
 
 
+def shear(rows, steps):
+    """Apply the transvections x_i += c * x_j, one (i, j, c) per step: a
+    unimodular map, so lattice points and faces correspond one to one."""
+    for i, j, c in steps:
+        rows = [p[:i] + (p[i] + c * p[j],) + p[i + 1:] for p in rows]
+    return rows
+
+
+def transvection():
+    """Hypothesis strategy for one step (i, j, c) of `shear`, |c| <= 2."""
+    from hypothesis import strategies as st
+
+    steps = st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from((-2, -1, 1, 2)))
+    return steps.filter(lambda t: t[0] != t[1])
+
+
 def ray_simplex(weights):
     """conv(e1..e4, -(w1..w4)): the mirror side of the hypersurface in the
     weighted projective space P(1, w1..w4)."""

@@ -3,7 +3,8 @@
 Each oracle deliberately avoids the code path it checks: facet enumeration
 by subset search instead of incremental hulls, naive cofactor determinants
 instead of Bareiss, Fraction row reduction instead of the integer
-elimination, grid partitions instead of the face-lattice census.
+elimination, grid partitions instead of the face-lattice census, the
+memoised elimination of repeated rays instead of the Chow-ring sweep.
 """
 
 import functools
@@ -294,3 +295,117 @@ def series_c2_cube_hypersurface():
     c2 = {m: c for m, c in total.items() if len(m) == 2}
     restricted = mul(mul(c2, h[0]), minus_k)
     return restricted.get(frozenset(range(4)), Fraction(0))
+
+
+class MemoIntersectionForm:
+    """The memoised elimination the library used before its Chow-ring sweep,
+    kept as the reference for it.
+
+    Four distinct rays spanning a maximal cone meet in 1/multiplicity; a
+    repeated ray is eliminated with a functional that is 1 on it and 0 on
+    the other rays of the multiset (a Fraction solve), which strictly
+    reduces the repeated slots.
+    """
+
+    def __init__(self, fan):
+        self.fan = fan
+        self.rays = fan.rays
+        self._memo = {}
+        self._max_sets = {
+            frozenset(cone.rays): Fraction(1, cone.multiplicity) for cone in fan.maximal_cones
+        }
+        self._spanning = set()
+        self._star = {}
+        for cone_set in self._max_sets:
+            for k in range(1, 5):
+                for sub in itertools.combinations(sorted(cone_set), k):
+                    self._spanning.add(frozenset(sub))
+                    if k < 4:
+                        self._star.setdefault(frozenset(sub), set()).update(cone_set)
+
+    def spans_cone(self, rays):
+        return frozenset(rays) in self._spanning
+
+    def star_rays(self, rays):
+        return self._star.get(frozenset(rays), set())
+
+    def value(self, multiset):
+        key = tuple(sorted(multiset))
+        cached = self._memo.get(key)
+        if cached is not None:
+            return cached
+        support = frozenset(key)
+        if support not in self._spanning:
+            result = Fraction(0)
+        elif len(support) == 4:
+            result = self._max_sets.get(support, Fraction(0))
+        else:
+            result = self._eliminate(key, support)
+        self._memo[key] = result
+        return result
+
+    def _eliminate(self, key, support):
+        counts = {}
+        for r in key:
+            counts[r] = counts.get(r, 0) + 1
+        target = max(sorted(counts), key=lambda r: counts[r])
+        others = [r for r in sorted(counts) if r != target]
+        m = fraction_solve([tuple(target)] + [tuple(r) for r in others], [1] + [0] * len(others))
+        rest = list(key)
+        rest.remove(target)
+        total = Fraction(0)
+        for ray in self.star_rays(support) | support:
+            if ray == target or ray in others:
+                continue
+            coeff = sum(a * b for a, b in zip(m, ray))
+            if coeff:
+                total -= coeff * self.value(tuple(rest) + (ray,))
+        return total
+
+
+def memo_intersection_number(form, d1, d2, d3, d4, path):
+    """The quadrilinear extension by one of the two old paths: "sparse"
+    expands over the supports, "dense" sweeps each maximal cone's multisets
+    with the coefficient symmetrised over the slot assignments."""
+    divisors = (d1, d2, d3, d4)
+    lookups = [dict(d.coeffs) for d in divisors]
+    total = Fraction(0)
+    if path == "sparse":
+        for rays in itertools.product(*(d.support for d in divisors)):
+            if form.spans_cone(set(rays)):
+                c = Fraction(1)
+                for look, r in zip(lookups, rays):
+                    c *= look[r]
+                total += c * form.value(rays)
+        return total
+    seen = set()
+    for cone in form.fan.maximal_cones:
+        for multiset in itertools.combinations_with_replacement(sorted(cone.rays), 4):
+            if multiset in seen:
+                continue
+            seen.add(multiset)
+            value = form.value(multiset)
+            if not value:
+                continue
+            coeff = Fraction(0)
+            for rays in set(itertools.permutations(multiset)):
+                c = Fraction(1)
+                for look, r in zip(lookups, rays):
+                    c *= look.get(r, 0)
+                coeff += c
+            total += coeff * value
+    return total
+
+
+def memo_c2_dot(form, divisor):
+    """c2 . L . (-K) as the old edge loop: sum over the 2-cones {a, b} and
+    the support rays c of L of a_c * D_a . D_b . D_c . (-K)."""
+    total = Fraction(0)
+    for a, b in form.fan.edges():
+        for c, lc in divisor.coeffs:
+            base = (a, b, c)
+            if not form.spans_cone(set(base)):
+                continue
+            for k in form.star_rays(set(base)) | set(base):
+                total += lc * form.value(base + (k,))
+    return total

@@ -11,12 +11,22 @@ from cytoric.chern import (
     c2_dot,
     chern_report,
     curve_census,
+    euler_characteristic,
     intersection_number,
 )
 from cytoric.errors import InputError
-from cytoric.fan import WeilDivisor, mpcp_triangulate
+from cytoric.fan import WeilDivisor, face_fan, mpcp_triangulate, picard_rank_q
+from cytoric.fixtures import fixture_points
 from cytoric.lattice import NPoint
-from oracles import series_c2_quintic, series_c2_cube_hypersurface
+from cytoric.polytope import hull
+from conftest import mpoints, ray_simplex, shear, transvection
+from oracles import (
+    MemoIntersectionForm,
+    memo_c2_dot,
+    memo_intersection_number,
+    series_c2_cube_hypersurface,
+    series_c2_quintic,
+)
 
 
 def npt(*coords):
@@ -112,6 +122,72 @@ def test_functional_relations_annihilate(example_form, cross_form, p4_form):
             )
             picks = [WeilDivisor.ray(rng.choice(rays)) for _ in range(3)]
             assert intersection_number(form, rel, *picks) == 0
+
+
+# -- the sweep against the memoised elimination ---------------------------------------
+
+
+@pytest.fixture(scope="module")
+def forms(p4_form, cross_form, example_form):
+    return [(form, MemoIntersectionForm(form.fan)) for form in (p4_form, cross_form, example_form)]
+
+
+def test_value_matches_memo_oracle_on_every_cone_multiset(forms):
+    for form, oracle in forms:
+        for cone in form.fan.maximal_cones:
+            for multiset in itertools.combinations_with_replacement(cone.rays, 4):
+                assert form.value(multiset) == oracle.value(multiset)
+
+
+def test_value_matches_memo_oracle_on_random_supports(forms):
+    # on the cross and example fans many supports span no cone; both give 0
+    rng = random.Random(17)
+    spanning = 0
+    for form, oracle in forms:
+        for _ in range(300):
+            quad = tuple(rng.choice(form.rays) for _ in range(4))
+            spanning += oracle.spans_cone(set(quad))
+            assert form.value(quad) == oracle.value(quad)
+    assert 300 < spanning < 600
+
+
+@pytest.mark.parametrize("name", ["quintic", "cube", "example_s3"])
+def test_c2_dot_matches_edge_loop_oracle(name):
+    delta = hull(fixture_points(name))
+    form = IntersectionForm(mpcp_triangulate(delta))
+    oracle = MemoIntersectionForm(form.fan)
+    divisors = [WeilDivisor.anticanonical(form.fan)] + [WeilDivisor.ray(r) for r in form.rays]
+    for d in divisors:
+        assert c2_dot(delta, form, d) == memo_c2_dot(oracle, d)
+
+
+def _random_divisor(rng, rays, size):
+    return WeilDivisor.from_dict(
+        {r: Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 5)) for r in rng.sample(rays, size)}
+    )
+
+
+def test_intersection_number_matches_memo_oracle_on_sparse_divisors(forms):
+    rng = random.Random(23)
+    for form, oracle in forms:
+        for _ in range(25):
+            ds = [_random_divisor(rng, form.rays, rng.randint(1, 3)) for _ in range(4)]
+            assert intersection_number(form, *ds) == memo_intersection_number(
+                oracle, *ds, path="sparse"
+            )
+
+
+def test_intersection_number_matches_memo_oracle_on_dense_mixes(forms):
+    rng = random.Random(29)
+    for form, oracle in forms:
+        mk = WeilDivisor.anticanonical(form.fan)
+        for _ in range(6):
+            ds = [mk, Fraction(rng.randint(1, 3), 2) * mk + _random_divisor(rng, form.rays, 2)]
+            ds += [_random_divisor(rng, form.rays, len(form.rays)) for _ in range(2)]
+            rng.shuffle(ds)
+            assert intersection_number(form, *ds) == memo_intersection_number(
+                oracle, *ds, path="dense"
+            )
 
 
 # -- c2 pairings ---------------------------------------------------------------------
@@ -233,6 +309,56 @@ def test_c2_vanishes_on_divisors_missing_the_hypersurface(cross4):
         d = WeilDivisor.ray(p)
         assert c2_dot(cross4, form, d) == 0
         assert intersection_number(form, d, mk, mk, mk) == 0
+
+
+@pytest.mark.parametrize(
+    "make, chi",
+    [
+        (lambda: hull(fixture_points("example_s3")), -96),
+        (lambda: hull(fixture_points("quintic")), -200),
+        (lambda: hull(fixture_points("cube")), -128),
+        (lambda: hull(fixture_points("cross4d")), 128),
+        (lambda: ray_simplex((1, 2, 2, 2)), 168),  # mirror of wp(1,1,2,2,2): 86/2
+    ],
+    ids=["example_s3", "quintic", "cube", "cross4d", "wp11222_mirror"],
+)
+def test_euler_characteristic_from_the_ring_matches_batyrev(make, chi):
+    delta = make()
+    assert hodge.report(delta).euler == chi
+    assert euler_characteristic(mpcp_triangulate(delta)) == chi
+
+
+def test_invariants_under_unimodular_shears():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    def invariants(delta):
+        # cone counts and multiplicities are left out: pulling breaks ties
+        # lexicographically, so a moved input may get another fine triangulation
+        rep, dual_rep = hodge.report(delta), hodge.report(delta.dual())
+        assert (dual_rep.h11, dual_rep.h12) == (rep.h12, rep.h11)
+        fan = mpcp_triangulate(delta)
+        form = IntersectionForm(fan)
+        mk = WeilDivisor.anticanonical(fan)
+        return (
+            rep.h11,
+            rep.h12,
+            euler_characteristic(form),
+            c2_dot(delta, form, mk),
+            intersection_number(form, mk, mk, mk, mk),
+            picard_rank_q(fan),
+            picard_rank_q(face_fan(delta)),
+        )
+
+    expected = {name: invariants(hull(fixture_points(name))) for name in ("example_s3", "cube")}
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from(sorted(expected)), st.lists(transvection(), min_size=1, max_size=4))
+    def run(name, steps):
+        rows = [tuple(v) for v in fixture_points(name)]
+        assert invariants(hull(mpoints(shear(rows, steps)))) == expected[name]
+
+    run()
 
 
 def test_intersection_form_rejects_wrong_dimension(square):

@@ -1,11 +1,12 @@
 import json
+import multiprocessing
 
 import pytest
 from click.testing import CliRunner
 
-from cytoric import fixtures
+from cytoric import cli, fixtures
 from cytoric.cli import main, parse_divisor
-from cytoric.errors import PolytopeFileError
+from cytoric.errors import InternalInvariantError, PolytopeFileError
 from cytoric.fan import face_fan
 from cytoric.polyfile import dump_polytope, parse_polytope
 
@@ -223,6 +224,30 @@ def test_jobs_merge_in_input_order(runner):
     assert serial.output == parallel.output
     docs = json.loads(parallel.output)
     assert [d["file"] for d in docs] == paths
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_internal_error_fails_only_its_file(runner, monkeypatch, jobs):
+    if jobs != "1" and multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers see the patched command only when forked")
+    paths = [fixture_file(n) for n in ("quintic", "cube", "pgon_square")]
+    alone = json.loads(runner.invoke(main, ["--json", "cy", "hodge", paths[0]]).output)
+    original = cli._COMMANDS["cy.hodge"]
+
+    def broken_on_cube(path, opts):
+        if path == paths[1]:
+            raise InternalInvariantError("broken invariant")
+        return original(path, opts)
+
+    monkeypatch.setitem(cli._COMMANDS, "cy.hodge", broken_on_cube)
+    result = runner.invoke(main, ["--json", "--jobs", jobs, "cy", "hodge", *paths])
+    assert result.exit_code == 3
+    if jobs == "1":  # a forked worker's stderr is not captured here
+        assert "InternalInvariantError: broken invariant" in result.stderr
+    docs = json.loads(result.stdout)
+    assert docs[0] == alone
+    assert docs[1]["error"] == {"type": "InternalInvariantError", "message": "broken invariant"}
+    assert isinstance(docs[2]["error"], str)  # a refusal stays a domain error
 
 
 def test_every_fixture_passes_check(runner):

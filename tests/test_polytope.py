@@ -6,7 +6,7 @@ from cytoric.errors import NotFullDimensionalError, OriginNotInteriorError
 from cytoric.lattice import MPoint, NPoint, pairing
 from cytoric.fixtures import CORPUS_4D, fixture_points
 from cytoric.polytope import RationalPolytope, hull
-from conftest import example_s3_vertices, mpoints, ray_simplex
+from conftest import example_s3_vertices, mpoints, ray_simplex, shear, transvection
 from oracles import brute_facets, grid_points
 
 
@@ -168,14 +168,6 @@ def test_edge_point_relation(cube4):
         assert edge.n_points == edge.n_interior + 2
 
 
-def _shear(rows, steps):
-    """Apply the transvections x_i += c * x_j, one (i, j, c) per step: a
-    unimodular map, so lattice points and faces correspond one to one."""
-    for i, j, c in steps:
-        rows = [p[:i] + (p[i] + c * p[j],) + p[i + 1:] for p in rows]
-    return rows
-
-
 def assert_census_matches_grid_oracle(poly):
     rows = [tuple(v) for v in poly.vertices]
     oracle = grid_points(rows)
@@ -208,7 +200,7 @@ def test_census_sheared_fixture_against_grid_oracle(name):
     rows = [tuple(v) for v in fixture_points(name)]
     rng = random.Random(name)
     steps = [(*rng.sample(range(len(rows[0])), 2), rng.choice((-1, 1))) for _ in range(3)]
-    assert_census_matches_grid_oracle(hull(mpoints(_shear(rows, steps))))
+    assert_census_matches_grid_oracle(hull(mpoints(shear(rows, steps))))
 
 
 def test_census_polygon_without_interior_origin_against_grid_oracle():
@@ -219,10 +211,6 @@ def test_census_invariant_under_unimodular_shears():
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    transvection = st.tuples(
-        st.integers(0, 3), st.integers(0, 3), st.sampled_from((-2, -1, 1, 2))
-    ).filter(lambda t: t[0] != t[1])
-
     def signature(poly):
         per_dim = {
             d: sorted((f.n_points, f.n_interior) for f in poly.faces(d))
@@ -231,10 +219,10 @@ def test_census_invariant_under_unimodular_shears():
         return poly.n_points, poly.n_interior, per_dim
 
     @settings(max_examples=25, deadline=None)
-    @given(st.sampled_from(CORPUS_4D), st.lists(transvection, min_size=1, max_size=4))
+    @given(st.sampled_from(CORPUS_4D), st.lists(transvection(), min_size=1, max_size=4))
     def run(name, steps):
         rows = [tuple(v) for v in fixture_points(name)]
-        assert signature(hull(mpoints(_shear(rows, steps)))) == signature(hull(mpoints(rows)))
+        assert signature(hull(mpoints(shear(rows, steps)))) == signature(hull(mpoints(rows)))
 
     run()
 
