@@ -169,136 +169,3 @@ def nullspace(a_rows):
 def left_nullspace(a_rows):
     """Basis of {w : w A = 0}, i.e. the nullspace of the transpose."""
     return nullspace([list(col) for col in zip(*a_rows)])
-
-
-def smith_normal_form(mat):
-    """Diagonalise an integer matrix by unimodular row and column operations.
-
-    Returns (diag, u, v, v_inv) with ``u @ mat @ v == diag`` where diag is
-    diagonal with the divisibility chain d1 | d2 | ..., and u, v are
-    unimodular.  v_inv is the exact inverse of v, tracked during the
-    reduction so callers get lattice bases without a separate inversion.
-    """
-    a = [list(r) for r in mat]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-    v_inv = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def add_row(src, dst, q):
-        # row dst += q * row src
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
-
-    def add_col(src, dst, q):
-        # col dst += q * col src; inverse op on v_inv rows keeps v_inv exact
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-        v_inv[src] = [x - q * y for x, y in zip(v_inv[src], v_inv[dst])]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    rank_bound = min(m, n)
-    t = 0
-    while t < rank_bound:
-        # A pivot of minimal absolute value in the remaining block, first
-        # in row-major order among ties.
-        nonzero = [(abs(a[i][j]), i, j) for i in range(t, m) for j in range(t, n) if a[i][j]]
-        if not nonzero:
-            break
-        _, pi, pj = min(nonzero)
-        swap_rows(t, pi)
-        swap_cols(t, pj)
-        # Clear row and column t; repeat, since clearing one can dirty the other.
-        while True:
-            for i in range(t + 1, m):
-                if a[i][t] != 0:
-                    q = -(a[i][t] // a[t][t])
-                    add_row(t, i, q)
-                    if a[i][t] != 0:  # remainder smaller than pivot: swap up
-                        swap_rows(t, i)
-            if any(a[i][t] != 0 for i in range(t + 1, m)):
-                continue
-            for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    q = -(a[t][j] // a[t][t])
-                    add_col(t, j, q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-            if all(a[t][j] == 0 for j in range(t + 1, n)) and all(
-                a[i][t] == 0 for i in range(t + 1, m)
-            ):
-                break
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
-
-    # Enforce the divisibility chain d_t | d_{t+1}.
-    changed = True
-    while changed:
-        changed = False
-        for s in range(t - 1):
-            if a[s + 1][s + 1] % a[s][s] != 0:
-                add_col(s + 1, s, 1)
-                # Re-clear the dirtied 2x2 block by the Euclidean dance.
-                while a[s + 1][s] != 0 or a[s][s + 1] != 0:
-                    if a[s + 1][s] != 0:
-                        if abs(a[s + 1][s]) < abs(a[s][s]):
-                            swap_rows(s, s + 1)
-                        q = -(a[s + 1][s] // a[s][s])
-                        add_row(s, s + 1, q)
-                    if a[s][s + 1] != 0:
-                        if abs(a[s][s + 1]) < abs(a[s][s]):
-                            swap_cols(s, s + 1)
-                        q = -(a[s][s + 1] // a[s][s])
-                        add_col(s, s + 1, q)
-                if a[s][s] < 0:
-                    negate_row(s)
-                if a[s + 1][s + 1] < 0:
-                    negate_row(s + 1)
-                changed = True
-    return a, u, v, v_inv
-
-
-class AffineChart:
-    """Exact integer coordinates on the affine lattice spanned by a point set.
-
-    The chart maps the saturation of the affine lattice generated by the
-    points isomorphically onto Z^rank; lattice points of the affine hull get
-    integer coordinates, nothing is rounded.
-    """
-
-    def __init__(self, points):
-        if not points:
-            raise ValueError("need at least one point")
-        self.base = tuple(points[0])
-        diffs = [tuple(x - b for x, b in zip(p, self.base)) for p in points[1:]]
-        if not diffs:
-            diffs = [tuple(0 for _ in self.base)]
-        diag, _u, v, v_inv = smith_normal_form(diffs)
-        self.rank = sum(1 for i in range(min(len(diag), len(diag[0]))) if diag[i][i] != 0)
-        self._columns = list(zip(*v))  # coordinate functionals; the first `rank` span the chart
-        self.basis = [tuple(v_inv[i]) for i in range(self.rank)]
-
-    def project(self, point):
-        w = [x - b for x, b in zip(point, self.base)]
-        coords = [dot(w, col) for col in self._columns]
-        if any(coords[self.rank :]):
-            raise ValueError(f"point {point} is outside the affine hull of the chart")
-        return tuple(coords[: self.rank])

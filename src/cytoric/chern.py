@@ -28,7 +28,7 @@ from itertools import combinations
 from math import lcm
 from operator import mul
 
-from ._linalg import dot, solve_linear  # noqa: F401  bench/spans.py wraps chern.solve_linear
+from ._linalg import dot
 from .errors import InputError, NotSimplicialError
 from .fan import Fan, WeilDivisor, is_nef
 from .hodge import PointType, classify_boundary

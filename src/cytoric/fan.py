@@ -2,12 +2,16 @@
 and divisor-level audits: cone multiplicities, Q-Cartier tests, Picard
 ranks over Q, and nef checks.
 
-The refinement engine triangulates each facet of the dual polytope with an
-iterated pulling subdivision driven by one global point order.  Pulling at
-every available lattice point makes the triangulation fine (all boundary
-points become rays) and face-local (shared 2-faces of adjacent facets are
-split identically), and pulling refinements of the trivial subdivision are
-regular, which is what makes the refined variety projective.
+The refinement engine triangulates the cone over each facet of the dual
+polytope with an iterated pulling subdivision driven by one global point
+order.  Cells are cones in the ambient lattice, each kept as its rays and
+its walls (primitive integer normals with the rays on them), so a pull
+needs only dot products of the cell's own data: no chart, no hull.
+Pulling at every available lattice point makes the triangulation fine
+(all boundary points become rays) and face-local (shared 2-faces of
+adjacent facets are split identically), and pulling refinements of the
+trivial subdivision are regular, which is what makes the refined variety
+projective.
 """
 
 from __future__ import annotations
@@ -19,11 +23,11 @@ from fractions import Fraction
 from functools import cached_property
 
 from ._linalg import (
-    AffineChart,
     dot,
     int_det,
     left_nullspace,
     matrix_rank,
+    primitive_vector,
     solve_linear,
     vector_gcd,
 )
@@ -33,7 +37,7 @@ from .errors import (
     NotReflexiveError,
     NotSimplicialError,
 )
-from .polytope import Polytope, hull
+from .polytope import Polytope, hull  # noqa: F401  bench/spans.py wraps fan.hull
 
 
 @dataclass(frozen=True)
@@ -202,53 +206,64 @@ def _pull_order_key(fan_source: Polytope, order: str):
     raise InputError(f"unknown pulling order {order!r} (use 'incidence' or 'lex')")
 
 
-def _pull_triangulate_facet(points, chart_cls):
-    """Iterated pulling triangulation of one facet in its own chart.
+def _pull_triangulate_facet(dual: Polytope, facet, points):
+    """Iterated pulling triangulation of the cone over one dual facet, with
+    `points` (the facet's lattice points) in the global pull order.
 
-    `points` come already sorted by the global pull order; returns the list
-    of simplices as tuples of the projected points.  Cells are rebuilt as
-    little polytopes so the subdivision is exact at every step.
+    A cell is a cone in the ambient lattice: its rays, and its walls as
+    (primitive normal, nonnegative on the cell; rays on the wall).  The
+    first cell has one wall per ridge of the dual in the facet: on facet i,
+    where <m_i, x> = -1, the ridge shared with facet j is <m_j - m_i, x> = 0.
+    Pulling q into a cell that holds it and is not already a pyramid with
+    apex q gives the pyramids q * F over the walls F with v_F = <n_F, q> > 0.
+    The walls of q * F are F and, for each ridge R = F & F' of the cell (R
+    lies on exactly two walls), q * R with normal v_F * n_F' - v_F' * n_F.
+    Returns the simplices as frozensets of rays.
     """
-    chart = AffineChart(points)
-    proj = {p: chart_cls(chart.project(p)) for p in points}
-    back = {v: p for p, v in proj.items()}
-    if len(back) != len(points):
-        raise InputError("facet chart collapsed two lattice points")
-    cells = [hull(list(proj.values()))]
-    for p in points:
-        q = proj[p]
-        new_cells = []
-        for cell in cells:
-            if not cell.contains(q):
-                new_cells.append(cell)
+    (i,) = facet.facet_set
+    m_i = dual.facets[i].normal
+    walls = []
+    for ridge in dual.faces(dual.dim - 2):
+        if i in ridge.facet_set:
+            (j,) = ridge.facet_set - facet.facet_set
+            normal = [a - b for a, b in zip(dual.facets[j].normal, m_i)]
+            walls.append((primitive_vector(normal), frozenset(ridge.vertices)))
+    cells = [(frozenset(facet.vertices), walls)]
+    for q in points:
+        pulled = []
+        for rays, walls in cells:
+            values = []
+            for n, _ in walls:
+                values.append(dot(n, q))
+                if values[-1] < 0:
+                    break
+            if values[-1] < 0 or sum(v > 0 for v in values) <= 1:
+                pulled.append((rays, walls))  # q outside, or the apex already
                 continue
-            pieces = []
-            for f in cell.facets:
-                if f.evaluate(q) == 0:
+            for a, (n_f, on_f) in enumerate(walls):
+                v_f = values[a]
+                if v_f == 0:
                     continue
-                base = [v for v in cell.vertices if f.evaluate(v) == 0]
-                pieces.append(hull(base + [q]))
-            if len(pieces) <= 1:
-                new_cells.append(cell)  # cell is already a pyramid over q
-            else:
-                new_cells.extend(pieces)
-        cells = new_cells
-    simplices = []
-    for cell in cells:
-        if len(cell.vertices) != cell.dim + 1:
-            raise InputError("pulling left a non-simplicial cell")
-        simplices.append(tuple(back[v] for v in cell.vertices))
-    return simplices
+                pyramid = [(n_f, on_f)]
+                for b, (n_g, on_g) in enumerate(walls):
+                    ridge = on_f & on_g
+                    if b != a and sum(ridge <= on for _, on in walls) == 2:
+                        normal = [v_f * x - values[b] * y for x, y in zip(n_g, n_f)]
+                        pyramid.append((primitive_vector(normal), ridge | {q}))
+                pulled.append((on_f | {q}, pyramid))
+        cells = pulled
+    return [rays for rays, _ in cells]
 
 
 def mpcp_triangulate(delta: Polytope, order: str = "incidence") -> Fan:
     """Crepant simplicial refinement of the face fan whose rays are all the
     boundary lattice points of the dual polytope.
 
-    Each dual facet is triangulated by iterated pulling with one global
-    point order, so the result is fine, face-respecting, and regular by
-    construction.  `order` picks the pull sequence: "incidence" (default,
-    points on fewer facets first, ties lexicographic) or plain "lex".
+    The cone over each dual facet is triangulated by iterated pulling with
+    one global point order (see :func:`_pull_triangulate_facet`), so the
+    result is fine, face-respecting, and regular by construction.  `order`
+    picks the pull sequence: "incidence" (default, points on fewer facets
+    first, ties lexicographic) or plain "lex".
     The choice can change the triangulation where a facet admits several
     fine splits; it never changes ray set, Picard rank, or Hodge data.
     """
@@ -266,7 +281,7 @@ def mpcp_triangulate(delta: Polytope, order: str = "incidence") -> Fan:
             ),
             key=key,
         )
-        for simplex in _pull_triangulate_facet(on_facet, dual.point_cls):
+        for simplex in _pull_triangulate_facet(dual, facet, on_facet):
             cone = Cone(simplex)
             cones.append(cone)
             cone_facets[cone] = fi

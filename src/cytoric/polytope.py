@@ -8,13 +8,14 @@ degenerate, so nothing here assumes general position.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from fractions import Fraction
 
 from ._linalg import (
-    AffineChart,
     hyperplane_normal,
+    int_det,
     matrix_rank,
     vector_gcd,
 )
@@ -429,27 +430,31 @@ class Polytope:
     # -- volume -----------------------------------------------------------------
 
     def normalized_volume(self) -> int:
-        """d! times the Euclidean volume; an integer for lattice polytopes."""
+        """d! times the Euclidean volume; an integer for lattice polytopes.
+
+        The sum of |det| over the pulling triangulation that uses vertices
+        only: every face is coned from its first vertex over its facets
+        missing that vertex, recursively down the face lattice.
+        """
         if self._volume is None:
-            self._volume = _normalized_volume(self.vertices, self.facets, self.point_cls)
+            lattice = self.faces()
+
+            @functools.cache
+            def simplices(face):  # vertex tuples, the face's first vertex last
+                apex = face.vertices[0]
+                if face.dim == 0:
+                    return [(apex,)]
+                children = [g for g in lattice.children(face) if apex not in g.vertices]
+                return [s + (apex,) for g in children for s in simplices(g)]
+
+            apex = self.vertices[0]
+            self._volume = sum(
+                abs(int_det([[a - b for a, b in zip(v, apex)] for v in s]))
+                for facet in lattice(self.dim - 1)
+                if apex not in facet.vertices
+                for s in simplices(facet)
+            )
         return self._volume
-
-
-def _normalized_volume(vertices, facets, point_cls):
-    d = vertices[0].dim
-    if d == 1:
-        return max(v[0] for v in vertices) - min(v[0] for v in vertices)
-    apex = vertices[0]
-    total = 0
-    for f in facets:
-        height = f.evaluate(apex)
-        if height == 0:
-            continue
-        on = [v for v in vertices if f.evaluate(v) == 0]
-        chart = AffineChart(on)
-        sub = hull([point_cls(chart.project(v)) for v in on])
-        total += height * sub.normalized_volume()
-    return total
 
 
 def _lattice_points(vertices, facets):

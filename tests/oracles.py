@@ -4,11 +4,13 @@ Each oracle deliberately avoids the code path it checks: facet enumeration
 by subset search instead of incremental hulls, naive cofactor determinants
 instead of Bareiss, Fraction row reduction instead of the integer
 elimination, grid partitions instead of the face-lattice census, the
-memoised elimination of repeated rays instead of the Chow-ring sweep.
+memoised elimination of repeated rays instead of the Chow-ring sweep,
+lattice-point counts of dilates instead of a triangulated volume.
 """
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 from math import gcd
 
@@ -408,4 +410,20 @@ def memo_c2_dot(form, divisor):
                 continue
             for k in form.star_rays(set(base)) | set(base):
                 total += lc * form.value(base + (k,))
+    return total
+
+
+def ehrhart_volume(polytope):
+    """Normalized volume as the d-th finite difference of the Ehrhart
+    polynomial, sum_k (-1)^(d-k) C(d, k) l(kP) for k = 0..d, with l(0P) = 1
+    and l(kP) counted by the census of the hull of the dilated vertices.
+    No triangulation and no determinant."""
+    from cytoric.polytope import hull
+
+    d = polytope.dim
+    cls = polytope.point_cls
+    total = (-1) ** d
+    for k in range(1, d + 1):
+        dilated = hull([cls([k * x for x in v]) for v in polytope.vertices])
+        total += (-1) ** (d - k) * math.comb(d, k) * dilated.n_points
     return total

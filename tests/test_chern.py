@@ -328,6 +328,28 @@ def test_euler_characteristic_from_the_ring_matches_batyrev(make, chi):
     assert euler_characteristic(mpcp_triangulate(delta)) == chi
 
 
+def weighted_ray_simplices():
+    """The 69 reflexive ray simplices conv(e1..e4, -(w1..w4)) with w_i <= 42
+    and w_i | 1 + sum(w), the weighted P4s of the benchmark corpus."""
+    out = []
+    for ws in itertools.combinations_with_replacement(range(1, 43), 4):
+        if not any((1 + sum(ws)) % w for w in ws):
+            simplex = ray_simplex(ws)
+            if simplex.is_reflexive():
+                out.append(simplex)
+    return out
+
+
+def test_euler_characteristic_on_all_weighted_ray_simplices():
+    # refine the side whose rays are the simplex's own points (at most 34)
+    simplices = weighted_ray_simplices()
+    assert len(simplices) == 69
+    for simplex in simplices:
+        delta = simplex.dual()
+        rep = hodge.report(delta)
+        assert euler_characteristic(mpcp_triangulate(delta)) == 2 * (rep.h11 - rep.h12), simplex
+
+
 def test_invariants_under_unimodular_shears():
     from hypothesis import given, settings
     from hypothesis import strategies as st

@@ -201,15 +201,45 @@ def cone_digest(fan):
     return hashlib.sha256(repr(cones).encode()).hexdigest()
 
 
+# (weights, number of cones, sha256) for mpcp_triangulate(ray_simplex(w)):
+# the mirrors of wp(1,1,1,1,4), of the h11 = 272 and of the h11 = 491
+# hypersurface
+GOLDEN_MIRRORS = (
+    ((1, 1, 1, 4), 1012, "f16b314204b6e42bbb8cf3575bc28c10deaf9587b85d3f7b28b2f4a1f507d700"),
+    ((1, 1, 6, 9), 1886, "e41b8b1041c4cd084a3ed15c1b9cec6fc557b38eb8ad824319f3e52a5170479c"),
+    ((1, 12, 28, 42), 3035, "86137acffd699416ddd303072bcf435cd74f24647619e2c9a9b69efcd4973086"),
+)
+
+# the same for mpcp_triangulate(ray_simplex(w).dual()): each of these
+# simplices has a facet with two or more interior points, so later points
+# are pulled inside pyramid cells, not on faces of the facet
+GOLDEN_SIMPLICES = (
+    ((1, 12, 28, 42), 84, "e407f09bec87e677476f31eaa39e7fa1444eab3356e8bb1330efce9e7491c8be"),
+    ((6, 6, 26, 39), 73, "973dc7e0e6b892dcefc8637c074d0ff56735f42e11439a1568011c2ab7c1e1ed"),
+    ((10, 10, 14, 35), 63, "3b56ccb7c5dd5001d8579058993a09718adca7cb2f7dea347e8289ea90b6ec0d"),
+    ((2, 6, 18, 27), 52, "01b22138ddf18ab66fef3d7413152c58586349ec1d1b710b316e8e8f3ee597f9"),
+    ((3, 8, 24, 36), 67, "f04adfb00020d1c77c990d12e2a2624b32bdaad4e55a25bd19893438398727ba"),
+    ((5, 12, 12, 30), 58, "45848cb4906ab9545119f2b8f1a051ddd43a53a04f409896a0a1a09393106be1"),
+    ((1, 4, 12, 18), 36, "3d306b2578531e9da6efbe8ae34b0f5ef127c17e11fb2ee4aa8aca6e02ed0a12"),
+    ((1, 6, 16, 24), 48, "38b62eeefe3a5b7aaef7ba3227bcf628a7dd616b758150653d8b6b7bfc6d1b61"),
+    ((2, 9, 24, 36), 69, "d4dc34a7dd39fc8e4aa3a7ecdf59f236e992f90ad8d96ca0480ead1f840e3c1a"),
+    ((3, 3, 14, 21), 40, "a316b25e44399785865efc940fc28bed6c0969a652a8e95cbb72570d05aded8c"),
+    ((6, 7, 28, 42), 75, "8cfeca01538b00e3c11d01940d24faa4ebc9812f179befdb1e3693dc9c846eb1"),
+    ((2, 2, 10, 15), 29, "a3beb5e638071c97502aa8c659b38ddb8870622781280ae597db9250a827d62c"),
+)
+
+
 def test_mpcp_golden_cone_lists(cross4d_mpcp, example_mpcp, wp11222_mpcp):
-    # sha256 of the sorted maximal-cone ray tuples, recorded from the Fraction
-    # elimination; any change to the refinement must reproduce the same
-    # triangulation, not merely an equivalent one
-    golden = (
+    # sha256 of the sorted maximal-cone ray tuples, recorded when cells were
+    # still hulled in facet charts; any change to the refinement must
+    # reproduce the same triangulation, not merely an equivalent one
+    golden = [
         (cross4d_mpcp, 384, "721ff25aad065c7d6eb9307a026b0e860885290e1255b57d945ba5d6e9c2c02b"),
         (example_mpcp, 16, "a9cb04acfcd5786b24e2b0ec6f8d51effbf1bf31f76b5821351424a9f27f4130"),
         (wp11222_mpcp, 488, "952cf14217d1a21f1dd787d4b47efbfec000c3580fee5678479a27231f4fde13"),
-    )
+    ]
+    golden += [(mpcp_triangulate(ray_simplex(w)), n, h) for w, n, h in GOLDEN_MIRRORS]
+    golden += [(mpcp_triangulate(ray_simplex(w).dual()), n, h) for w, n, h in GOLDEN_SIMPLICES]
     for fan, n_cones, digest in golden:
         assert len(fan.maximal_cones) == n_cones
         assert cone_digest(fan) == digest

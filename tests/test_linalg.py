@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cytoric._linalg import (
-    AffineChart,
     hyperplane_normal,
     int_det,
     left_nullspace,
@@ -15,7 +14,6 @@ from cytoric._linalg import (
     nullspace,
     primitive_vector,
     row_reduce,
-    smith_normal_form,
     solve_linear,
 )
 from oracles import fraction_nullspace, fraction_rref, fraction_solve, naive_det
@@ -179,54 +177,6 @@ small_entries = st.one_of(
 )
 def test_kernel_matches_fraction_reference_hypothesis(rows):
     assert_kernel_matches_reference(rows)
-
-
-
-def test_smith_normal_form_properties():
-    rng = random.Random(17)
-    for _ in range(120):
-        k = rng.randint(1, 4)
-        n = rng.randint(1, 4)
-        a = random_matrix(rng, k, n, 7)
-        diag, u, v, v_inv = smith_normal_form(a)
-        # u a v == diag
-        av = [[sum(a[i][t] * v[t][j] for t in range(n)) for j in range(n)] for i in range(k)]
-        uav = [[sum(u[i][t] * av[t][j] for t in range(k)) for j in range(n)] for i in range(k)]
-        assert uav == diag
-        for i in range(k):
-            for j in range(n):
-                if i != j:
-                    assert diag[i][j] == 0
-        # divisibility chain
-        ds = [diag[i][i] for i in range(min(k, n)) if diag[i][i] != 0]
-        for x, y in zip(ds, ds[1:]):
-            assert y % x == 0
-        assert abs(int_det(u)) == 1
-        assert abs(int_det(v)) == 1
-        # v_inv really is the inverse of v
-        vv = [[sum(v[i][t] * v_inv[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-        assert vv == [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def test_affine_chart_projects_lattice_isomorphically():
-    pts = [(1, 1, 0), (3, 1, 2), (1, 3, -2), (5, 5, 0)]
-    chart = AffineChart(pts)
-    assert chart.rank == 2
-    assert chart.project(pts[0]) == (0, 0)
-    # integer coordinates for every lattice point in the plane of the points
-    seen = {chart.project(p) for p in pts}
-    assert len(seen) == len(pts)
-    with pytest.raises(ValueError):
-        chart.project((0, 0, 1))
-
-
-def test_affine_chart_saturation():
-    # the points span index-2 directions; the chart must still hit the
-    # saturated lattice so midpoints on the affine lattice project to ints
-    pts = [(0, 0), (2, 0)]
-    chart = AffineChart(pts)
-    assert chart.rank == 1
-    assert chart.project((1, 0)) in ((1,), (-1,))
 
 
 def test_primitive_vector():

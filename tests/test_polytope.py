@@ -4,10 +4,10 @@ import pytest
 
 from cytoric.errors import NotFullDimensionalError, OriginNotInteriorError
 from cytoric.lattice import MPoint, NPoint, pairing
-from cytoric.fixtures import CORPUS_4D, fixture_points
+from cytoric.fixtures import ALL, CORPUS_4D, fixture_points, fixture_polytope
 from cytoric.polytope import RationalPolytope, hull
 from conftest import example_s3_vertices, mpoints, ray_simplex, shear, transvection
-from oracles import brute_facets, grid_points
+from oracles import brute_facets, ehrhart_volume, grid_points
 
 
 def as_plane_set(polytope):
@@ -216,7 +216,7 @@ def test_census_invariant_under_unimodular_shears():
             d: sorted((f.n_points, f.n_interior) for f in poly.faces(d))
             for d in range(poly.dim)
         }
-        return poly.n_points, poly.n_interior, per_dim
+        return poly.n_points, poly.n_interior, per_dim, poly.normalized_volume()
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(CORPUS_4D), st.lists(transvection(), min_size=1, max_size=4))
@@ -381,3 +381,13 @@ def test_normalized_volume():
 def test_normalized_volume_4d(cube4, cross4):
     assert cube4.normalized_volume() == 384  # 4! * 16
     assert cross4.normalized_volume() == 16  # 4! * 2/3
+
+
+def test_normalized_volume_matches_ehrhart_oracle():
+    polytopes = [hull(mpoints([(0,), (3,)])), hull(mpoints([(1, 1), (1, -1), (-1, 1), (-1, -1)]))]
+    for name in ALL:
+        p = fixture_polytope(name)
+        polytopes += [p, p.dual()]
+    polytopes += [ray_simplex(w) for w in ((1, 1, 1, 1), (1, 2, 2, 2), (1, 1, 6, 9), (2, 2, 10, 15))]
+    for p in polytopes:
+        assert p.normalized_volume() == ehrhart_volume(p), p
