@@ -3,7 +3,9 @@
 Everything works on ``int`` tuples/lists, never on floats; the geometric
 predicates elsewhere rely on that exactness.  Rank, solutions and kernels
 come from one fraction-free Gauss-Jordan elimination, :func:`row_reduce`,
-and solutions are integer numerators over one denominator.
+and solutions are integer numerators over one denominator.  Determinants
+and adjugates (:func:`int_det`, :func:`dual_basis`) use Bareiss's exact
+division instead.
 """
 
 from fractions import Fraction
@@ -54,6 +56,51 @@ def int_det(rows):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def dual_basis(rows):
+    """Determinant and adjugate of a square integer matrix, by columns.
+
+    Returns (det, duals) with <duals[i], rows[j]> = det * (i == j).  A
+    fraction-free Gauss-Jordan elimination (Bareiss) of [A | I], kept in
+    place: after step k the left columns up to k and the right columns past
+    k are the pivot times unit vectors, so one n x n array holds the rest.
+    Every step divides exactly by the previous pivot; at the end the array
+    is the last pivot, det of the row-swapped matrix, times its inverse,
+    and undoing the row swaps on the columns gives A's.  Raises ValueError
+    on a singular matrix, whose rows have no dual basis.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix is not square")
+    a = [list(r) for r in rows]
+    swaps = []
+    prev = 1
+    for k in range(n):
+        for i in range(k, n):
+            if a[i][k]:
+                break
+        else:
+            raise ValueError("singular matrix has no dual basis")
+        if i != k:
+            a[k], a[i] = a[i], a[k]
+            swaps.append((k, i))
+        top = a[k]
+        p = top[k]
+        for i, row in enumerate(a):
+            f = row[k]
+            if i == k or (not f and p == prev):
+                continue  # the step would leave the row as it is
+            row = [(p * x - f * y) // prev for x, y in zip(row, top)]
+            row[k] = -f  # right column k: (p * 0 - f * prev) / prev
+            a[i] = row
+        top[k] = prev
+        prev = p
+    for k, i in reversed(swaps):
+        for row in a:
+            row[k], row[i] = row[i], row[k]
+    sign = -1 if len(swaps) % 2 else 1
+    return sign * prev, [tuple(sign * row[i] for row in a) for i in range(n)]
 
 
 def hyperplane_normal(diffs):

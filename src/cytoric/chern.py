@@ -34,22 +34,6 @@ from .fan import Fan, WeilDivisor, is_nef
 from .hodge import PointType, classify_boundary
 from .polytope import Polytope
 
-_PAIRS = tuple(combinations(range(4), 2))
-
-
-def _minors(y, z):
-    """The 2x2 minors of the rows y, z of a 2x4 matrix, by column pair."""
-    return {(p, q): y[p] * z[q] - y[q] * z[p] for p, q in _PAIRS}
-
-
-def _cofactors(x, m):
-    """n with <n, w> = det(w, x, y, z) for every w, from m = _minors(y, z)."""
-    n = []
-    for j in range(4):
-        p, q, r = (k for k in range(4) if k != j)
-        n.append((-1) ** j * (x[p] * m[q, r] - x[q] * m[p, r] + x[r] * m[p, q]))
-    return n
-
 
 class IntersectionForm:
     """The Chow ring of a simplicial complete 4-fan, built once.
@@ -59,7 +43,9 @@ class IntersectionForm:
     of all maximal cones' determinants, and per link ray u the entry
     (u, g + u, c) with <m_i, u> = c_i / det for that cone's dual basis m_i.
     `_top[g]` is M / mult(g) for the maximal cones.  Classes are integer
-    numerators on the W(g) over one denominator.
+    numerators on the W(g) over one denominator.  The determinants and
+    dual bases are the fan's :attr:`~cytoric.fan.Fan.cone_table`, which the
+    nef test shares.
     """
 
     def __init__(self, fan: Fan):
@@ -67,36 +53,28 @@ class IntersectionForm:
             raise NotSimplicialError("intersection numbers need a simplicial fan")
         if fan.dim != 4:
             raise InputError("intersection form is implemented for 4-dimensional fans")
-        if not fan.wall_consistency():
-            raise InputError("fan is not complete: some wall has one incident cone")
+        table = fan.cone_table
         self.fan = fan
         self.rays = fan.rays
         self._index = {r: i for i, r in enumerate(fan.rays)}
         vec = [tuple(r) for r in fan.rays]
-        self._lcm = lcm(*(cone.multiplicity for cone in fan.maximal_cones))
-        mult, host, link = {}, {}, {}
-        for cone in fan.maximal_cones:
-            top = tuple(self._index[r] for r in cone.rays)
-            mult[top] = cone.multiplicity
+        self._lcm = lcm(*table.dets)
+        tops, host, link = table.cones, {}, {}
+        for ci, top in enumerate(tops):
             for k in range(4):
                 for g in combinations(top, k):
-                    host.setdefault(g, top)  # the first maximal cone containing g
+                    host.setdefault(g, ci)  # the first maximal cone containing g
                     link.setdefault(g, set()).update(top)
-        duals = {}  # n_i with <n_i, v_j> = det * (i == j) on the cone's rays
-        for top in set(host.values()):
-            rows = v0, v1, v2, v3 = [vec[i] for i in top]
-            m01, m23 = _minors(v0, v1), _minors(v2, v3)
-            ns = _cofactors(v1, m23), _cofactors(v0, m23), _cofactors(v3, m01), _cofactors(v2, m01)
-            duals[top] = [n if dot(n, v) > 0 else [-x for x in n] for n, v in zip(ns, rows)]
-        self._top = {top: self._lcm // m for top, m in mult.items()}
+        self._top = {top: self._lcm // m for top, m in zip(tops, table.dets)}
         self._cones = {}
-        for g, top in host.items():
-            basis = [duals[top][top.index(i)] for i in g]
+        for g, ci in host.items():
+            top = tops[ci]
+            basis = [table.duals[ci][top.index(i)] for i in g]
             entries = tuple(
                 (u, tuple(sorted(g + (u,))), tuple(dot(n, vec[u]) for n in basis))
                 for u in sorted(link[g].difference(g))
             )
-            self._cones[g] = (mult[top], self._top[top], entries)
+            self._cones[g] = (table.dets[ci], self._top[top], entries)
         self._all_rays = (dict.fromkeys(range(len(vec)), 1), 1)
 
     def _times(self, cls, divisor):

@@ -44,10 +44,6 @@ class NotSimplicialError(InputError):
     """Operation requires a simplicial cone or fan."""
 
 
-class NotQCartierError(InputError):
-    """Divisor does not admit per-cone linear support data."""
-
-
 class PolytopeFileError(CytoricError, ValueError):
     """Parse failure for a polytope file; carries the 1-based line number."""
 

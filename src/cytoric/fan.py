@@ -12,6 +12,13 @@ Pulling at every available lattice point makes the triangulation fine
 adjacent facets are split identically), and pulling refinements of the
 trivial subdivision are regular, which is what makes the refined variety
 projective.
+
+The nef test is toric Kleiman on the wall relations (Cox-Little-Schenck,
+Toric Varieties, Thm 6.3.12 and 6.4): a divisor is nef iff it pairs
+nonnegatively with the relation of every wall, one integer test per wall.
+The relations come from a per-fan :class:`ConeTable` (wall owners and each
+maximal cone's integer dual basis), which the intersection form in
+:mod:`cytoric.chern` reads too.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from functools import cached_property
 
 from ._linalg import (
     dot,
+    dual_basis,
     int_det,
     left_nullspace,
     matrix_rank,
@@ -33,7 +41,6 @@ from ._linalg import (
 )
 from .errors import (
     InputError,
-    NotQCartierError,
     NotReflexiveError,
     NotSimplicialError,
 )
@@ -127,9 +134,8 @@ class Fan:
     def ray_index(self, ray) -> int:
         return self._ray_index[ray]
 
-    def walls(self):
-        """Codimension-one intersections of maximal cones with the two cones
-        sharing each; in a complete fan every wall has exactly two."""
+    @cached_property
+    def _walls(self):
         owners = {}
         if self.is_simplicial:
             for ci, cone in enumerate(self.maximal_cones):
@@ -151,8 +157,20 @@ class Fan:
                 owners[frozenset(ridge.vertices)] = incident
         return {k: tuple(sorted(v)) for k, v in owners.items()}
 
+    def walls(self):
+        """Codimension-one intersections of maximal cones with the two cones
+        sharing each; in a complete fan every wall has exactly two.  Built
+        once per fan; the dict is shared, so do not mutate it."""
+        return self._walls
+
     def wall_consistency(self) -> bool:
         return all(len(v) == 2 for v in self.walls().values())
+
+    @cached_property
+    def cone_table(self) -> ConeTable:
+        """The wall owners and each maximal cone's dual basis, built once
+        and shared by the nef test and the intersection form."""
+        return ConeTable(self)
 
     def edges(self):
         """All 2-element ray sets spanning a 2-cone of a simplicial fan."""
@@ -169,6 +187,60 @@ class Fan:
             f"Fan({self.provenance}, {len(self.maximal_cones)} maximal cones, "
             f"{len(self.rays)} rays)"
         )
+
+
+class ConeTable:
+    """Per-cone data of a complete simplicial fan, built once per fan.
+
+    `rays` is `fan.rays`; `cones[c]` holds the ray indices of maximal cone
+    c, and `owners` is `fan.walls()`: each wall with the indices of the two
+    maximal cones sharing it.  For cone c with rays v_0 .. v_{d-1},
+    `dets[c]` is its multiplicity |det| and `duals[c][i]` the integer
+    vector n_i with <n_i, v_j> = dets[c] * (i == j), from one
+    :func:`dual_basis` per cone in any dimension.  The table keeps no
+    reference to the fan, so the two form no cycle.
+    """
+
+    def __init__(self, fan: Fan):
+        if not fan.is_simplicial:
+            raise NotSimplicialError("cone table needs a simplicial fan")
+        d = fan.dim
+        if any(len(c.rays) != d for c in fan.maximal_cones) or not fan.wall_consistency():
+            raise InputError("fan is not complete: some wall has one incident cone")
+        self.rays = fan.rays
+        self.cones = tuple(tuple(map(fan.ray_index, c.rays)) for c in fan.maximal_cones)
+        self.owners = fan.walls()
+        dets, duals = [], []
+        for cone in fan.maximal_cones:
+            det, ns = dual_basis(cone.rays)
+            if det < 0:
+                det, ns = -det, [tuple(-x for x in n) for n in ns]
+            dets.append(det)
+            duals.append(ns)
+        self.dets = tuple(dets)
+        self.duals = tuple(duals)
+
+    @cached_property
+    def relations(self):
+        """The wall relations, one per wall in `owners` order, as (ray
+        indices, primitive integer coefficients b).
+
+        For the wall between sigma = owners[0] and sigma', with u' the ray
+        of sigma' off the wall, det_sigma * u' = sum_i <n_i, u'> v_i over
+        the rays v_i of sigma.  The indices are sigma's rays, then u'; the
+        coefficients -<n_i, u'> and det_sigma, over their gcd.  Both rays
+        off the wall get b > 0 and sum b_v v = 0 (Cox-Little-Schenck,
+        Toric Varieties, 6.4).  Up to positive multiples, D . V(tau) =
+        sum b_v a_v, so on a projective fan the relations span the Mori
+        cone (ibid., Thm 6.3.20).
+        """
+        out = []
+        for ci, cj in self.owners.values():
+            (u,) = set(self.cones[cj]).difference(self.cones[ci])
+            b = [-dot(n, self.rays[u]) for n in self.duals[ci]] + [self.dets[ci]]
+            g = math.gcd(*b)
+            out.append((self.cones[ci] + (u,), tuple(x // g for x in b)))
+        return tuple(out)
 
 
 def _require_reflexive(delta: Polytope, what: str) -> Polytope:
@@ -428,26 +500,23 @@ def picard_rank_q(fan: Fan) -> int:
 
 
 def is_nef(fan: Fan, divisor: WeilDivisor) -> bool:
-    """Convexity of the support function: for every maximal cone's local
-    data m and every ray v outside the cone, <m, v> >= -a_v.
+    """Toric Kleiman (Cox-Little-Schenck, Toric Varieties, Thm 6.3.12): on
+    a complete simplicial fan, D = sum a_v D_v is nef iff D . V(tau) >= 0
+    for every wall tau, i.e. sum b_v a_v >= 0 for the wall's relation
+    sum b_v v = 0 (:attr:`ConeTable.relations`).  With sigma's dual basis
+    that reads det_sigma * a_u' - sum_i a_i <n_i, u'> >= 0: the support
+    function is convex across the wall.  One integer test per wall.
 
     The divisor is scaled once to integer coefficients A_v (nefness is
-    invariant under positive scaling), so with m = num / den the test is
-    <num, v> >= -A_v * den in integers."""
+    invariant under positive scaling)."""
     if not fan.is_simplicial:
         raise NotSimplicialError("nef test expects a simplicial fan")
     _check_support(fan, divisor)
     scale = math.lcm(*[c.denominator for _, c in divisor.coeffs])
-    coeffs = {r: c.numerator * (scale // c.denominator) for r, c in divisor.coeffs}
-    for cone in fan.maximal_cones:
-        m = _cone_support_data(cone, coeffs)
-        if m is None:
-            raise NotQCartierError("divisor is not Q-Cartier on this fan")
-        num, den = m
-        in_cone = set(cone.rays)
-        for v in fan.rays:
-            if v in in_cone:
-                continue
-            if dot(num, v) < -coeffs.get(v, 0) * den:
-                return False
-    return True
+    a = [0] * len(fan.rays)
+    for r, c in divisor.coeffs:
+        a[fan.ray_index(r)] = c.numerator * (scale // c.denominator)
+    return all(
+        sum(b * a[i] for i, b in zip(indices, coeffs)) >= 0
+        for indices, coeffs in fan.cone_table.relations
+    )

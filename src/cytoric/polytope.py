@@ -122,10 +122,16 @@ class FaceLattice:
         return self._by_vertexset[frozenset(vertices)]
 
     def children(self, face):
-        return [g for g in self.by_dim.get(face.dim - 1, ()) if set(g.vertices) <= set(face.vertices)]
+        """The faces one dimension down inside `face`: those whose facet
+        sets contain face.facet_set."""
+        fs = face.facet_set
+        return [g for g in self.by_dim.get(face.dim - 1, ()) if fs < g.facet_set]
 
     def parents(self, face):
-        return [g for g in self.by_dim.get(face.dim + 1, ()) if set(face.vertices) <= set(g.vertices)]
+        """The faces one dimension up containing `face`: those whose facet
+        sets lie in face.facet_set."""
+        fs = face.facet_set
+        return [g for g in self.by_dim.get(face.dim + 1, ()) if g.facet_set < fs]
 
 
 class PointCensus:

@@ -13,6 +13,7 @@ import itertools
 import math
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 
 def naive_det(rows):
@@ -196,19 +197,43 @@ def _memo_fraction_solve(rows, rhs):
 
 
 def fraction_is_nef(fan, divisor):
-    """The all-rays nef test in Fractions: <m, v> >= -a_v for every maximal
-    cone's local data m and every ray v outside the cone."""
-    coeffs = dict(divisor.coeffs)
+    """The all-rays nef test: <m, v> >= -a_v for every maximal cone's local
+    data m and every ray v (the cone's own rays give equality).
+
+    With the cone's rays as the rows of V, m = -V^-1 a_cone.  V^-1 comes
+    from one Fraction row reduction per cone, cached, and its denominators
+    are cleared once: B = L V^-1 with L > 0 an integer.  With the divisor
+    scaled to integer coefficients A (nefness is invariant under positive
+    scaling) the test is <B A_cone, v> <= L A_v, in integers."""
+    scale = math.lcm(*[c.denominator for _, c in divisor.coeffs])
+    a = {r: int(c * scale) for r, c in divisor.coeffs}
+    rays = [(tuple(v), a.get(v, 0)) for v in fan.rays]
+    negative = any(x < 0 for x in a.values())
     for cone in fan.maximal_cones:
-        m = fraction_support_data(cone.rays, coeffs)
-        nonzero = any(m)  # skips the Fraction sums where <m, v> is 0 anyway
-        for v in fan.rays:
-            if v in cone.rays:
-                continue
-            value = sum(a * b for a, b in zip(m, v)) if nonzero else 0
-            if value < -coeffs.get(v, 0):
+        a_cone = [a.get(r, 0) for r in cone.rays]
+        if not any(a_cone):
+            # m = 0, and a ray with A_v < 0 lies outside the cone
+            if negative:
                 return False
+            continue
+        den, inverse = _cleared_inverse(tuple(tuple(r) for r in cone.rays))
+        mu = [sum(b * x for b, x in zip(row, a_cone)) for row in inverse]
+        if any(sum(map(mul, mu, v)) > den * a_v for v, a_v in rays):
+            return False
     return True
+
+
+@functools.lru_cache(maxsize=None)
+def _cleared_inverse(rows):
+    """(L, B) with B = L V^-1 an integer matrix, V the square matrix with
+    these rows, from the Fraction RREF of [V | I]."""
+    n = len(rows)
+    reduced, pivots = fraction_rref([list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)])
+    if pivots != list(range(n)):
+        raise ValueError("singular cone")
+    inverse = [row[n:] for row in reduced]
+    den = math.lcm(*[x.denominator for row in inverse for x in row])
+    return den, tuple(tuple(int(x * den) for x in row) for row in inverse)
 
 
 def fraction_cartier_index(fan, divisor):

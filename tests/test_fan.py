@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 from operator import mul
@@ -8,6 +9,7 @@ import pytest
 from cytoric.errors import NotReflexiveError, NotSimplicialError
 from cytoric.fan import (
     Cone,
+    Fan,
     WeilDivisor,
     cone_mult,
     face_fan,
@@ -17,10 +19,10 @@ from cytoric.fan import (
     picard_rank_q,
     singularity_census,
 )
-from cytoric.fixtures import fixture_polytope
+from cytoric.fixtures import POLYGONS, fixture_polytope
 from cytoric.lattice import NPoint, pairing
 from cytoric.polytope import hull
-from conftest import mpoints, ray_simplex
+from conftest import mpoints, ray_simplex, shear
 from oracles import fraction_cartier_index, fraction_is_nef
 
 
@@ -229,7 +231,13 @@ GOLDEN_SIMPLICES = (
 )
 
 
-def test_mpcp_golden_cone_lists(cross4d_mpcp, example_mpcp, wp11222_mpcp):
+@pytest.fixture(scope="module")
+def mirror_mpcps():
+    """The GOLDEN_MIRRORS refinements, by weights."""
+    return {w: mpcp_triangulate(ray_simplex(w)) for w, _, _ in GOLDEN_MIRRORS}
+
+
+def test_mpcp_golden_cone_lists(cross4d_mpcp, example_mpcp, wp11222_mpcp, mirror_mpcps):
     # sha256 of the sorted maximal-cone ray tuples, recorded when cells were
     # still hulled in facet charts; any change to the refinement must
     # reproduce the same triangulation, not merely an equivalent one
@@ -238,7 +246,7 @@ def test_mpcp_golden_cone_lists(cross4d_mpcp, example_mpcp, wp11222_mpcp):
         (example_mpcp, 16, "a9cb04acfcd5786b24e2b0ec6f8d51effbf1bf31f76b5821351424a9f27f4130"),
         (wp11222_mpcp, 488, "952cf14217d1a21f1dd787d4b47efbfec000c3580fee5678479a27231f4fde13"),
     ]
-    golden += [(mpcp_triangulate(ray_simplex(w)), n, h) for w, n, h in GOLDEN_MIRRORS]
+    golden += [(mirror_mpcps[w], n, h) for w, n, h in GOLDEN_MIRRORS]
     golden += [(mpcp_triangulate(ray_simplex(w).dual()), n, h) for w, n, h in GOLDEN_SIMPLICES]
     for fan, n_cones, digest in golden:
         assert len(fan.maximal_cones) == n_cones
@@ -305,7 +313,7 @@ def seeded_divisors(fan, seed, count):
             out.append(c * minus_k + rng.choice((1, Fraction(1, 2), Fraction(1, 3))) * principal)
             continue
         d = rng.choice((WeilDivisor.zero(), minus_k, 2 * minus_k))
-        for r in rng.sample(fan.rays, rng.randint(1, 4)):
+        for r in rng.sample(fan.rays, rng.randint(1, min(4, len(fan.rays)))):
             d = d + WeilDivisor.ray(r, rng.choice((-2, -1, 1, 2, Fraction(1, 2), Fraction(-1, 2))))
         out.append(d)
     return out
@@ -371,6 +379,92 @@ def test_nef_matches_fraction_reference(cross4d_mpcp, wp11222_mpcp, example_mpcp
         verdicts = [is_nef(fan, d) for d in divisors]
         assert verdicts == [fraction_is_nef(fan, d) for d in divisors]
         assert verdicts[0] and verdicts[-8] and not all(verdicts)
+
+
+def nef_by_construction(fan, seed, count):
+    """Seeded c * (-K) + s * principal with c >= 0, s > 0: nef, since -K is
+    nef on these fans and a principal divisor is linearly equivalent to 0."""
+    rng = random.Random(seed)
+    minus_k = WeilDivisor.anticanonical(fan)
+    out = []
+    for _ in range(count):
+        m = [rng.randint(-5, 5) for _ in range(fan.dim)]
+        principal = WeilDivisor.from_dict({v: sum(map(mul, m, v)) for v in fan.rays})
+        c = rng.choice((0, 1, 2, 3, Fraction(1, 2), Fraction(2, 3)))
+        out.append(c * minus_k + rng.choice((1, 2, Fraction(1, 2), Fraction(1, 3))) * principal)
+    return out
+
+
+def assert_nef_matches_oracle(fan, divisors):
+    verdicts = [is_nef(fan, d) for d in divisors]
+    assert verdicts == [fraction_is_nef(fan, d) for d in divisors]
+    return verdicts
+
+
+def test_wall_relations(p4_fan, quintic, example_mpcp, cross4d_mpcp, wp11222_mpcp, mirror_mpcps):
+    fans = [p4_fan, face_fan(quintic.dual()), example_mpcp, cross4d_mpcp, wp11222_mpcp]
+    fans += list(mirror_mpcps.values())
+    fans += [face_fan(fixture_polytope(name)) for name in POLYGONS]
+    for fan in fans:
+        table = fan.cone_table
+        assert len(table.relations) == len(fan.maximal_cones) * fan.dim // 2
+        for (wall, (ci, cj)), (indices, b) in zip(table.owners.items(), table.relations):
+            rays = [fan.rays[i] for i in indices]
+            sigma, other = fan.maximal_cones[ci].rays, fan.maximal_cones[cj].rays
+            assert set(rays) == set(sigma) | set(other) and set(rays[:-1]) == set(sigma)
+            assert all(sum(x * v[k] for x, v in zip(b, rays)) == 0 for k in range(fan.dim))
+            assert math.gcd(*b) == 1
+            off_wall = [x for x, v in zip(b, rays) if v not in wall]
+            assert len(off_wall) == 2 and min(off_wall) > 0
+
+
+def test_nef_matches_oracle_on_polygon_and_mirror_quintic_face_fans(quintic):
+    fans = [face_fan(fixture_polytope(name)) for name in POLYGONS]
+    fans.append(face_fan(quintic.dual()))
+    for seed, fan in enumerate(fans):
+        minus_k = WeilDivisor.anticanonical(fan)
+        divisors = [minus_k, -1 * minus_k]
+        divisors += [WeilDivisor.ray(r, c) for r in fan.rays for c in (1, -1)]
+        divisors += seeded_divisors(fan, seed, 12)
+        verdicts = assert_nef_matches_oracle(fan, divisors)
+        assert verdicts[0] and not verdicts[1]
+
+
+def test_nef_by_construction(p4_fan, quintic, example_mpcp, cross4d_mpcp, wp11222_mpcp, mirror_mpcps):
+    fans = [p4_fan, face_fan(quintic.dual()), example_mpcp, cross4d_mpcp, wp11222_mpcp]
+    fans += [face_fan(fixture_polytope(name)) for name in POLYGONS]
+    for seed, fan in enumerate(fans):
+        assert all(assert_nef_matches_oracle(fan, nef_by_construction(fan, seed, 6)))
+    for seed, fan in enumerate(mirror_mpcps.values()):
+        assert all(is_nef(fan, d) for d in nef_by_construction(fan, seed, 6))
+
+
+def test_nef_matches_oracle_on_weighted_mirrors(wp11222_mpcp, mirror_mpcps):
+    # -K and every ray divisor on the 104- and 200-ray mirrors; -K and a
+    # seeded sample of 20 ray divisors on the 375- and 679-ray mirrors,
+    # where the all-rays oracle takes seconds per hundred divisors
+    fans = [wp11222_mpcp] + list(mirror_mpcps.values())
+    rng = random.Random(13)
+    for fan in fans:
+        rays = fan.rays if len(fan.rays) <= 200 else rng.sample(fan.rays, 20)
+        divisors = [WeilDivisor.anticanonical(fan)] + [WeilDivisor.ray(r) for r in rays]
+        verdicts = assert_nef_matches_oracle(fan, divisors)
+        assert verdicts[0]
+
+
+def test_nef_invariant_under_unimodular_shears(example_mpcp, cross4d_mpcp):
+    rng = random.Random(17)
+    for fan in (example_mpcp, cross4d_mpcp):
+        divisors = [WeilDivisor.anticanonical(fan)] + [WeilDivisor.ray(r) for r in fan.rays]
+        divisors += seeded_divisors(fan, 19, 12)
+        verdicts = [is_nef(fan, d) for d in divisors]
+        assert any(verdicts) and not all(verdicts)
+        for _ in range(3):
+            steps = [(i, j, rng.choice((-2, -1, 1, 2))) for i, j in [rng.sample(range(4), 2) for _ in range(4)]]
+            moved = dict(zip(fan.rays, map(NPoint, shear([tuple(r) for r in fan.rays], steps))))
+            sheared = Fan([Cone(tuple(moved[r] for r in c.rays)) for c in fan.maximal_cones], "sheared", None, None)
+            images = [WeilDivisor.from_dict({moved[r]: c for r, c in d.coeffs}) for d in divisors]
+            assert [is_nef(sheared, d) for d in images] == verdicts
 
 
 def test_nef_rejects_non_qcartier(example_face_fan):

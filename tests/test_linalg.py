@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cytoric._linalg import (
+    dual_basis,
     hyperplane_normal,
     int_det,
     left_nullspace,
@@ -34,6 +35,39 @@ def test_int_det_matches_cofactor_expansion():
 def test_int_det_identity_and_singular():
     assert int_det([[1, 0], [0, 1]]) == 1
     assert int_det([[1, 2], [2, 4]]) == 0
+
+
+def test_dual_basis_is_the_int_det_adjugate():
+    # duals[i][r] is the (r, i) cofactor: (-1)^(i+r) det of the matrix
+    # without row i and column r
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        m = random_matrix(rng, n, n, bound=rng.choice((1, 3, 9)))
+        det = int_det(m)
+        if det == 0:
+            with pytest.raises(ValueError):
+                dual_basis(m)
+            seen.add("singular")
+            continue
+        seen.add(n)
+        got_det, duals = dual_basis(m)
+        assert got_det == det
+        for i in range(n):
+            minors = [[row[:r] + row[r + 1:] for k, row in enumerate(m) if k != i] for r in range(n)]
+            assert duals[i] == tuple((-1) ** (i + r) * (int_det(x) if x else 1) for r, x in enumerate(minors))
+            assert [sum(x * y for x, y in zip(duals[i], row)) for row in m] == [det * (i == j) for j in range(n)]
+    assert seen == {1, 2, 3, 4, 5, "singular"}
+
+
+def test_dual_basis_refuses_singular_and_non_square():
+    with pytest.raises(ValueError, match="singular"):
+        dual_basis([[1, 2], [2, 4]])
+    with pytest.raises(ValueError, match="singular"):
+        dual_basis([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    with pytest.raises(ValueError, match="not square"):
+        dual_basis([[1, 2, 3], [4, 5, 6]])
 
 
 def test_hyperplane_normal_is_orthogonal():

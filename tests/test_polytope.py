@@ -131,6 +131,23 @@ def test_face_incidences(square):
         assert edge in lattice.parents(v)
 
 
+@pytest.mark.parametrize("name", ALL)
+def test_face_links_match_vertex_scan(name):
+    # the facet-set index against the scan of the next dimension it replaced
+    delta = fixture_polytope(name)
+    for p in (delta, delta.dual()):
+        lattice = p.faces()
+        for face in lattice:
+            below = lattice.by_dim.get(face.dim - 1, ())
+            above = lattice.by_dim.get(face.dim + 1, ())
+            assert lattice.children(face) == [
+                g for g in below if set(g.vertices) <= set(face.vertices)
+            ]
+            assert lattice.parents(face) == [
+                g for g in above if set(face.vertices) <= set(g.vertices)
+            ]
+
+
 # -- lattice point census ------------------------------------------------------
 
 
