@@ -103,23 +103,6 @@ def dual_basis(rows):
     return sign * prev, [tuple(sign * row[i] for row in a) for i in range(n)]
 
 
-def hyperplane_normal(diffs):
-    """Integer normal to the hyperplane spanned by d-1 difference vectors in dim d.
-
-    Cofactor expansion of the formal determinant with a unit-vector top row,
-    i.e. the (d-1)-fold cross product.  Returns the zero vector when the
-    input rows are linearly dependent.
-    """
-    if not diffs:
-        return (1,)
-    d = len(diffs[0])
-    if len(diffs) != d - 1:
-        raise ValueError(f"need {d - 1} difference vectors in dimension {d}")
-    return tuple(
-        (-1) ** i * int_det([row[:i] + row[i + 1 :] for row in diffs]) for i in range(d)
-    )
-
-
 def _integer_rows(rows):
     """The rows with int entries.  A row holding a Fraction is scaled by the
     lcm of its denominators, which changes neither row space nor pivots."""

@@ -1,23 +1,34 @@
 """Exact convex geometry of full-dimensional lattice polytopes.
 
-Hulls are built by incremental insertion with exact integer orientation
-predicates, then coplanar simplicial pieces are merged into the true
-(possibly non-simplicial) facets.  Lattice polytopes are maximally
-degenerate, so nothing here assumes general position.
+Hulls are built by beneath-beyond insertion on plain integer tuples: the
+facet through a horizon ridge and the new point is the nonnegative
+combination of the two facets sharing that ridge that vanishes at the
+point (Barber, Dobkin and Huhdanpaa, 1996), and ridge ownership is updated
+as facets come and go.  Coplanar simplicial pieces are then merged into
+the true (possibly non-simplicial) facets.
+
+A polytope evaluates its vertex x facet slack table once, when the
+constructor checks the two representations against each other, and keeps
+each vertex's saturated facets.  The face lattice is read from that
+incidence alone: inside a (k+1)-face the k-faces are the inclusion-maximal
+intersections with the other (k+1)-faces (the diamond property), so no
+rank is taken.  Lattice polytopes are maximally degenerate, so nothing
+here assumes general position.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 from ._linalg import (
-    hyperplane_normal,
+    dot,
+    dual_basis,
     int_det,
     matrix_rank,
-    vector_gcd,
+    primitive_vector,
 )
 from .errors import (
     InputError,
@@ -32,10 +43,6 @@ from .lattice import (
     NPoint,
     RationalHyperplane,
 )
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
 
 
 class Face:
@@ -208,19 +215,36 @@ class Polytope:
         for f in self.facets:
             if type(f.normal) is not dual_cls:
                 raise InputError("facet normals must live in the dual lattice")
+            if f.normal.dim != d:
+                raise InputError(f"dimension mismatch: {d} vs {f.normal.dim}")
+        # The incidence table: each vertex's saturated facets, from one
+        # evaluation of the slack table.
+        self._planes = tuple((f.normal, f.offset) for f in self.facets)
+        saturated = []
         for v in self.vertices:
-            slacks = [f.evaluate(v) for f in self.facets]
-            if any(s < 0 for s in slacks):
+            slacks = self._slacks(v)
+            if min(slacks, default=0) < 0:
                 raise InputError(f"vertex {v} violates a facet inequality")
-            if sum(1 for s in slacks if s == 0) < d:
+            tight = frozenset(i for i, s in enumerate(slacks) if s == 0)
+            if len(tight) < d:
                 raise InputError(f"vertex {v} saturates fewer than {d} facets")
-        for i, f in enumerate(self.facets):
-            on = [v for v in self.vertices if f.evaluate(v) == 0]
+            saturated.append(tight)
+        self._saturated = tuple(saturated)
+        for i, on in enumerate(self._facet_vertex_indices()):
             if len(on) < d:
                 raise InputError(f"facet {i} holds fewer than {d} vertices")
-            diffs = [tuple(a - b for a, b in zip(v, on[0])) for v in on[1:]]
+            first = self.vertices[on[0]]
+            diffs = [tuple(a - b for a, b in zip(self.vertices[j], first)) for j in on[1:]]
             if matrix_rank(diffs) != d - 1:
                 raise InputError(f"facet {i} vertices do not span it")
+
+    def _facet_vertex_indices(self):
+        """For each facet, the indices of the vertices on it, ascending."""
+        on = [[] for _ in self.facets]
+        for j, tight in enumerate(self._saturated):
+            for i in tight:
+                on[i].append(j)
+        return on
 
     # -- basic queries -----------------------------------------------------
 
@@ -258,11 +282,19 @@ class Polytope:
     def origin(self):
         return self.point_cls([0] * self.ambient_dim)
 
+    def _slacks(self, p):
+        """<p, normal> - offset for every facet, in facet order."""
+        if type(p) is not self.point_cls or len(p) != self.ambient_dim:
+            raise InputError(
+                f"{self.point_cls.__name__} of dimension {self.ambient_dim} expected, got {p!r}"
+            )
+        return [dot(p, normal) - offset for normal, offset in self._planes]
+
     def contains(self, p) -> bool:
-        return all(f.evaluate(p) >= 0 for f in self.facets)
+        return min(self._slacks(p)) >= 0
 
     def strictly_contains(self, p) -> bool:
-        return all(f.evaluate(p) > 0 for f in self.facets)
+        return min(self._slacks(p)) > 0
 
     # -- duality and reflexivity -------------------------------------------
 
@@ -329,39 +361,42 @@ class Polytope:
         return self._faces(dim)
 
     def _build_faces(self):
+        """Faces from the incidence table, facets down to edges: inside a
+        (k+1)-face, the k-faces are the inclusion-maximal intersections with
+        the other (k+1)-faces that keep more than k vertices (each k-face
+        lies in exactly two (k+1)-faces and is their intersection)."""
         d = self.ambient_dim
-        sat = {
-            v: frozenset(i for i, f in enumerate(self.facets) if f.evaluate(v) == 0)
-            for v in self.vertices
+        sat = self._saturated
+        level = [frozenset(on) for on in self._facet_vertex_indices()]
+        by_dim = {d - 1: level}
+        for k in range(d - 2, 0, -1):
+            through = [[] for _ in self.vertices]  # vertex -> faces of level
+            for a, face in enumerate(level):
+                for j in face:
+                    through[j].append(a)
+            found = set()
+            for a, face in enumerate(level):
+                neighbours = {b for j in face for b in through[j]}
+                neighbours.discard(a)
+                cuts = [c for c in {face & level[b] for b in neighbours} if len(c) > k]
+                found.update(c for c in cuts if not any(c < e for e in cuts))
+            by_dim[k] = level = list(found)
+        faces = {
+            fdim: [
+                Face(
+                    fdim,
+                    [self.vertices[j] for j in on],
+                    frozenset.intersection(*(sat[j] for j in on)),
+                    self,
+                )
+                for on in level
+            ]
+            for fdim, level in by_dim.items()
         }
-
-        def make_face(fdim, verts):
-            fs = frozenset.intersection(*(sat[v] for v in verts))
-            return Face(fdim, verts, fs, self)
-
-        by_dim = {}
-        by_dim[d - 1] = [
-            make_face(d - 1, tuple(v for v in self.vertices if i in sat[v]))
-            for i in range(len(self.facets))
-        ]
-        level = by_dim[d - 1]
-        for fdim in range(d - 2, 0, -1):
-            seen = {}
-            for fa, fb in itertools.combinations(level, 2):
-                common = tuple(sorted(set(fa.vertices) & set(fb.vertices)))
-                if len(common) <= fdim or frozenset(common) in seen:
-                    continue
-                diffs = [
-                    tuple(a - b for a, b in zip(v, common[0])) for v in common[1:]
-                ]
-                if matrix_rank(diffs) == fdim:
-                    seen[frozenset(common)] = make_face(fdim, common)
-            by_dim[fdim] = list(seen.values())
-            level = by_dim[fdim]
-        by_dim[0] = [Face(0, (v,), sat[v], self) for v in self.vertices]
-        for fdim in by_dim:
-            by_dim[fdim].sort(key=lambda f: f.vertices)
-        return FaceLattice(self, by_dim)
+        faces[0] = [Face(0, (v,), tight, self) for v, tight in zip(self.vertices, sat)]
+        for level in faces.values():
+            level.sort(key=lambda f: f.vertices)
+        return FaceLattice(self, faces)
 
     # -- lattice points ------------------------------------------------------
 
@@ -519,9 +554,13 @@ def _lattice_points(vertices, facets):
 def hull(points) -> Polytope:
     """Convex hull of lattice points that affinely span the ambient space.
 
-    Incremental insertion with exact orientation tests; coplanar simplicial
-    facets are merged afterwards, so non-simplicial facets (the normal case
-    for lattice polytopes) come out as single facets with full vertex sets.
+    Beneath-beyond insertion in sorted order: a point with negative slack
+    s_F < 0 on a facet F sees it, and each ridge F shares with a facet G it
+    does not see (s_G >= 0) gets the new facet s_G * F - s_F * G, made
+    primitive.  Coplanar simplicial facets are merged afterwards, so
+    non-simplicial facets (the normal case for lattice polytopes) come out
+    as single facets with full vertex sets.  Every input point is checked
+    against the result.
     """
     pts = sorted(set(points))
     if not pts:
@@ -549,63 +588,61 @@ def hull(points) -> Polytope:
         )
 
     simplex = _initial_simplex(pts, d)
-    ref_num = tuple(sum(v[i] for v in simplex) for i in range(d))
-    ref_den = d + 1
+    facets = _simplex_facets(simplex)  # vertex set -> (inner normal, rhs)
+    ridge_owners = {}
+    for key in facets:
+        for v in key:
+            ridge_owners.setdefault(key - {v}, []).append(key)
 
-    def oriented(face_pts):
-        """Inequality (normal, rhs) with the reference point strictly inside."""
-        base = face_pts[0]
-        diffs = [tuple(a - b for a, b in zip(q, base)) for q in face_pts[1:]]
-        normal = hyperplane_normal(diffs)
-        g = vector_gcd(normal)
-        normal = tuple(c // g for c in normal)
-        rhs = _dot(normal, base)
-        side = _dot(normal, ref_num) - rhs * ref_den
-        if side == 0:
-            raise InputError("degenerate facet through the reference point")
-        if side < 0:
-            normal = tuple(-c for c in normal)
-            rhs = -rhs
-        return normal, rhs
-
-    facets = {}
-    for omit in range(d + 1):
-        fpts = tuple(p for i, p in enumerate(simplex) if i != omit)
-        facets[frozenset(fpts)] = oriented(fpts)
-
-    remaining = [p for p in pts if p not in set(simplex)]
-    for p in remaining:
-        visible = {
-            key for key, (normal, rhs) in facets.items() if _dot(normal, p) < rhs
-        }
+    done = set(simplex)
+    for p in pts:
+        if p in done:
+            continue
+        slack = {key: dot(normal, p) - rhs for key, (normal, rhs) in facets.items()}
+        visible = [key for key, s in slack.items() if s < 0]
         if not visible:
             continue
-        ridge_owners = {}
-        for key in facets:
-            for v in key:
-                ridge_owners.setdefault(key - {v}, []).append(key)
         new_facets = {}
         for key in visible:
+            normal_f, rhs_f = facets[key]
+            s_f = slack[key]
             for v in key:
                 ridge = key - {v}
                 owners = ridge_owners[ridge]
                 if len(owners) != 2:
                     raise InternalInvariantError("boundary complex lost a ridge")
                 other = owners[0] if owners[1] == key else owners[1]
-                if other in visible:
+                s_g = slack[other]
+                if s_g < 0:
                     continue
-                fpts = tuple(sorted(ridge | {p}))
-                new_facets[frozenset(fpts)] = oriented(fpts)
+                # s_g * F - s_f * G vanishes on the ridge and at p, and both
+                # weights are >= 0 (-s_f > 0), so it stays positive inside.
+                normal_g, rhs_g = facets[other]
+                normal = [s_g * a - s_f * b for a, b in zip(normal_f, normal_g)]
+                g = gcd(*normal)
+                new_facets[ridge | {p}] = (
+                    tuple(c // g for c in normal),
+                    (s_g * rhs_f - s_f * rhs_g) // g,
+                )
         for key in visible:
             del facets[key]
-        facets.update(new_facets)
+            for v in key:
+                ridge = key - {v}
+                owners = ridge_owners[ridge]
+                owners.remove(key)
+                if not owners:
+                    del ridge_owners[ridge]
+        for key, plane in new_facets.items():
+            facets[key] = plane
+            for v in key:
+                ridge_owners.setdefault(key - {v}, []).append(key)
 
     # Merge coplanar simplicial pieces into honest facets.
-    candidates = sorted(set().union(*(set(k) for k in facets)))
+    candidates = sorted(set().union(*facets))
     plane_list = sorted(set(facets.values()))
     vertices = []
     for c in candidates:
-        tight = [normal for normal, rhs in plane_list if _dot(normal, c) == rhs]
+        tight = [normal for normal, rhs in plane_list if dot(normal, c) == rhs]
         if matrix_rank(tight) == d:
             vertices.append(c)
     hyperplanes = [
@@ -629,3 +666,24 @@ def _initial_simplex(pts, d):
             if len(simplex) == d + 1:
                 return simplex
     raise NotFullDimensionalError(len(diffs), d)
+
+
+def _simplex_facets(simplex):
+    """{vertex set: (primitive inner normal, rhs)} for the d + 1 facets of a
+    d-simplex s_0 .. s_d, inside where <normal, x> >= rhs.
+
+    The dual basis n_j of the edges s_j - s_0 (<n_j, s_i - s_0> = det when
+    i = j, else 0), turned by the sign of det, gives the facet omitting s_j;
+    the facet omitting s_0 gets -(n_1 + ... + n_d).
+    """
+    base = simplex[0]
+    det, duals = dual_basis([tuple(a - b for a, b in zip(s, base)) for s in simplex[1:]])
+    sign = 1 if det > 0 else -1
+    normals = [tuple(sign * c for c in n) for n in duals]
+    normals.insert(0, tuple(-sum(column) for column in zip(*normals)))
+    facets = {}
+    for omit, normal in enumerate(normals):
+        normal = primitive_vector(normal)
+        on = simplex[:omit] + simplex[omit + 1 :]
+        facets[frozenset(on)] = (normal, dot(normal, on[0]))
+    return facets

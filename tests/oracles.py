@@ -2,9 +2,9 @@
 
 Each oracle deliberately avoids the code path it checks: facet enumeration
 by subset search instead of incremental hulls, naive cofactor determinants
-instead of Bareiss, Fraction row reduction instead of the integer
-elimination, grid partitions instead of the face-lattice census, the
-memoised elimination of repeated rays instead of the Chow-ring sweep,
+and adjugates instead of Bareiss, Fraction row reduction instead of the
+integer elimination, grid partitions instead of the face-lattice census,
+the memoised elimination of repeated rays instead of the Chow-ring sweep,
 lattice-point counts of dilates instead of a triangulated volume.
 """
 
@@ -92,18 +92,8 @@ def brute_faces(points):
     inequalities; enumerate all facet subsets, collect the distinct nonempty
     vertex sets, and measure each by affine rank.
     """
-    d = len(points[0])
     facets = sorted(brute_facets(points))
-    verts = []
-    for p in points:
-        tight = [
-            i
-            for i, (n, rhs) in enumerate(facets)
-            if sum(a * b for a, b in zip(n, p)) == rhs
-        ]
-        rank = _affine_rank([facets[i][0] for i in tight]) if tight else 0
-        if rank == d:
-            verts.append((p, frozenset(tight)))
+    verts = brute_vertices(points, facets)
     seen = {}
     for size in range(1, len(facets) + 1):
         for subset in itertools.combinations(range(len(facets)), size):
@@ -120,6 +110,23 @@ def brute_faces(points):
         rank = _matrix_rank_int(diffs)
         counts[rank] = counts.get(rank, 0) + 1
     return counts
+
+
+def brute_vertices(points, facets):
+    """(point, indices of the facets it saturates) for each point of
+    `points` whose saturated facet normals have rank d, i.e. each vertex."""
+    d = len(points[0])
+    verts = []
+    for p in points:
+        tight = [
+            i
+            for i, (n, rhs) in enumerate(facets)
+            if sum(a * b for a, b in zip(n, p)) == rhs
+        ]
+        rank = _affine_rank([facets[i][0] for i in tight]) if tight else 0
+        if rank == d:
+            verts.append((p, frozenset(tight)))
+    return verts
 
 
 def _affine_rank(rows):
@@ -201,10 +208,10 @@ def fraction_is_nef(fan, divisor):
     data m and every ray v (the cone's own rays give equality).
 
     With the cone's rays as the rows of V, m = -V^-1 a_cone.  V^-1 comes
-    from one Fraction row reduction per cone, cached, and its denominators
-    are cleared once: B = L V^-1 with L > 0 an integer.  With the divisor
-    scaled to integer coefficients A (nefness is invariant under positive
-    scaling) the test is <B A_cone, v> <= L A_v, in integers."""
+    cleared of denominators from one cofactor adjugate per cone, cached:
+    B = L V^-1 with L = |det V|.  With the divisor scaled to integer
+    coefficients A (nefness is invariant under positive scaling) the test
+    is <B A_cone, v> <= L A_v, in integers."""
     scale = math.lcm(*[c.denominator for _, c in divisor.coeffs])
     a = {r: int(c * scale) for r, c in divisor.coeffs}
     rays = [(tuple(v), a.get(v, 0)) for v in fan.rays]
@@ -226,14 +233,19 @@ def fraction_is_nef(fan, divisor):
 @functools.lru_cache(maxsize=None)
 def _cleared_inverse(rows):
     """(L, B) with B = L V^-1 an integer matrix, V the square matrix with
-    these rows, from the Fraction RREF of [V | I]."""
+    these rows: L = |det V| and B = sign(det V) adj V, the adjugate from
+    the cofactors of `naive_det`."""
     n = len(rows)
-    reduced, pivots = fraction_rref([list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)])
-    if pivots != list(range(n)):
+    det = naive_det(rows)
+    if det == 0:
         raise ValueError("singular cone")
-    inverse = [row[n:] for row in reduced]
-    den = math.lcm(*[x.denominator for row in inverse for x in row])
-    return den, tuple(tuple(int(x * den) for x in row) for row in inverse)
+    sign = 1 if det > 0 else -1
+
+    def cofactor(i, j):  # of entry (i, j): rows without row i, columns without j
+        minor = [r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i]
+        return (-1) ** (i + j) * (naive_det(minor) if minor else 1)
+
+    return abs(det), tuple(tuple(sign * cofactor(j, i) for j in range(n)) for i in range(n))
 
 
 def fraction_cartier_index(fan, divisor):

@@ -350,6 +350,16 @@ def test_euler_characteristic_on_all_weighted_ray_simplices():
         assert euler_characteristic(mpcp_triangulate(delta)) == 2 * (rep.h11 - rep.h12), simplex
 
 
+def test_euler_characteristic_on_weighted_mirror_sides():
+    # refine the ray simplex itself: its rays are the boundary points of the
+    # large dual, here the 51 sides with at most 220 of them
+    sides = [s for s in weighted_ray_simplices() if len(s.dual().boundary_points()) <= 220]
+    assert len(sides) == 51
+    for simplex in sides:
+        rep = hodge.report(simplex)
+        assert euler_characteristic(mpcp_triangulate(simplex)) == 2 * (rep.h11 - rep.h12), simplex
+
+
 def test_invariants_under_unimodular_shears():
     from hypothesis import given, settings
     from hypothesis import strategies as st

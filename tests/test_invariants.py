@@ -1,6 +1,9 @@
 """Internal consistency checks are exceptions, so they survive `python -O`."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,6 +62,53 @@ def test_every_linalg_kernel_has_a_caller():
         live |= frontier
     assert len(defined) >= 10
     assert sorted(set(defined) - live) == []
+
+
+OPTIMISED_POLYTOPE_CHECKS = """
+import sys
+from cytoric.errors import InputError, NotFullDimensionalError
+from cytoric.lattice import MPoint, NPoint, RationalHyperplane
+from cytoric.polytope import Polytope, hull
+
+assert False, "not optimised"
+print(sys.flags.optimize)
+square = hull([MPoint(p) for p in [(1, 1), (1, -1), (-1, 1), (-1, -1)]])
+bigger = hull([MPoint(p) for p in [(2, 2), (2, -2), (-2, 2), (-2, -2)]])
+cases = {
+    "outside": (bigger.vertices, square.facets),
+    "unsaturated": (square.vertices, bigger.facets),
+    "short facet": (square.vertices, square.facets + (RationalHyperplane(NPoint((1, 1)), -2),)),
+    "one facet short": (square.vertices, square.facets[1:]),
+}
+for name, (vertices, facets) in cases.items():
+    try:
+        Polytope(list(vertices), list(facets))
+    except InputError as exc:
+        print(name, "InputError", exc)
+try:
+    hull([MPoint(p) for p in [(0, 0, 0), (1, 1, 0), (2, 2, 0), (0, 1, 0), (3, 1, 0)]])
+except NotFullDimensionalError as exc:
+    print("flat", type(exc).__name__, exc.affine_dim, exc.ambient_dim)
+"""
+
+
+def test_polytope_checks_survive_python_optimise():
+    # the constructor's incidence checks and hull's rank test raise, so they
+    # still hold under -O, which strips assert statements
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMISED_POLYTOPE_CHECKS],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "1",
+        "outside InputError vertex MPoint(-2, -2) violates a facet inequality",
+        "unsaturated InputError vertex MPoint(-1, -1) saturates fewer than 2 facets",
+        "short facet InputError facet 4 holds fewer than 2 vertices",
+        "one facet short InputError vertex MPoint(1, -1) saturates fewer than 2 facets",
+        "flat NotFullDimensionalError 2 3",
+    ]
 
 
 def test_internal_invariant_error_is_not_an_input_error():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from cytoric._linalg import (
     dual_basis,
-    hyperplane_normal,
     int_det,
     left_nullspace,
     matrix_rank,
@@ -68,16 +67,6 @@ def test_dual_basis_refuses_singular_and_non_square():
         dual_basis([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
     with pytest.raises(ValueError, match="not square"):
         dual_basis([[1, 2, 3], [4, 5, 6]])
-
-
-def test_hyperplane_normal_is_orthogonal():
-    rng = random.Random(11)
-    for _ in range(100):
-        d = rng.randint(2, 5)
-        rows = random_matrix(rng, d - 1, d, 6)
-        normal = hyperplane_normal(rows)
-        for row in rows:
-            assert sum(a * b for a, b in zip(normal, row)) == 0
 
 
 def test_matrix_rank():

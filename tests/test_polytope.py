@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,7 +9,7 @@ from cytoric.lattice import MPoint, NPoint, pairing
 from cytoric.fixtures import ALL, CORPUS_4D, fixture_points, fixture_polytope
 from cytoric.polytope import RationalPolytope, hull
 from conftest import example_s3_vertices, mpoints, ray_simplex, shear, transvection
-from oracles import brute_facets, ehrhart_volume, grid_points
+from oracles import brute_faces, brute_facets, brute_vertices, ehrhart_volume, grid_points
 
 
 def as_plane_set(polytope):
@@ -65,28 +67,40 @@ def test_hull_segment():
     assert p.normalized_volume() == 7
 
 
-def test_hull_random_point_sets_match_brute_force():
-    import random
+def assert_hull_matches_brute_force(pts):
+    """Facets and vertices of hull(pts) against the subset-search oracle, and
+    with at most 12 facets the face counts per dimension too.  Returns
+    False when the points are not full-dimensional."""
+    try:
+        p = hull(mpoints(pts))
+    except NotFullDimensionalError:
+        return False
+    facets = brute_facets(pts)
+    assert as_plane_set(p) == facets
+    assert [tuple(v) for v in p.vertices] == [v for v, _ in brute_vertices(pts, sorted(facets))]
+    if len(p.facets) <= 12:
+        assert p.faces().counts() == brute_faces(pts)
+    return True
 
+
+def test_hull_random_point_sets_match_brute_force():
     rng = random.Random(23)
-    for _ in range(40):
-        d = rng.randint(2, 3)
+    hulled = Counter()
+    for _ in range(60):
+        d = rng.randint(2, 4)
         pts = {tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(d + 2, 12))}
-        pts = sorted(pts)
-        try:
-            p = hull(mpoints(pts))
-        except NotFullDimensionalError:
-            continue
-        assert as_plane_set(p) == brute_facets(pts)
-        # every claimed vertex is extreme: it is not inside the hull of the others
-        for v in p.vertices:
-            others = [w for w in p.vertices if w != v]
-            sub_planes = brute_facets([tuple(w) for w in others])
-            inside = all(
-                sum(a * b for a, b in zip(n, v)) >= rhs for n, rhs in sub_planes
-            )
-            if len(others) > d:
-                assert not inside
+        hulled[d] += assert_hull_matches_brute_force(sorted(pts))
+    assert min(hulled.values()) >= 10, hulled
+
+
+def test_hull_dense_box_clouds_match_brute_force():
+    # many points on few planes: points land on the plane of a facet they
+    # do not see (slack 0), where the new facet is coplanar with that one
+    rng = random.Random(29)
+    for d, half, size in ((2, 2, 18), (3, 1, 20), (4, 1, 14)):
+        box = list(itertools.product(range(-half, half + 1), repeat=d))
+        for _ in range(6):
+            assert assert_hull_matches_brute_force(sorted(rng.sample(box, size)))
 
 
 # -- faces -------------------------------------------------------------------
@@ -98,8 +112,6 @@ def test_faces_square(square):
 
 
 def test_faces_cross_polytope(cross4):
-    from oracles import brute_faces
-
     oracle = brute_faces([tuple(v) for v in cross4.vertices])
     assert oracle == {0: 8, 1: 24, 2: 32, 3: 16}
     assert cross4.faces().counts() == oracle
