@@ -48,8 +48,8 @@ from .lattice import (
 class Face:
     """A proper face: dimension, vertex set, and the facets that cut it out.
 
-    Lattice point counts (total and relative-interior) are filled in by the
-    owning polytope's census on first access.
+    Lattice point counts (total and relative-interior) come from the owning
+    polytope's census, which runs on first access.
     """
 
     __slots__ = ("dim", "vertices", "facet_set", "_polytope", "_n_points", "_n_interior")
@@ -77,9 +77,14 @@ class Face:
 
     @property
     def n_points(self) -> int:
-        """Number of lattice points on the face (l of the face)."""
+        """Number of lattice points on the face (l of the face): the points
+        whose saturated facet sets contain the face's, summed from the
+        census on first read."""
         if self._n_points is None:
-            self._polytope.census()
+            fs = self.facet_set
+            self._n_points = sum(
+                n for satset, n in self._polytope.census().n_saturating.items() if fs <= satset
+            )
         return self._n_points
 
     @property
@@ -143,13 +148,15 @@ class FaceLattice:
 
 class PointCensus:
     """Every lattice point of a polytope, tagged by the face whose relative
-    interior contains it (None for points interior to the polytope itself)."""
+    interior contains it (None for points interior to the polytope itself),
+    and the number of points on each saturated facet set."""
 
-    def __init__(self, points, interior, boundary, face_of):
+    def __init__(self, points, interior, boundary, face_of, n_saturating):
         self.points = points
         self.interior = interior
         self.boundary = boundary
         self.face_of = face_of
+        self.n_saturating = n_saturating
 
     @property
     def n_points(self):
@@ -403,7 +410,8 @@ class Polytope:
     def census(self):
         """Enumerate all lattice points, in lexicographic order, and assign
         each to the face whose relative interior contains it.  Also fills
-        per-face point counts.
+        each face's relative-interior count; `Face.n_points` is summed from
+        the census's count of points per saturated set when first read.
 
         Points are enumerated slice by slice, with each coordinate bounded
         by the facet inequalities (see :func:`_lattice_points`), so the cost
@@ -418,7 +426,7 @@ class Polytope:
         boundary = []
         face_of = {}
         n_saturating = Counter()  # saturated facet set -> number of points
-        for raw, satset in _lattice_points(self.vertices, self.facets):
+        for raw, satset in _lattice_points(self.vertices, self._planes):
             p = self.point_cls(raw)
             points.append(p)
             n_saturating[satset] += 1
@@ -430,11 +438,8 @@ class Polytope:
                 face_of[p] = None
         for face in lattice:
             face._n_interior = n_saturating[face.facet_set]
-            face._n_points = sum(
-                n for satset, n in n_saturating.items() if face.facet_set <= satset
-            )
         self._census = PointCensus(
-            tuple(points), tuple(interior), tuple(boundary), face_of
+            tuple(points), tuple(interior), tuple(boundary), face_of, n_saturating
         )
         return self._census
 
@@ -498,54 +503,105 @@ class Polytope:
         return self._volume
 
 
-def _lattice_points(vertices, facets):
+def _lattice_points(vertices, planes):
     """Yield (coordinates, saturated facet indices) for every lattice point
-    of conv(vertices), in lexicographic order.
+    of conv(vertices), in lexicographic order; planes[j] is the (normal,
+    offset) of facet j.
 
     Depth-first over x0 .. x_{d-1}: each facet's partial sum <normal, x>
     over the coordinates fixed so far is carried down, and x_k takes only
     the values every facet inequality allows once the coordinates not yet
-    fixed are relaxed to their bounding-box range.  At the last level
-    nothing is relaxed, so every point reached is inside and none is missed.
+    fixed are relaxed to their bounding-box range.  The facets bounding x_k
+    from below and from above are listed apart, once per level.
+
+    The last two levels run as one loop over the slices x_{d-2} = x: the
+    exact range of x_{d-1} on the slice is computed inline, so an empty
+    slice costs no more than that.  On a nonempty slice one pass over the
+    facets gives every point's saturated set: a facet with last
+    coefficient 0 is saturated on the whole slice or nowhere, one with
+    a != 0 only at x_{d-1} = -slack / a, when that is an integer.
     """
     d = len(vertices[0])
+    if d == 1:  # a segment is the slice x0 = 0 of the same segment in the plane
+        lifted = _lattice_points(
+            [(0,) + tuple(v) for v in vertices], [((0,) + tuple(n), b) for n, b in planes]
+        )
+        for raw, saturated in lifted:
+            yield raw[1:], saturated
+        return
     lo = [min(v[i] for v in vertices) for i in range(d)]
     hi = [max(v[i] for v in vertices) for i in range(d)]
-    offsets = tuple(f.offset for f in facets)
-    columns = [tuple(f.normal[k] for f in facets) for k in range(d)]
-    # reach[k][j]: the most the coordinates after x_k can add to <normal_j, x>.
-    reach = [None] * d
-    acc = (0,) * len(facets)
+    offsets = [b for _, b in planes]
+    columns = [[n[k] for n, _ in planes] for k in range(d)]
+    # limits[k]: (j, a, offset - reach) for the facets j with a positive,
+    # then with a negative coefficient a on x_k, where reach is the most
+    # the coordinates after x_k can add to <normal_j, x>.  Facet j holds
+    # below this level only if a * x_k >= offset - reach - partial sum.  A
+    # facet with a = 0 needs no test: its bound here equals the bound
+    # already met one level up (at level 0, met by every vertex).
+    limits = [None] * d
+    reach = [0] * len(planes)
     for k in range(d - 1, -1, -1):
-        reach[k] = acc
-        acc = tuple(r + max(a * lo[k], a * hi[k]) for r, a in zip(acc, columns[k]))
+        rows = [(j, a, b - r) for j, (a, b, r) in enumerate(zip(columns[k], offsets, reach))]
+        limits[k] = ([t for t in rows if t[1] > 0], [t for t in rows if t[1] < 0])
+        reach = [r + max(a * lo[k], a * hi[k]) for r, a in zip(reach, columns[k])]
+    flat = [j for j, a in enumerate(columns[-1]) if a == 0]
+
+    def bounds(k, partial):
+        low, high = lo[k], hi[k]
+        above, below = limits[k]
+        for j, a, c in above:
+            x = -((partial[j] - c) // a)
+            if x > low:
+                low = x
+        for j, a, c in below:
+            x = (c - partial[j]) // a
+            if x < high:
+                high = x
+        return low, high
 
     def descend(k, prefix, partial):
+        low, high = bounds(k, partial)
         column = columns[k]
-        low, high = lo[k], hi[k]
-        # Facet j can still hold below this level only if a * x_k >= need.
-        # A facet with a = 0 needs no test: its need here equals the bound
-        # already met one level up (at level 0, met by every vertex).
-        for a, s, b, r in zip(column, partial, offsets, reach[k]):
-            need = b - s - r
-            if a > 0:
-                low = max(low, -(-need // a))
-            elif a < 0:
-                high = min(high, need // a)
-        if k == d - 1:
-            slack = [s - b for s, b in zip(partial, offsets)]
+        if k < d - 2:
             for x in range(low, high + 1):
-                saturated = frozenset(
-                    j for j, (s, a) in enumerate(zip(slack, column)) if s + a * x == 0
+                yield from descend(
+                    k + 1, prefix + (x,), [s + a * x for s, a in zip(partial, column)]
                 )
-                yield prefix + (x,), saturated
             return
+        # Level d - 2.  On the slice x_{d-2} = x, facet j's slack at
+        # x_{d-1} = y is s + a2 * x + a * y, with s its slack so far, a2 its
+        # coefficient on x_{d-2} and a the one on x_{d-1}.
+        above, below = (
+            [(j, a, partial[j] - offsets[j], column[j]) for j, a, _ in rows]
+            for rows in limits[-1]
+        )
+        tilted = above + below
+        flat_slack = [(j, partial[j] - offsets[j], column[j]) for j in flat]
         for x in range(low, high + 1):
-            yield from descend(
-                k + 1, prefix + (x,), tuple(s + a * x for s, a in zip(partial, column))
-            )
+            first, last = lo[-1], hi[-1]
+            for _, a, s, a2 in above:
+                y = -((s + a2 * x) // a)
+                if y > first:
+                    first = y
+            for _, a, s, a2 in below:
+                y = -(s + a2 * x) // a
+                if y < last:
+                    last = y
+            if first > last:
+                continue
+            base = frozenset([j for j, s, a2 in flat_slack if s + a2 * x == 0])
+            extra = {}
+            for j, a, s, a2 in tilted:
+                s += a2 * x
+                if s % a == 0 and first <= -s // a <= last:
+                    extra.setdefault(-s // a, []).append(j)
+            saturated = {y: base.union(js) for y, js in extra.items()}
+            head = prefix + (x,)
+            for y in range(first, last + 1):
+                yield head + (y,), saturated.get(y, base)
 
-    yield from descend(0, (), (0,) * len(facets))
+    yield from descend(0, (), [0] * len(planes))
 
 
 # -- convex hull ------------------------------------------------------------------
@@ -640,11 +696,14 @@ def hull(points) -> Polytope:
     # Merge coplanar simplicial pieces into honest facets.
     candidates = sorted(set().union(*facets))
     plane_list = sorted(set(facets.values()))
-    vertices = []
-    for c in candidates:
-        tight = [normal for normal, rhs in plane_list if dot(normal, c) == rhs]
-        if matrix_rank(tight) == d:
-            vertices.append(c)
+    # A candidate is a vertex unless it lies in the relative interior of a
+    # larger face, whose vertices (also candidates) lie on strictly more of
+    # the merged facets.
+    tight = [
+        frozenset(i for i, (normal, rhs) in enumerate(plane_list) if dot(normal, c) == rhs)
+        for c in candidates
+    ]
+    vertices = [c for c, t in zip(candidates, tight) if not any(t < u for u in tight)]
     hyperplanes = [
         RationalHyperplane(dual_cls(normal), rhs) for normal, rhs in plane_list
     ]

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -83,13 +84,20 @@ def assert_hull_matches_brute_force(pts):
     return True
 
 
+def random_point_sets(rng, count, min_dim, max_dim):
+    """`count` sorted sets of d + 2 to 12 draws from {-3..3}^d, each with d
+    drawn from min_dim..max_dim, as (d, points) pairs."""
+    for _ in range(count):
+        d = rng.randint(min_dim, max_dim)
+        pts = {tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(d + 2, 12))}
+        yield d, sorted(pts)
+
+
 def test_hull_random_point_sets_match_brute_force():
     rng = random.Random(23)
     hulled = Counter()
-    for _ in range(60):
-        d = rng.randint(2, 4)
-        pts = {tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(d + 2, 12))}
-        hulled[d] += assert_hull_matches_brute_force(sorted(pts))
+    for d, pts in random_point_sets(rng, 60, 2, 4):
+        hulled[d] += assert_hull_matches_brute_force(pts)
     assert min(hulled.values()) >= 10, hulled
 
 
@@ -216,12 +224,114 @@ def assert_census_matches_grid_oracle(poly):
         assert face.n_interior == sum(1 for s in oracle.values() if s == face.facet_set)
 
 
-@pytest.mark.parametrize("weights", [(6, 7, 14, 14), (2, 9, 24, 36), (4, 15, 20, 20)])
+THIN_SIMPLICES = ((6, 7, 14, 14), (2, 9, 24, 36), (4, 15, 20, 20))
+
+
+@pytest.mark.parametrize("weights", THIN_SIMPLICES)
 def test_census_thin_ray_simplex_against_grid_oracle(weights):
     # boxes of 18k-49k points holding 17-21 lattice points, and their duals
     simplex = ray_simplex(weights)
     assert_census_matches_grid_oracle(simplex)
     assert_census_matches_grid_oracle(simplex.dual())
+
+
+def census_digest(poly):
+    """sha256 of the points in census order with their carrier facet sets,
+    and of every face's (n_points, n_interior), faces in lattice order."""
+    census = poly.census()
+    points = [
+        (tuple(p), sorted(() if census.face_of[p] is None else census.face_of[p].facet_set))
+        for p in census.points
+    ]
+    faces = [(f.dim, [tuple(v) for v in f.vertices], f.n_points, f.n_interior) for f in poly.faces()]
+    return hashlib.sha256(repr((points, faces)).encode()).hexdigest()
+
+
+# census_digest of each fixture (name) and of its dual (name + "*"; every
+# fixture is reflexive), and of the thin ray simplices (weights) and their
+# duals, recorded when the census still tested every facet at every point
+GOLDEN_CENSUS = {
+    "example_s3": "2aa23e268afeffe681e17869c296aaa6a288a4132900f79d8cfb4efe97aa5a10",
+    "example_s3*": "8453dd1be618ce145d5f3e8f2186513e902f032776131a3bcf8b443b4ff28661",
+    "quintic": "ad2bf126b85eab58c09f49d8f12ddb45797bd70fcb37d71ae76bdcade4536d56",
+    "quintic*": "a0879053a94af8b203465cbad51ce38397ea213a5d8d9c5fafd6add9a3ec8348",
+    "cube": "4769a2f6bde21ac9d1eb89ad10596c98a76d18f840ee22dbb9fda12158aaa9cf",
+    "cube*": "93dc98b3fb7dfac61662c941f37fc85a9eb3aac2e5c60aefb311f46f04056b5c",
+    "cross4d": "93dc98b3fb7dfac61662c941f37fc85a9eb3aac2e5c60aefb311f46f04056b5c",
+    "cross4d*": "4769a2f6bde21ac9d1eb89ad10596c98a76d18f840ee22dbb9fda12158aaa9cf",
+    "pgon_triangle_p2": "d1c1cf051962009b195fa0e886b4e538924f4e7cc3705e89bc5d93c7bbd50614",
+    "pgon_triangle_p2*": "d688b88451afe1bb58d3fcdbd1635985a2113c4008821e0216bf9fcbe89f7a37",
+    "pgon_triangle_p2_dual": "d688b88451afe1bb58d3fcdbd1635985a2113c4008821e0216bf9fcbe89f7a37",
+    "pgon_triangle_p2_dual*": "d1c1cf051962009b195fa0e886b4e538924f4e7cc3705e89bc5d93c7bbd50614",
+    "pgon_triangle_p112": "d798d2176b70ef0b706f7199095ae5cfb14aee5eb5a185fd0689b394bc39adda",
+    "pgon_triangle_p112*": "23d6fc5f6f42fae5518fe7136e342e6e4c1a4654acae33900eb64c585e1a6eef",
+    "pgon_triangle_p112_dual": "23d6fc5f6f42fae5518fe7136e342e6e4c1a4654acae33900eb64c585e1a6eef",
+    "pgon_triangle_p112_dual*": "d798d2176b70ef0b706f7199095ae5cfb14aee5eb5a185fd0689b394bc39adda",
+    "pgon_diamond": "d8ddcae44027f07d892373dfa2bf55431e889b1ce4422a688ae5f03ac062646d",
+    "pgon_diamond*": "f239e44e3c7614c0c8fd49e3a9890d28ebe532aed1f89dc73b4a92f68afea693",
+    "pgon_square": "f239e44e3c7614c0c8fd49e3a9890d28ebe532aed1f89dc73b4a92f68afea693",
+    "pgon_square*": "d8ddcae44027f07d892373dfa2bf55431e889b1ce4422a688ae5f03ac062646d",
+    "pgon_quad_b4": "59529fbda55f854ee3a3c7604805d0356351157b77282b17007f2d6fd3202a75",
+    "pgon_quad_b4*": "09a5d94812e137559ff1b132ff546849769183bd9d4236dec7a682554b612d7f",
+    "pgon_quad_b8": "09a5d94812e137559ff1b132ff546849769183bd9d4236dec7a682554b612d7f",
+    "pgon_quad_b8*": "59529fbda55f854ee3a3c7604805d0356351157b77282b17007f2d6fd3202a75",
+    "pgon_quad_b5": "b62d23b5c2f09baa18e1c180a92131271d8c750921de3fb5cee1f9ccf6003d52",
+    "pgon_quad_b5*": "9c46919808a71c54b45252189f2bf1d237f9c9de71dbe0f00ee8c1a0455b06be",
+    "pgon_quad_b7": "9c46919808a71c54b45252189f2bf1d237f9c9de71dbe0f00ee8c1a0455b06be",
+    "pgon_quad_b7*": "b62d23b5c2f09baa18e1c180a92131271d8c750921de3fb5cee1f9ccf6003d52",
+    "pgon_pentagon_b5": "b014de5ce0d10fd370f4ee9c131b2688c9bc496e36ebf3b734f59e811280896f",
+    "pgon_pentagon_b5*": "c1e61b4457fbc552460c5bd3741e5a452d4e4d6f23999015850365c1ef4c6722",
+    "pgon_pentagon_b7": "c1e61b4457fbc552460c5bd3741e5a452d4e4d6f23999015850365c1ef4c6722",
+    "pgon_pentagon_b7*": "b014de5ce0d10fd370f4ee9c131b2688c9bc496e36ebf3b734f59e811280896f",
+    "pgon_pentagon_b6": "e314e917516de205eef2bb9147f870b11ac18b71617935227e2413400edeb614",
+    "pgon_pentagon_b6*": "e314e917516de205eef2bb9147f870b11ac18b71617935227e2413400edeb614",
+    "pgon_triangle_p123": "1f59afffd99d36aa5799ac71dd0166b539d1e5f9037e8404bab1e7c52c7b0186",
+    "pgon_triangle_p123*": "1f59afffd99d36aa5799ac71dd0166b539d1e5f9037e8404bab1e7c52c7b0186",
+    "pgon_hexagon": "d04124f32740e0b1d74f6722f016c0b82ef69a64d93636f61b2c375e08d6944d",
+    "pgon_hexagon*": "ff976f2943065c4cd63b67ae40453339d26cca71ebac46c713a0d5868fc6fee2",
+    "pgon_hexagon_mirror": "ff976f2943065c4cd63b67ae40453339d26cca71ebac46c713a0d5868fc6fee2",
+    "pgon_hexagon_mirror*": "d04124f32740e0b1d74f6722f016c0b82ef69a64d93636f61b2c375e08d6944d",
+    "(6, 7, 14, 14)": "b17a3c5c94bf7e9fe7285c7a8aaf4838e41675bbc70e0d25358be244ecfa4091",
+    "(6, 7, 14, 14)*": "12fc78001bca0ca8e4a2ec8385dedf13ac4185d67f6fbe7c741117f5c3a985f6",
+    "(2, 9, 24, 36)": "8ed0c2ec32b11378da5d21a6c50358c1f4740d457e7f0297b03376436e29d922",
+    "(2, 9, 24, 36)*": "f0d23506b610cee4b50f7a1861f8cee7fcba17d04dc46d6c8f0157aab4e2985d",
+    "(4, 15, 20, 20)": "02fdb50b64616634bd5d380d7e338df5c264796ad9c82dffff551042f8a36b27",
+    "(4, 15, 20, 20)*": "7eb2e74a7b222417ab39da04e8c9824b966c5798640c6274688b0f1d7d056033",
+}
+
+
+def golden_census_polytopes():
+    for name in ALL:
+        poly = fixture_polytope(name)
+        yield name, poly
+        yield name + "*", poly.dual()
+    for weights in THIN_SIMPLICES:
+        simplex = ray_simplex(weights)
+        yield str(weights), simplex
+        yield str(weights) + "*", simplex.dual()
+
+
+def test_census_golden_digests():
+    digests = {key: census_digest(poly) for key, poly in golden_census_polytopes()}
+    assert digests == GOLDEN_CENSUS
+
+
+def test_census_random_hulls_against_grid_oracle():
+    # d = 1 (a segment, enumerated as a slice of the plane) and d = 3 are
+    # the edge cases of the census's fused last two levels
+    rng = random.Random(31)
+    checked = Counter()
+    for d, pts in random_point_sets(rng, 60, 1, 4):
+        try:
+            poly = hull(mpoints(pts))
+        except NotFullDimensionalError:
+            continue
+        if checked[d] % 2:
+            # every face's n_points read first, so the census runs on demand
+            assert all(f.n_points >= len(f.vertices) for f in poly.faces())
+        assert_census_matches_grid_oracle(poly)
+        checked[d] += 1
+    assert sorted(checked) == [1, 2, 3, 4] and min(checked.values()) >= 10, checked
 
 
 @pytest.mark.parametrize("name", CORPUS_4D + ("pgon_hexagon", "pgon_triangle_p123"))
