@@ -4,14 +4,20 @@ ranks over Q, and nef checks.
 
 The refinement engine triangulates the cone over each facet of the dual
 polytope with an iterated pulling subdivision driven by one global point
-order.  Cells are cones in the ambient lattice, each kept as its rays and
-its walls (primitive integer normals with the rays on them), so a pull
-needs only dot products of the cell's own data: no chart, no hull.
-Pulling at every available lattice point makes the triangulation fine
-(all boundary points become rays) and face-local (shared 2-faces of
-adjacent facets are split identically), and pulling refinements of the
-trivial subdivision are regular, which is what makes the refined variety
-projective.
+order.  Cells are cones in the ambient lattice, each kept as its rays, its
+walls (primitive integer normals with the rays on them) and the later
+points it holds with their values on those walls, a conflict list
+(Clarkson-Shor).  A point's values on a pyramid's new walls are integer
+combinations of its values on the old ones, so after the first cell no
+point is dotted with a wall again, and pulling a point visits only the
+cells that hold it: no chart, no hull, no scan over all cells.  Pulling at
+every available lattice point makes the triangulation fine (all boundary
+points become rays) and face-local (shared 2-faces of adjacent facets are
+split identically), and pulling refinements of the trivial subdivision are
+regular, which is what makes the refined variety projective.  The refined
+fan is checked with one dual basis per cone: a nonzero determinant shows
+the cone simplicial, and the determinants sum to the dual's normalized
+volume.
 
 The nef test is toric Kleiman on the wall relations (Cox-Little-Schenck,
 Toric Varieties, Thm 6.3.12 and 6.4): a divisor is nef iff it pairs
@@ -127,9 +133,33 @@ class Fan:
     def dim(self) -> int:
         return self.rays[0].dim
 
-    @property
+    @cached_property
     def is_simplicial(self) -> bool:
-        return all(c.is_simplicial for c in self.maximal_cones)
+        """Whether every maximal cone is spanned by d independent rays: d
+        rays and a nonzero determinant (the maximal cones of a complete fan
+        are full-dimensional).  Read from the dual bases the cone table
+        keeps, so a simplicial fan takes one elimination per cone."""
+        return self._dual_bases is not None
+
+    @cached_property
+    def _dual_bases(self):
+        """(dets, duals) of the maximal cones, one :func:`dual_basis` each,
+        with each det made positive; None at the first cone without d rays
+        or with det 0."""
+        d = self.dim
+        dets, duals = [], []
+        for cone in self.maximal_cones:
+            if len(cone.rays) != d:
+                return None
+            try:
+                det, ns = dual_basis(cone.rays)
+            except ValueError:
+                return None
+            if det < 0:
+                det, ns = -det, [tuple(-x for x in n) for n in ns]
+            dets.append(det)
+            duals.append(ns)
+        return tuple(dets), tuple(duals)
 
     def ray_index(self, ray) -> int:
         return self._ray_index[ray]
@@ -197,28 +227,20 @@ class ConeTable:
     maximal cones sharing it.  For cone c with rays v_0 .. v_{d-1},
     `dets[c]` is its multiplicity |det| and `duals[c][i]` the integer
     vector n_i with <n_i, v_j> = dets[c] * (i == j), from one
-    :func:`dual_basis` per cone in any dimension.  The table keeps no
-    reference to the fan, so the two form no cycle.
+    :func:`dual_basis` per cone in any dimension (the same eliminations
+    that show the fan simplicial).  The table keeps no reference to the
+    fan, so the two form no cycle.
     """
 
     def __init__(self, fan: Fan):
         if not fan.is_simplicial:
             raise NotSimplicialError("cone table needs a simplicial fan")
-        d = fan.dim
-        if any(len(c.rays) != d for c in fan.maximal_cones) or not fan.wall_consistency():
+        if not fan.wall_consistency():
             raise InputError("fan is not complete: some wall has one incident cone")
         self.rays = fan.rays
         self.cones = tuple(tuple(map(fan.ray_index, c.rays)) for c in fan.maximal_cones)
         self.owners = fan.walls()
-        dets, duals = [], []
-        for cone in fan.maximal_cones:
-            det, ns = dual_basis(cone.rays)
-            if det < 0:
-                det, ns = -det, [tuple(-x for x in n) for n in ns]
-            dets.append(det)
-            duals.append(ns)
-        self.dets = tuple(dets)
-        self.duals = tuple(duals)
+        self.dets, self.duals = fan._dual_bases
 
     @cached_property
     def relations(self):
@@ -265,31 +287,55 @@ def face_fan(delta: Polytope) -> Fan:
 # -- MPCP refinement -------------------------------------------------------------
 
 
-def _pull_order_key(fan_source: Polytope, order: str):
-    census = fan_source.census()
+class _Cell:
+    """A cell of a pulling triangulation: its rays, its walls as (primitive
+    normal, rays on the wall), and `held`, each later point the cell holds
+    with its values <n, p> on the walls, in wall order."""
+
+    __slots__ = ("rays", "walls", "held")
+
+    def __init__(self, rays, walls, held):
+        self.rays = rays
+        self.walls = walls
+        self.held = held
+
+
+def _facet_points(dual: Polytope, order: str):
+    """Each facet of `dual` with its lattice points in the global pull order:
+    "incidence" (points on fewer facets first, ties lexicographic) or
+    "lex"."""
+    census = dual.census()
     if order == "lex":
-        return lambda p: tuple(p)
-    if order == "incidence":
-        incidence = {}
-        for p in census.boundary:
-            face = census.face_of[p]
-            incidence[p] = len(face.facet_set)
-        return lambda p: (incidence[p], tuple(p))
-    raise InputError(f"unknown pulling order {order!r} (use 'incidence' or 'lex')")
+        key = tuple
+    elif order == "incidence":
+        incidence = {p: len(census.face_of[p].facet_set) for p in census.boundary}
+        key = lambda p: (incidence[p], tuple(p))
+    else:
+        raise InputError(f"unknown pulling order {order!r} (use 'incidence' or 'lex')")
+    for facet in dual.faces(dual.dim - 1):
+        points = [p for p in census.boundary if census.face_of[p].facet_set >= facet.facet_set]
+        yield facet, sorted(points, key=key)
 
 
 def _pull_triangulate_facet(dual: Polytope, facet, points):
     """Iterated pulling triangulation of the cone over one dual facet, with
     `points` (the facet's lattice points) in the global pull order.
 
-    A cell is a cone in the ambient lattice: its rays, and its walls as
-    (primitive normal, nonnegative on the cell; rays on the wall).  The
-    first cell has one wall per ridge of the dual in the facet: on facet i,
-    where <m_i, x> = -1, the ridge shared with facet j is <m_j - m_i, x> = 0.
-    Pulling q into a cell that holds it and is not already a pyramid with
+    A cell is a cone in the ambient lattice: its rays, its walls as
+    (primitive normal, nonnegative on the cell; rays on the wall), and the
+    later points it holds with their values on its walls (a conflict list,
+    Clarkson-Shor).  The first cell has one wall per ridge of the dual in
+    the facet: on facet i, where <m_i, x> = -1, the ridge shared with facet
+    j is <m_j - m_i, x> = 0; it holds every point, one dot product per wall.
+    A map from each point to the cells holding it means pulling q visits
+    only those.  Pulling q into a cell that is not already a pyramid with
     apex q gives the pyramids q * F over the walls F with v_F = <n_F, q> > 0.
-    The walls of q * F are F and, for each ridge R = F & F' of the cell (R
-    lies on exactly two walls), q * R with normal v_F * n_F' - v_F' * n_F.
+    The walls of q * F are F and, for each ridge R = F & G of the cell (R
+    lies on exactly two walls; on a simplex every two walls meet in one),
+    q * R with normal (v_F * n_G - v_G * n_F) / g, g the gcd of its
+    entries.  A held point with values w lies on that wall at
+    (v_F * w_G - v_G * w_F) / g, so which pyramids hold it (all values >= 0)
+    and the values it carries there cost two products per wall.
     Returns the simplices as frozensets of rays.
     """
     (i,) = facet.facet_set
@@ -300,31 +346,53 @@ def _pull_triangulate_facet(dual: Polytope, facet, points):
             (j,) = ridge.facet_set - facet.facet_set
             normal = [a - b for a, b in zip(dual.facets[j].normal, m_i)]
             walls.append((primitive_vector(normal), frozenset(ridge.vertices)))
-    cells = [(frozenset(facet.vertices), walls)]
+    first = _Cell(
+        frozenset(facet.vertices), walls, {p: [dot(n, p) for n, _ in walls] for p in points}
+    )
+    cells = [first]
+    cells_of = {p: [first] for p in points}  # split cells are dropped lazily
+    d = dual.dim
     for q in points:
-        pulled = []
-        for rays, walls in cells:
-            values = []
-            for n, _ in walls:
-                values.append(dot(n, q))
-                if values[-1] < 0:
-                    break
-            if values[-1] < 0 or sum(v > 0 for v in values) <= 1:
-                pulled.append((rays, walls))  # q outside, or the apex already
-                continue
+        for cell in cells_of.pop(q):
+            held = cell.held
+            if held is None:
+                continue  # split by an earlier point
+            values = held.pop(q)
+            if sum(v > 0 for v in values) <= 1:
+                continue  # the cell is a pyramid with apex q already
+            cell.held = None
+            walls = cell.walls
+            simplex = len(cell.rays) == d
             for a, (n_f, on_f) in enumerate(walls):
                 v_f = values[a]
                 if v_f == 0:
                     continue
                 pyramid = [(n_f, on_f)]
+                cuts = []
                 for b, (n_g, on_g) in enumerate(walls):
                     ridge = on_f & on_g
-                    if b != a and sum(ridge <= on for _, on in walls) == 2:
-                        normal = [v_f * x - values[b] * y for x, y in zip(n_g, n_f)]
-                        pyramid.append((primitive_vector(normal), ridge | {q}))
-                pulled.append((on_f | {q}, pyramid))
-        cells = pulled
-    return [rays for rays, _ in cells]
+                    if b != a and (simplex or sum(ridge <= on for _, on in walls) == 2):
+                        v_g = values[b]
+                        normal = [v_f * x - v_g * y for x, y in zip(n_g, n_f)]
+                        g = math.gcd(*normal)
+                        pyramid.append((tuple(x // g for x in normal), ridge | {q}))
+                        cuts.append((b, v_g, g))
+                inside = {}
+                for p, w in held.items():
+                    w_f = w[a]
+                    out = [w_f]
+                    for b, v_g, g in cuts:
+                        x = v_f * w[b] - v_g * w_f
+                        if x < 0:
+                            break
+                        out.append(x // g)
+                    else:
+                        inside[p] = out
+                cell_f = _Cell(on_f | {q}, pyramid, inside)
+                cells.append(cell_f)
+                for p in inside:
+                    cells_of[p].append(cell_f)
+    return [cell.rays for cell in cells if cell.held is not None]
 
 
 def mpcp_triangulate(delta: Polytope, order: str = "incidence") -> Fan:
@@ -340,20 +408,10 @@ def mpcp_triangulate(delta: Polytope, order: str = "incidence") -> Fan:
     fine splits; it never changes ray set, Picard rank, or Hodge data.
     """
     dual = _require_reflexive(delta, "refinement")
-    census = dual.census()
-    key = _pull_order_key(dual, order)
     cones = []
     cone_facets = {}
-    for fi, facet in enumerate(dual.faces(dual.dim - 1)):
-        on_facet = sorted(
-            (
-                p
-                for p in census.boundary
-                if census.face_of[p].facet_set >= facet.facet_set
-            ),
-            key=key,
-        )
-        for simplex in _pull_triangulate_facet(dual, facet, on_facet):
+    for fi, (facet, points) in enumerate(_facet_points(dual, order)):
+        for simplex in _pull_triangulate_facet(dual, facet, points):
             cone = Cone(simplex)
             cones.append(cone)
             cone_facets[cone] = fi
@@ -363,28 +421,33 @@ def mpcp_triangulate(delta: Polytope, order: str = "incidence") -> Fan:
 
 
 def _validate_mpcp(fan: Fan, dual: Polytope):
+    """Fine, simplicial (every cone's determinant is nonzero), every wall
+    on two cones, and the cones' |det| sum to the dual's normalized volume:
+    one dual basis per cone, kept in the fan's cone table."""
     boundary = set(dual.boundary_points())
     if set(fan.rays) != boundary:
         raise InputError("refinement is not fine: ray set != boundary points")
     if not fan.is_simplicial:
         raise InputError("refinement left a non-simplicial cone")
-    total = sum(c.multiplicity for c in fan.maximal_cones)
+    if not fan.wall_consistency():
+        raise InputError("refinement broke wall consistency")
+    total = sum(fan.cone_table.dets)
     if total != dual.normalized_volume():
         raise InputError(
             f"refined cones cover {total}, expected {dual.normalized_volume()}"
         )
-    if not fan.wall_consistency():
-        raise InputError("refinement broke wall consistency")
 
 
 # -- audits -----------------------------------------------------------------------
 
 
 def singularity_census(fan: Fan):
-    """All maximal cones with multiplicity > 1, with their multiplicities."""
+    """All maximal cones with multiplicity > 1, with their multiplicities,
+    read from the cone table."""
     if not fan.is_simplicial:
         raise NotSimplicialError("singularity census needs a simplicial fan")
-    return [(c, c.multiplicity) for c in fan.maximal_cones if c.multiplicity > 1]
+    dets = fan.cone_table.dets
+    return [(c, m) for c, m in zip(fan.maximal_cones, dets) if m > 1]
 
 
 _ZERO = Fraction(0)
@@ -485,6 +548,8 @@ def picard_rank_q(fan: Fan) -> int:
     dimension (their map is injective on a complete fan).
     """
     n = len(fan.rays)
+    if fan.is_simplicial:
+        return n - fan.dim  # no cone imposes a condition
     constraints = []
     for cone in fan.maximal_cones:
         if cone.is_simplicial:

@@ -262,6 +262,46 @@ def fraction_cartier_index(fan, divisor):
     return index
 
 
+def pull_every_cell(dual, facet, points):
+    """Iterated pulling triangulation of the cone over one facet of `dual`,
+    testing each pulled point against every cell by dot products with its
+    walls; returns the cells as frozensets of rays.  Cells, walls and the
+    pyramid rule are those of the refinement, with no conflict lists."""
+
+    def primitive(v):
+        g = vec_gcd(v)
+        return tuple(x // g for x in v)
+
+    (i,) = facet.facet_set
+    m_i = dual.facets[i].normal
+    walls = []
+    for ridge in dual.faces(dual.dim - 2):
+        if i in ridge.facet_set:
+            (j,) = ridge.facet_set - facet.facet_set
+            walls.append((primitive([a - b for a, b in zip(dual.facets[j].normal, m_i)]), frozenset(ridge.vertices)))
+    cells = [(frozenset(facet.vertices), walls)]
+    for q in points:
+        pulled = []
+        for rays, walls in cells:
+            values = [sum(map(mul, n, q)) for n, _ in walls]
+            if min(values) < 0 or sum(v > 0 for v in values) <= 1:
+                pulled.append((rays, walls))  # q outside, or the apex already
+                continue
+            for a, (n_f, on_f) in enumerate(walls):
+                v_f = values[a]
+                if v_f == 0:
+                    continue
+                pyramid = [(n_f, on_f)]
+                for b, (n_g, on_g) in enumerate(walls):
+                    ridge = on_f & on_g
+                    if b != a and sum(ridge <= on for _, on in walls) == 2:
+                        normal = [v_f * x - values[b] * y for x, y in zip(n_g, n_f)]
+                        pyramid.append((primitive(normal), ridge | {q}))
+                pulled.append((on_f | {q}, pyramid))
+        cells = pulled
+    return {rays for rays, _ in cells}
+
+
 def saturation_census(points):
     """Counts of lattice points grouped by how many facets they saturate."""
     pts = grid_points(points)

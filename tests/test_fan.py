@@ -6,11 +6,15 @@ from operator import mul
 
 import pytest
 
-from cytoric.errors import NotReflexiveError, NotSimplicialError
+from cytoric import fan as fan_module
+from cytoric.errors import InputError, NotReflexiveError, NotSimplicialError
 from cytoric.fan import (
     Cone,
     Fan,
     WeilDivisor,
+    _facet_points,
+    _pull_triangulate_facet,
+    _validate_mpcp,
     cone_mult,
     face_fan,
     is_nef,
@@ -19,11 +23,11 @@ from cytoric.fan import (
     picard_rank_q,
     singularity_census,
 )
-from cytoric.fixtures import POLYGONS, fixture_polytope
+from cytoric.fixtures import ALL, POLYGONS, fixture_polytope
 from cytoric.lattice import NPoint, pairing
 from cytoric.polytope import hull
 from conftest import mpoints, ray_simplex, shear
-from oracles import fraction_cartier_index, fraction_is_nef
+from oracles import fraction_cartier_index, fraction_is_nef, pull_every_cell
 
 
 def npt(*coords):
@@ -251,6 +255,62 @@ def test_mpcp_golden_cone_lists(cross4d_mpcp, example_mpcp, wp11222_mpcp, mirror
     for fan, n_cones, digest in golden:
         assert len(fan.maximal_cones) == n_cones
         assert cone_digest(fan) == digest
+
+
+def test_pulling_matches_every_cell_oracle():
+    # the conflict lists visit only the cells holding each point; the
+    # oracle tests every point against every cell.  cross4d's facets are
+    # cubes, so its cells are not simplices and the ridge test runs
+    sources = [fixture_polytope(name).dual() for name in ALL]  # all reflexive
+    sources += [ray_simplex(w) for w, _, _ in GOLDEN_SIMPLICES]
+    for dual in sources:
+        for order in ("incidence", "lex"):
+            for facet, points in _facet_points(dual, order):
+                cells = _pull_triangulate_facet(dual, facet, points)
+                assert len(set(cells)) == len(cells)
+                assert set(cells) == pull_every_cell(dual, facet, points)
+
+
+def test_validate_mpcp_rejects_broken_refinements(cube4, cube_mpcp, quintic):
+    dual = cube4.dual()
+    cones = list(cube_mpcp.maximal_cones)
+    e = [npt(*(int(i == j) for j in range(4))) for i in range(4)]
+    flat = Cone((e[0], npt(-1, 0, 0, 0), e[1], e[2]))
+    broken = [
+        (cones[1:] + [flat], "non-simplicial"),  # det 0: four rays in a 3-space
+        (cones[1:], "wall consistency"),  # one cone removed
+    ]
+    for maximal_cones, message in broken:
+        fan = Fan(maximal_cones, "mpcp", cube4, dual)
+        assert set(fan.rays) == set(dual.boundary_points())
+        with pytest.raises(InputError, match=message):
+            _validate_mpcp(fan, dual)
+    # the mirror quintic's face fan has the five vertices of the quintic
+    # polytope as rays, not its other 120 boundary points
+    with pytest.raises(InputError, match="not fine"):
+        _validate_mpcp(face_fan(quintic.dual()), quintic)
+
+
+def test_refinement_takes_one_dual_basis_per_cone(monkeypatch):
+    calls = {"matrix_rank": 0, "int_det": 0, "dual_basis": 0}
+
+    def counted(name):
+        original = getattr(fan_module, name, None)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(fan_module, name, counted(name), raising=False)
+    fan = mpcp_triangulate(fixture_polytope("cross4d"))
+    assert singularity_census(fan) == []
+    assert picard_rank_q(fan) == len(fan.rays) - 4
+    assert is_nef(fan, WeilDivisor.anticanonical(fan))
+    assert len(fan.maximal_cones) == 384
+    assert calls == {"matrix_rank": 0, "int_det": 0, "dual_basis": 384}
 
 
 def test_mpcp_wall_consistency(example_mpcp, cube_mpcp):
