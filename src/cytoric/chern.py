@@ -268,7 +268,10 @@ class PositivityEntry:
     label: str
     divisor: WeilDivisor
     nef: bool
-    restricted_degree: Fraction  # L . (-K)^3, zero iff L dies on the hypersurface
+    # L . (-K)^3 = L|X . (-K|X)^2.  Zero when L misses X, and also when the
+    # map to the singular model contracts L|X to a curve or a point, as it
+    # does exceptional divisors: zero does not mean L misses X.
+    restricted_degree: Fraction
     c2_value: Fraction
 
 

@@ -29,6 +29,12 @@ class LatticeVector(tuple):
                 raise InputError(f"lattice coordinates must be int, got {x!r}")
         return super().__new__(cls, coords)
 
+    @classmethod
+    def _from_ints(cls, coords):
+        """A point from a tuple of ints, without the per-coordinate check:
+        only for coordinates the caller computed as ints itself."""
+        return tuple.__new__(cls, coords)
+
     @property
     def dim(self) -> int:
         return len(self)

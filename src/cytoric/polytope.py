@@ -14,6 +14,12 @@ incidence alone: inside a (k+1)-face the k-faces are the inclusion-maximal
 intersections with the other (k+1)-faces (the diamond property), so no
 rank is taken.  Lattice polytopes are maximally degenerate, so nothing
 here assumes general position.
+
+The polar dual of a reflexive polytope is written down, not hulled: its
+vertices are the facet normals and its facets are cut out by the vertices,
+so its incidence table is the transpose and its face lattice is the same
+one turned upside down (Batyrev 1994; Ziegler, Lectures on Polytopes,
+section 2.3).  Each dual pair builds one face lattice.
 """
 
 from __future__ import annotations
@@ -47,16 +53,21 @@ from .lattice import (
 
 class Face:
     """A proper face: dimension, vertex set, and the facets that cut it out.
+    Vertices and facets are also kept as index sets into the owning
+    polytope's sorted vertex and facet tuples.
 
     Lattice point counts (total and relative-interior) come from the owning
     polytope's census, which runs on first access.
     """
 
-    __slots__ = ("dim", "vertices", "facet_set", "_polytope", "_n_points", "_n_interior")
+    __slots__ = (
+        "dim", "vertices", "vertex_indices", "facet_set", "_polytope", "_n_points", "_n_interior"
+    )
 
-    def __init__(self, dim, vertices, facet_set, polytope):
+    def __init__(self, dim, vertex_indices, facet_set, polytope):
         self.dim = dim
-        self.vertices = tuple(sorted(vertices))
+        self.vertex_indices = frozenset(vertex_indices)
+        self.vertices = tuple(polytope.vertices[j] for j in sorted(self.vertex_indices))
         self.facet_set = frozenset(facet_set)
         self._polytope = polytope
         self._n_points = None
@@ -108,12 +119,7 @@ class FaceLattice:
     def __init__(self, polytope, by_dim):
         self._polytope = polytope
         self.by_dim = {d: tuple(faces) for d, faces in by_dim.items()}
-        self._by_facetset = {}
-        self._by_vertexset = {}
-        for faces in self.by_dim.values():
-            for f in faces:
-                self._by_facetset[f.facet_set] = f
-                self._by_vertexset[frozenset(f.vertices)] = f
+        self._by_facetset = {f.facet_set: f for faces in self.by_dim.values() for f in faces}
 
     def __call__(self, dim=None):
         if dim is None:
@@ -129,9 +135,6 @@ class FaceLattice:
 
     def by_facet_set(self, facet_set):
         return self._by_facetset[frozenset(facet_set)]
-
-    def by_vertex_set(self, vertices):
-        return self._by_vertexset[frozenset(vertices)]
 
     def children(self, face):
         """The faces one dimension down inside `face`: those whose facet
@@ -331,28 +334,26 @@ class Polytope:
         """Polar dual {y : <x, y> >= -1 for all x in the polytope}.
 
         For a reflexive polytope this is again a Polytope in the dual
-        lattice (with back-links so dualising twice is free and exact);
-        otherwise a RationalPolytope carrying the exact fractional vertices.
+        lattice, written down rather than hulled: its vertices are our facet
+        normals, its facets are <., v> >= -1 for our vertices v, and the
+        constructor checks the two against each other.  Both sides sort
+        alike (every offset is -1), so dual vertex i is our facet i and dual
+        facet j is our vertex j.  The two are back-linked, so dualising
+        twice is free and exact.  A non-reflexive polytope gets a
+        RationalPolytope carrying the exact fractional vertices.
         """
         if self._dual is not None:
             return self._dual
         if not self.strictly_contains(self.origin()):
             raise OriginNotInteriorError("dual is unbounded unless 0 is interior")
-        dual_cls = DUAL_LATTICE[self.point_cls]
         if not self.is_reflexive():
             verts = [
                 tuple(Fraction(c, -f.offset) for c in f.normal) for f in self.facets
             ]
-            return RationalPolytope(verts, dual_cls)
-        dual_vertices = [dual_cls(f.normal) for f in self.facets]
-        d = hull(dual_vertices)
-        if d.vertex_set != frozenset(dual_vertices):
-            raise InputError("dual vertex/facet bijection failed")
-        # Bidual consistency: the dual's facets must be cut out by our vertices.
-        if {(tuple(f.normal), f.offset) for f in d.facets} != {
-            (tuple(v), -1) for v in self.vertices
-        }:
-            raise InternalInvariantError("bidual facets differ from the vertices")
+            return RationalPolytope(verts, DUAL_LATTICE[self.point_cls])
+        d = Polytope(
+            [f.normal for f in self.facets], [RationalHyperplane(v, -1) for v in self.vertices]
+        )
         self._dual = d
         d._dual = self
         return d
@@ -360,9 +361,15 @@ class Polytope:
     # -- face lattice --------------------------------------------------------
 
     def faces(self, dim=None):
-        """The lattice of proper faces (dimensions 0 .. d-1)."""
+        """The lattice of proper faces (dimensions 0 .. d-1).  For half of a
+        reflexive dual pair whose other half has its lattice, that lattice
+        turned upside down."""
         if self._faces is None:
-            self._faces = self._build_faces()
+            other = self._dual
+            if other is not None and other._faces is not None:
+                self._faces = self._transposed_faces(other._faces)
+            else:
+                self._faces = self._build_faces()
         if dim is None:
             return self._faces
         return self._faces(dim)
@@ -390,19 +397,27 @@ class Polytope:
             by_dim[k] = level = list(found)
         faces = {
             fdim: [
-                Face(
-                    fdim,
-                    [self.vertices[j] for j in on],
-                    frozenset.intersection(*(sat[j] for j in on)),
-                    self,
-                )
+                Face(fdim, on, frozenset.intersection(*(sat[j] for j in on)), self)
                 for on in level
             ]
             for fdim, level in by_dim.items()
         }
-        faces[0] = [Face(0, (v,), tight, self) for v, tight in zip(self.vertices, sat)]
+        faces[0] = [Face(0, (j,), tight, self) for j, tight in enumerate(sat)]
         for level in faces.values():
             level.sort(key=lambda f: f.vertices)
+        return FaceLattice(self, faces)
+
+    def _transposed_faces(self, lattice):
+        """Our face lattice from the dual's: the dual's k-face with vertex
+        indices V and facet set S is our (d-1-k)-face with vertex indices S
+        and facet set V, since dual vertex i is our facet i and dual facet j
+        is our vertex j.  Each level is sorted as `_build_faces` sorts it."""
+        top = self.ambient_dim - 1
+        faces = {}
+        for k in sorted(lattice.by_dim):
+            level = [Face(top - k, f.facet_set, f.vertex_indices, self) for f in lattice.by_dim[k]]
+            level.sort(key=lambda f: f.vertices)
+            faces[top - k] = level
         return FaceLattice(self, faces)
 
     # -- lattice points ------------------------------------------------------
@@ -426,8 +441,9 @@ class Polytope:
         boundary = []
         face_of = {}
         n_saturating = Counter()  # saturated facet set -> number of points
+        point = self.point_cls._from_ints
         for raw, satset in _lattice_points(self.vertices, self._planes):
-            p = self.point_cls(raw)
+            p = point(raw)
             points.append(p)
             n_saturating[satset] += 1
             if satset:
@@ -461,14 +477,12 @@ class Polytope:
 
         Defined for reflexive polytopes; dimensions satisfy
         dim(face) + dim(dual) = ambient_dim - 1 and the map is an involution.
-        Dual vertex i is the normal of facet i, so the dual face's vertices
-        are the normals of the facets containing `face`.
+        Dual facet j is cut out by our vertex j, so the dual face is the one
+        whose facet set is `face`'s vertex index set.
         """
         if not self.is_reflexive():
             raise NotReflexiveError("dual faces need a reflexive polytope")
-        dual_face = self.dual().faces().by_vertex_set(
-            self.facets[i].normal for i in face.facet_set
-        )
+        dual_face = self.dual().faces().by_facet_set(face.vertex_indices)
         if face.dim + dual_face.dim != self.ambient_dim - 1:
             raise InternalInvariantError("dual face has the wrong dimension")
         return dual_face

@@ -1,3 +1,4 @@
+import itertools
 import sys
 from pathlib import Path
 
@@ -20,8 +21,6 @@ def square():
 
 @pytest.fixture(scope="session")
 def cube4():
-    import itertools
-
     return hull(mpoints(itertools.product((-1, 1), repeat=4)))
 
 
@@ -52,12 +51,29 @@ def transvection():
     return steps.filter(lambda t: t[0] != t[1])
 
 
+def ray_simplex_points(weights):
+    """e1..e4 and -(w1..w4), the vertices of `ray_simplex(weights)`."""
+    rows = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    rows.append(tuple(-w for w in weights))
+    return mpoints(rows)
+
+
 def ray_simplex(weights):
     """conv(e1..e4, -(w1..w4)): the mirror side of the hypersurface in the
     weighted projective space P(1, w1..w4)."""
-    rows = [tuple(int(i == j) for j in range(4)) for i in range(4)]
-    rows.append(tuple(-w for w in weights))
-    return hull(mpoints(rows))
+    return hull(ray_simplex_points(weights))
+
+
+def weighted_ray_simplices():
+    """The 69 reflexive ray simplices conv(e1..e4, -(w1..w4)) with w_i <= 42
+    and w_i | 1 + sum(w), the weighted P4s of the benchmark corpus."""
+    out = []
+    for ws in itertools.combinations_with_replacement(range(1, 43), 4):
+        if not any((1 + sum(ws)) % w for w in ws):
+            simplex = ray_simplex(ws)
+            if simplex.is_reflexive():
+                out.append(simplex)
+    return out
 
 
 def example_s3_vertices():

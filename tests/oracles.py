@@ -504,3 +504,61 @@ def ehrhart_volume(polytope):
         dilated = hull([cls([k * x for x in v]) for v in polytope.vertices])
         total += (-1) ** (d - k) * math.comb(d, k) * dilated.n_points
     return total
+
+
+def hull_dual(polytope):
+    """Polar dual of a reflexive polytope by hulling its facet normals, then
+    checking the bidual: the hull's vertices are exactly the normals and its
+    facets are <., v> >= -1 for the polytope's vertices v.  No transposed
+    incidence table."""
+    from cytoric.lattice import DUAL_LATTICE
+    from cytoric.polytope import hull
+
+    dual_cls = DUAL_LATTICE[polytope.point_cls]
+    normals = [dual_cls(f.normal) for f in polytope.facets]
+    dual = hull(normals)
+    if dual.vertex_set != frozenset(normals):
+        raise AssertionError("dual vertex/facet bijection failed")
+    if {(tuple(f.normal), f.offset) for f in dual.facets} != {
+        (tuple(v), -1) for v in polytope.vertices
+    }:
+        raise AssertionError("bidual facets differ from the vertices")
+    return dual
+
+
+def diamond_faces(polytope):
+    """{dim: [(vertices, facet indices)]} for the proper faces, each level
+    sorted by vertices, by the diamond property alone: inside a (k+1)-face
+    the k-faces are the inclusion-maximal intersections with the other
+    (k+1)-faces that keep more than k vertices.  The incidence is evaluated
+    here from the vertex and facet tuples."""
+    vertices = polytope.vertices
+    d = len(vertices[0])
+    sat = [
+        frozenset(
+            i
+            for i, f in enumerate(polytope.facets)
+            if sum(a * b for a, b in zip(v, f.normal)) == f.offset
+        )
+        for v in vertices
+    ]
+    level = [
+        frozenset(j for j, tight in enumerate(sat) if i in tight)
+        for i in range(len(polytope.facets))
+    ]
+    by_dim = {d - 1: level}
+    for k in range(d - 2, 0, -1):
+        found = set()
+        for a, face in enumerate(level):
+            cuts = {face & other for b, other in enumerate(level) if b != a}
+            cuts = [c for c in cuts if len(c) > k]
+            found.update(c for c in cuts if not any(c < e for e in cuts))
+        by_dim[k] = level = list(found)
+    by_dim[0] = [frozenset((j,)) for j in range(len(vertices))]
+    return {
+        k: sorted(
+            (tuple(vertices[j] for j in sorted(on)), frozenset.intersection(*(sat[j] for j in on)))
+            for on in level
+        )
+        for k, level in by_dim.items()
+    }

@@ -19,7 +19,7 @@ from cytoric.fan import WeilDivisor, face_fan, mpcp_triangulate, picard_rank_q
 from cytoric.fixtures import fixture_points
 from cytoric.lattice import NPoint
 from cytoric.polytope import hull
-from conftest import mpoints, ray_simplex, shear, transvection
+from conftest import mpoints, ray_simplex, shear, transvection, weighted_ray_simplices
 from oracles import (
     MemoIntersectionForm,
     memo_c2_dot,
@@ -326,18 +326,6 @@ def test_euler_characteristic_from_the_ring_matches_batyrev(make, chi):
     delta = make()
     assert hodge.report(delta).euler == chi
     assert euler_characteristic(mpcp_triangulate(delta)) == chi
-
-
-def weighted_ray_simplices():
-    """The 69 reflexive ray simplices conv(e1..e4, -(w1..w4)) with w_i <= 42
-    and w_i | 1 + sum(w), the weighted P4s of the benchmark corpus."""
-    out = []
-    for ws in itertools.combinations_with_replacement(range(1, 43), 4):
-        if not any((1 + sum(ws)) % w for w in ws):
-            simplex = ray_simplex(ws)
-            if simplex.is_reflexive():
-                out.append(simplex)
-    return out
 
 
 def test_euler_characteristic_on_all_weighted_ray_simplices():

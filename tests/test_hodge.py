@@ -1,10 +1,12 @@
 import pytest
 
-from cytoric import hodge
+from cytoric import cli, fan, hodge
+from cytoric import polytope as polytope_module
 from cytoric.errors import InputError, NotReflexiveError
 from cytoric.hodge import PointType
-from cytoric.polytope import hull
-from conftest import mpoints, ray_simplex
+from cytoric.fixtures import fixture_points
+from cytoric.polytope import Polytope, hull
+from conftest import mpoints, ray_simplex, ray_simplex_points
 from oracles import grid_points, saturation_census
 
 
@@ -181,3 +183,32 @@ def test_census_matches_h11(example_s3, quintic, cube4, cross4):
     for p in (example_s3, quintic, cube4, cross4):
         census = hodge.divisor_census(p)
         assert census.rank == hodge.h11(p)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [fixture_points("cross4d"), ray_simplex_points((1, 2, 2, 2))],
+    ids=["cross4d", "wp11222_mirror"],
+)
+def test_report_hulls_once_and_builds_one_face_lattice(monkeypatch, points):
+    calls = {"hull": 0, "_build_faces": 0}
+    hull_fn = polytope_module.hull
+    build = Polytope._build_faces
+
+    def counted_hull(*args):
+        calls["hull"] += 1
+        return hull_fn(*args)
+
+    def counted_build(self):
+        calls["_build_faces"] += 1
+        return build(self)
+
+    for owner in (polytope_module, fan, cli):
+        monkeypatch.setattr(owner, "hull", counted_hull)
+    monkeypatch.setattr(Polytope, "_build_faces", counted_build)
+    delta = polytope_module.hull(points)
+    rep = hodge.report(delta)
+    assert rep.h11 > 0 and rep.h12 > 0
+    # both sides hold a face lattice by now
+    assert delta.faces() is not None and delta.dual().faces() is not None
+    assert calls == {"hull": 1, "_build_faces": 1}

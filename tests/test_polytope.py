@@ -9,8 +9,23 @@ from cytoric.errors import NotFullDimensionalError, OriginNotInteriorError
 from cytoric.lattice import MPoint, NPoint, pairing
 from cytoric.fixtures import ALL, CORPUS_4D, fixture_points, fixture_polytope
 from cytoric.polytope import RationalPolytope, hull
-from conftest import example_s3_vertices, mpoints, ray_simplex, shear, transvection
-from oracles import brute_faces, brute_facets, brute_vertices, ehrhart_volume, grid_points
+from conftest import (
+    example_s3_vertices,
+    mpoints,
+    ray_simplex,
+    shear,
+    transvection,
+    weighted_ray_simplices,
+)
+from oracles import (
+    brute_faces,
+    brute_facets,
+    brute_vertices,
+    diamond_faces,
+    ehrhart_volume,
+    grid_points,
+    hull_dual,
+)
 
 
 def as_plane_set(polytope):
@@ -448,6 +463,73 @@ def test_boundary_point_pairs_to_minus_one(example_s3, cube4):
             assert min(values) == -1
 
 
+# -- duality by transposition ---------------------------------------------------------
+
+
+def weighted_dual_pairs():
+    """Vertex lists of the 69 weighted ray simplices and of their duals."""
+    out = []
+    for simplex in weighted_ray_simplices():
+        out += [list(simplex.vertices), list(hull_dual(simplex).vertices)]
+    return out
+
+
+# Unimodular shears moving each fixture, by ambient dimension.
+MOVES = {
+    2: [(0, 1, 1), (1, 0, -2)],
+    4: [(0, 1, 1), (2, 3, -1), (1, 2, 2), (3, 0, 1), (0, 3, -2)],
+}
+
+
+def moved_fixtures():
+    out = []
+    for name in ALL:
+        rows = [tuple(v) for v in fixture_points(name)]
+        out.append(mpoints(shear(rows, MOVES[len(rows[0])])))
+    return out
+
+
+DUAL_CASES = {
+    "fixtures": lambda: [fixture_points(name) for name in ALL],
+    "weighted": weighted_dual_pairs,
+    "moved": moved_fixtures,
+}
+
+
+@pytest.mark.parametrize("primal_first", [True, False], ids=["primal-first", "dual-first"])
+@pytest.mark.parametrize("group", sorted(DUAL_CASES))
+def test_transposed_dual_matches_hull_oracle(group, primal_first):
+    cases = DUAL_CASES[group]()
+    assert len(cases) == {"fixtures": 20, "weighted": 138, "moved": 20}[group]
+    for points in cases:
+        p = hull(points)
+        d = p.dual()
+        first, second = (p, d) if primal_first else (d, p)
+        first.faces()
+        second.faces()
+        oracle = hull_dual(p)
+        assert d.vertices == oracle.vertices
+        assert d.facets == oracle.facets
+        top = p.dim - 1
+        oracle_faces = diamond_faces(oracle)
+        for side, expected in ((p, diamond_faces(p)), (d, oracle_faces)):
+            assert sorted(side.faces().by_dim) == sorted(expected) == list(range(p.dim))
+            for k, level in expected.items():
+                assert [(f.vertices, f.facet_set) for f in side.faces(k)] == level, (p, k)
+        # the oracle's dual face: the face whose vertices are the normals of
+        # the facets containing the face
+        by_vertices = {
+            (k, frozenset(vs)): (vs, fs) for k, level in oracle_faces.items() for vs, fs in level
+        }
+        for f in p.faces():
+            g = p.dual_face(f)
+            normals = frozenset(p.facets[i].normal for i in f.facet_set)
+            assert (g.vertices, g.facet_set) == by_vertices[top - f.dim, normals]
+            assert d.dual_face(g) is f
+        for g in d.faces():
+            assert p.dual_face(d.dual_face(g)) is g
+
+
 # -- dual faces ---------------------------------------------------------------------
 
 
@@ -508,6 +590,16 @@ def test_random_reflexive_polygons_duality_properties():
         assert census.n_interior + sum(f.n_interior for f in p.faces()) == census.n_points
 
     run()
+
+
+def test_census_points_are_plain_lattice_points():
+    for name in ALL:
+        p = fixture_polytope(name)
+        for side in (p, p.dual()):
+            for q in side.census().points:
+                assert type(q) is side.point_cls
+                assert all(type(x) is int for x in q)
+                assert q == side.point_cls(tuple(q))
 
 
 def test_normalized_volume():
