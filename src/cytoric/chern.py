@@ -24,11 +24,9 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from math import lcm
 from operator import mul
 
-from ._linalg import dot
 from .errors import InputError, NotSimplicialError
 from .fan import Fan, WeilDivisor, is_nef
 from .hodge import PointType, classify_boundary
@@ -38,14 +36,14 @@ from .polytope import Polytope
 class IntersectionForm:
     """The Chow ring of a simplicial complete 4-fan, built once.
 
-    Cones are sorted tuples of ray indices.  `_cones[g]` holds the
-    determinant det of a maximal cone containing g, M / det for the lcm M
-    of all maximal cones' determinants, and per link ray u the entry
-    (u, g + u, c) with <m_i, u> = c_i / det for that cone's dual basis m_i.
+    Cones are ascending tuples of ray indices.  `_cones[g]` holds the
+    determinant det of g's host in the star of the fan's
+    :attr:`~cytoric.fan.Fan.cone_table`, M / det for the lcm M of all
+    maximal cones' determinants, and per link ray u the entry (u, g + u, c)
+    with <m_i, u> = c_i / det for the host's dual basis m_i: 0 for u in
+    the host, else the table's pairings, shared with the wall relations.
     `_top[g]` is M / mult(g) for the maximal cones.  Classes are integer
-    numerators on the W(g) over one denominator.  The determinants and
-    dual bases are the fan's :attr:`~cytoric.fan.Fan.cone_table`, which the
-    nef test shares.
+    numerators on the W(g) over one denominator.
     """
 
     def __init__(self, fan: Fan):
@@ -54,28 +52,25 @@ class IntersectionForm:
         if fan.dim != 4:
             raise InputError("intersection form is implemented for 4-dimensional fans")
         table = fan.cone_table
+        table.require_complete()
         self.fan = fan
         self.rays = fan.rays
         self._index = {r: i for i, r in enumerate(fan.rays)}
-        vec = [tuple(r) for r in fan.rays]
-        self._lcm = lcm(*table.dets)
-        tops, host, link = table.cones, {}, {}
-        for ci, top in enumerate(tops):
-            for k in range(4):
-                for g in combinations(top, k):
-                    host.setdefault(g, ci)  # the first maximal cone containing g
-                    link.setdefault(g, set()).update(top)
-        self._top = {top: self._lcm // m for top, m in zip(tops, table.dets)}
-        self._cones = {}
-        for g, ci in host.items():
-            top = tops[ci]
-            basis = [table.duals[ci][top.index(i)] for i in g]
-            entries = tuple(
-                (u, tuple(sorted(g + (u,))), tuple(dot(n, vec[u]) for n in basis))
-                for u in sorted(link[g].difference(g))
-            )
-            self._cones[g] = (table.dets[ci], self._top[top], entries)
-        self._all_rays = (dict.fromkeys(range(len(vec)), 1), 1)
+        tops, dets = table.cones, table.dets
+        self._lcm = lcm(*dets)
+        self._top = {top: self._lcm // m for top, m in zip(tops, dets)}
+        # the origin: every ray links it; det 1 and M keep det * M / det = M
+        self._cones = {(): (1, self._lcm, tuple((u, (u,), ()) for u in range(len(fan.rays))))}
+        for g, owners in table.star.items():
+            host = owners[0]
+            top = tops[host]
+            zero, at = (0,) * len(g), [top.index(i) for i in g]
+            entries = []
+            for u in set().union(*map(tops.__getitem__, owners)).difference(g):
+                c = zero if u in top else tuple(map(table.pairings(host, u).__getitem__, at))
+                entries.append((u, tuple(sorted(g + (u,))), c))
+            self._cones[g] = (dets[host], self._top[top], entries)
+        self._all_rays = (dict.fromkeys(range(len(fan.rays)), 1), 1)
 
     def _times(self, cls, divisor):
         """The class `cls` = (cone -> numerator, denominator) times a divisor
@@ -256,7 +251,7 @@ def curve_census(delta: Polytope, fan: Fan) -> CurveCensus:
     split = {p for p, info in classified.items() if info.kind is PointType.IN_2FACE}
     relevant = irreducible | split
     return CurveCensus(
-        entries=tuple(sorted(entries, key=lambda e: e.edge)),
+        entries=tuple(entries),  # edges() is ascending
         covered_irreducible=frozenset(covered & irreducible),
         covered_split=frozenset(covered & split),
         uncovered=frozenset(relevant - covered),
@@ -282,20 +277,24 @@ class ChernReport:
     census: CurveCensus
 
 
+def c2_audit(delta: Polytope, form: IntersectionForm, candidates):
+    """c2 pairings against -K and each ray divisor, and a nef/positivity
+    entry for each (label, divisor) candidate."""
+    minus_k = WeilDivisor.anticanonical(form.fan)
+    values = [("-K", c2_dot(delta, form, minus_k))]
+    for r in form.rays:
+        values.append((f"D{tuple(r)}", c2_dot(delta, form, WeilDivisor.ray(r))))
+    audits = []
+    for label, div in candidates:
+        nef = is_nef(form.fan, div)
+        degree = intersection_number(form, div, minus_k, minus_k, minus_k)
+        audits.append(PositivityEntry(label, div, nef, degree, c2_dot(delta, form, div)))
+    return tuple(values), tuple(audits)
+
+
 def chern_report(delta: Polytope, fan: Fan, extra=()) -> ChernReport:
     """c2 pairings against -K and each ray divisor, nef/positivity audit for
     the supplied classes, and the curve census."""
-    form = IntersectionForm(fan)
-    minus_k = WeilDivisor.anticanonical(fan)
-    values = [("-K", c2_dot(delta, form, minus_k))]
-    for r in fan.rays:
-        values.append((f"D{tuple(r)}", c2_dot(delta, form, WeilDivisor.ray(r))))
-    candidates = [("-K", minus_k)] + list(extra)
-    audits = []
-    for label, div in candidates:
-        nef = is_nef(fan, div)
-        degree = intersection_number(form, div, minus_k, minus_k, minus_k)
-        audits.append(
-            PositivityEntry(label, div, nef, degree, c2_dot(delta, form, div))
-        )
-    return ChernReport(tuple(values), tuple(audits), curve_census(delta, fan))
+    candidates = [("-K", WeilDivisor.anticanonical(fan))] + list(extra)
+    values, audits = c2_audit(delta, IntersectionForm(fan), candidates)
+    return ChernReport(values, audits, curve_census(delta, fan))

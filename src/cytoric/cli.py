@@ -289,33 +289,22 @@ def report_fan_nef(path, opts):
 def report_chern_c2(path, opts):
     delta, fan = _fan_for(path, True)
     form = chern_mod.IntersectionForm(fan)
-    minus_k = WeilDivisor.anticanonical(fan)
-    values = [{"divisor": "-K", "value": _frac(chern_mod.c2_dot(delta, form, minus_k))}]
-    for r in fan.rays:
-        values.append(
-            {
-                "divisor": f"D{tuple(r)}",
-                "value": _frac(chern_mod.c2_dot(delta, form, WeilDivisor.ray(r))),
-            }
-        )
-    audits = []
-    specs = [("anticanonical", minus_k)]
+    specs = [("anticanonical", WeilDivisor.anticanonical(fan))]
     for spec in opts.get("divisors", ()):
         specs.append((spec, parse_divisor(spec, fan)))
-    for label, div in specs:
-        nef = fan_mod.is_nef(fan, div)
-        degree = chern_mod.intersection_number(form, div, minus_k, minus_k, minus_k)
-        value = chern_mod.c2_dot(delta, form, div)
-        audits.append(
-            {
-                "divisor": label,
-                "nef": nef,
-                "restricted_degree": _frac(degree),
-                "c2": _frac(value),
-                "positive": value > 0,
-            }
-        )
-    return {"c2": {"values": values, "audit": audits}}
+    values, audits = chern_mod.c2_audit(delta, form, specs)
+    audit = [
+        {
+            "divisor": e.label,
+            "nef": e.nef,
+            "restricted_degree": _frac(e.restricted_degree),
+            "c2": _frac(e.c2_value),
+            "positive": e.c2_value > 0,
+        }
+        for e in audits
+    ]
+    values = [{"divisor": label, "value": _frac(v)} for label, v in values]
+    return {"c2": {"values": values, "audit": audit}}
 
 
 def report_chern_curves(path, opts):

@@ -22,18 +22,19 @@ volume.
 The nef test is toric Kleiman on the wall relations (Cox-Little-Schenck,
 Toric Varieties, Thm 6.3.12 and 6.4): a divisor is nef iff it pairs
 nonnegatively with the relation of every wall, one integer test per wall.
-The relations come from a per-fan :class:`ConeTable` (wall owners and each
-maximal cone's integer dual basis), which the intersection form in
-:mod:`cytoric.chern` reads too.
+A simplicial fan's skeleton is one per-fan :class:`ConeTable`: the star of
+every face, each maximal cone's integer dual basis and the pairings of
+those bases with rays.  Walls, edges, the wall relations and the
+intersection form in :mod:`cytoric.chern` all read it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations, repeat
 
 from ._linalg import (
     dot,
@@ -69,6 +70,13 @@ class Cone:
             if r.is_zero() or vector_gcd(r) != 1:
                 raise InputError(f"ray generator {tuple(r)} is not primitive")
         object.__setattr__(self, "rays", rays)
+
+    @classmethod
+    def _from_rays(cls, rays):
+        """A cone without the checks, for distinct primitive rays only."""
+        cone = object.__new__(cls)
+        object.__setattr__(cone, "rays", tuple(sorted(rays)))
+        return cone
 
     @cached_property
     def dim(self) -> int:
@@ -164,53 +172,38 @@ class Fan:
     def ray_index(self, ray) -> int:
         return self._ray_index[ray]
 
-    @cached_property
-    def _walls(self):
-        owners = {}
-        if self.is_simplicial:
-            for ci, cone in enumerate(self.maximal_cones):
-                for omitted in cone.rays:
-                    key = frozenset(cone.rays) - {omitted}
-                    owners.setdefault(key, []).append(ci)
-        else:
-            # Non-simplicial face fans: walls are cones over the ridges of
-            # the source polytope.
-            ridges = self.source.faces(self.source.dim - 2)
-            cone_pos = {}
-            for ci, cone in enumerate(self.maximal_cones):
-                cone_pos[frozenset(cone.rays)] = ci
-            for ridge in ridges:
-                incident = [
-                    cone_pos[frozenset(f.vertices)]
-                    for f in self.source.faces().parents(ridge)
-                ]
-                owners[frozenset(ridge.vertices)] = incident
-        return {k: tuple(sorted(v)) for k, v in owners.items()}
-
     def walls(self):
-        """Codimension-one intersections of maximal cones with the two cones
-        sharing each; in a complete fan every wall has exactly two.  Built
-        once per fan; the dict is shared, so do not mutate it."""
-        return self._walls
+        """Each wall (codimension-one face) as ascending ray indices, with
+        the maximal cones sharing it: two each in a complete fan.  Read off
+        the cone table's star, or for a non-simplicial face fan the ridges
+        of the source polytope."""
+        if self.is_simplicial:
+            return self.cone_table.owners
+        cone_pos = {frozenset(cone.rays): ci for ci, cone in enumerate(self.maximal_cones)}
+        return {
+            tuple(sorted(map(self.ray_index, ridge.vertices))): tuple(
+                sorted(cone_pos[frozenset(f.vertices)] for f in self.source.faces().parents(ridge))
+            )
+            for ridge in self.source.faces(self.source.dim - 2)
+        }
 
     def wall_consistency(self) -> bool:
         return all(len(v) == 2 for v in self.walls().values())
 
     @cached_property
     def cone_table(self) -> ConeTable:
-        """The wall owners and each maximal cone's dual basis, built once
-        and shared by the nef test and the intersection form."""
+        """The skeleton of a simplicial fan, built once and shared by the
+        walls, the edges, the nef test and the intersection form."""
         return ConeTable(self)
 
     def edges(self):
-        """All 2-element ray sets spanning a 2-cone of a simplicial fan."""
+        """All 2-element ray sets spanning a 2-cone of a simplicial fan,
+        ascending: the star's 2-faces (the maximal cones of a 2-fan)."""
         if not self.is_simplicial:
             raise NotSimplicialError("edge enumeration expects a simplicial fan")
-        out = set()
-        for cone in self.maximal_cones:
-            for a, b in itertools.combinations(cone.rays, 2):
-                out.add((a, b))
-        return sorted(out)
+        table = self.cone_table
+        pairs = table.cones if self.dim == 2 else [g for g in table.star if len(g) == 2]
+        return [(self.rays[a], self.rays[b]) for a, b in sorted(pairs)]
 
     def __repr__(self):
         return (
@@ -220,27 +213,45 @@ class Fan:
 
 
 class ConeTable:
-    """Per-cone data of a complete simplicial fan, built once per fan.
+    """The skeleton of a simplicial fan, built once per fan.
 
-    `rays` is `fan.rays`; `cones[c]` holds the ray indices of maximal cone
-    c, and `owners` is `fan.walls()`: each wall with the indices of the two
-    maximal cones sharing it.  For cone c with rays v_0 .. v_{d-1},
-    `dets[c]` is its multiplicity |det| and `duals[c][i]` the integer
-    vector n_i with <n_i, v_j> = dets[c] * (i == j), from one
-    :func:`dual_basis` per cone in any dimension (the same eliminations
-    that show the fan simplicial).  The table keeps no reference to the
-    fan, so the two form no cycle.
+    `rays` is `fan.rays`; `cones[c]` holds the ascending ray indices of
+    maximal cone c.  `star` maps each face of dimension 1 .. d-1, as
+    ascending ray indices, to the maximal cones containing it in cone
+    order, the first its host; `owners` is its restriction to the walls,
+    which `fan.walls()` shares, so do not mutate it.  For cone c with rays
+    v_0 .. v_{d-1}, `dets[c]` is its multiplicity |det| and `duals[c][i]`
+    the integer vector n_i with <n_i, v_j> = dets[c] * (i == j), one
+    :func:`dual_basis` per cone in any dimension (the eliminations that
+    show the fan simplicial).  The table keeps no reference to the fan, so
+    the two form no cycle.
     """
 
     def __init__(self, fan: Fan):
         if not fan.is_simplicial:
             raise NotSimplicialError("cone table needs a simplicial fan")
-        if not fan.wall_consistency():
-            raise InputError("fan is not complete: some wall has one incident cone")
         self.rays = fan.rays
         self.cones = tuple(tuple(map(fan.ray_index, c.rays)) for c in fan.maximal_cones)
-        self.owners = fan.walls()
         self.dets, self.duals = fan._dual_bases
+        star = {}
+        for c, top in enumerate(self.cones):
+            for k in range(1, len(top)):
+                for g in combinations(top, k):  # ascending, as top is
+                    star.setdefault(g, []).append(c)
+        self.star = {g: tuple(c) for g, c in star.items()}
+        self.owners = {g: c for g, c in self.star.items() if len(g) == fan.dim - 1}
+        self._pairings = {}
+
+    def require_complete(self):
+        if any(len(c) != 2 for c in self.owners.values()):
+            raise InputError("fan is not complete: some wall has one incident cone")
+
+    def pairings(self, c, u):
+        """<n_i, u> for cone c's dual basis and the ray of index u off c,
+        computed once per (c, u) for the wall relations and the form."""
+        if (c, u) not in self._pairings:
+            self._pairings[c, u] = tuple(map(dot, self.duals[c], repeat(self.rays[u])))
+        return self._pairings[c, u]
 
     @cached_property
     def relations(self):
@@ -256,10 +267,11 @@ class ConeTable:
         sum b_v a_v, so on a projective fan the relations span the Mori
         cone (ibid., Thm 6.3.20).
         """
+        self.require_complete()
         out = []
-        for ci, cj in self.owners.values():
-            (u,) = set(self.cones[cj]).difference(self.cones[ci])
-            b = [-dot(n, self.rays[u]) for n in self.duals[ci]] + [self.dets[ci]]
+        for wall, (ci, cj) in self.owners.items():
+            (u,) = [x for x in self.cones[cj] if x not in wall]
+            b = [-x for x in self.pairings(ci, u)] + [self.dets[ci]]
             g = math.gcd(*b)
             out.append((self.cones[ci] + (u,), tuple(x // g for x in b)))
         return tuple(out)
@@ -412,7 +424,7 @@ def mpcp_triangulate(delta: Polytope, order: str = "incidence") -> Fan:
     cone_facets = {}
     for fi, (facet, points) in enumerate(_facet_points(dual, order)):
         for simplex in _pull_triangulate_facet(dual, facet, points):
-            cone = Cone(simplex)
+            cone = Cone._from_rays(simplex)  # boundary points are primitive
             cones.append(cone)
             cone_facets[cone] = fi
     fan = Fan(cones, "mpcp", delta, dual, cone_facets)
@@ -423,7 +435,7 @@ def mpcp_triangulate(delta: Polytope, order: str = "incidence") -> Fan:
 def _validate_mpcp(fan: Fan, dual: Polytope):
     """Fine, simplicial (every cone's determinant is nonzero), every wall
     on two cones, and the cones' |det| sum to the dual's normalized volume:
-    one dual basis per cone, kept in the fan's cone table."""
+    one dual basis per cone and the star, kept in the fan's cone table."""
     boundary = set(dual.boundary_points())
     if set(fan.rays) != boundary:
         raise InputError("refinement is not fine: ray set != boundary points")

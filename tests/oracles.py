@@ -442,6 +442,32 @@ class MemoIntersectionForm:
         return total
 
 
+def combination_form_cones(table):
+    """The intersection form's per-cone data as its constructor built it
+    before the cone table held the star: every subset of every maximal
+    cone, its first maximal cone as host, its link from all cones holding
+    it, and <n_i, u> dotted afresh for every (face, link ray) pair.  Maps
+    each face to (det, M / det, set of (u, face + u, c))."""
+    tops = table.cones
+    m = math.lcm(*table.dets)
+    host, link = {}, {}
+    for ci, top in enumerate(tops):
+        for k in range(len(top)):
+            for g in itertools.combinations(top, k):
+                host.setdefault(g, ci)
+                link.setdefault(g, set()).update(top)
+    out = {}
+    for g, ci in host.items():
+        top = tops[ci]
+        basis = [table.duals[ci][top.index(i)] for i in g]
+        entries = {
+            (u, tuple(sorted(g + (u,))), tuple(sum(map(mul, n, table.rays[u])) for n in basis))
+            for u in link[g].difference(g)
+        }
+        out[g] = (table.dets[ci], m // table.dets[ci], entries)
+    return out
+
+
 def memo_intersection_number(form, d1, d2, d3, d4, path):
     """The quadrilinear extension by one of the two old paths: "sparse"
     expands over the supports, "dense" sweeps each maximal cone's multisets

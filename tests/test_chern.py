@@ -22,6 +22,7 @@ from cytoric.polytope import hull
 from conftest import mpoints, ray_simplex, shear, transvection, weighted_ray_simplices
 from oracles import (
     MemoIntersectionForm,
+    combination_form_cones,
     memo_c2_dot,
     memo_intersection_number,
     series_c2_cube_hypersurface,
@@ -149,6 +150,25 @@ def test_value_matches_memo_oracle_on_random_supports(forms):
             spanning += oracle.spans_cone(set(quad))
             assert form.value(quad) == oracle.value(quad)
     assert 300 < spanning < 600
+
+
+def test_form_cones_match_combination_oracle(example_form):
+    # the star-built form against the old subset loop that dotted every
+    # (face, link ray) pair: same host, link and pairings for every face;
+    # the empty face has det 1 here, the oracle its host's (the same
+    # det * (M / det) = M)
+    fans = [example_form.fan, mpcp_triangulate(hull(fixture_points("cross4d")))]
+    fans.append(mpcp_triangulate(ray_simplex((1, 2, 2, 2))))
+    for fan in fans:
+        form = IntersectionForm(fan)
+        expected = combination_form_cones(fan.cone_table)
+        assert form._cones.keys() == expected.keys()
+        for g, (det, w, entries) in form._cones.items():
+            assert len(set(entries)) == len(entries)
+            if g:
+                assert (det, w, set(entries)) == expected[g]
+            else:
+                assert det * w == expected[g][0] * expected[g][1] and set(entries) == expected[g][2]
 
 
 @pytest.mark.parametrize("name", ["quintic", "cube", "example_s3"])
@@ -311,6 +331,21 @@ def test_c2_vanishes_on_divisors_missing_the_hypersurface(cross4):
         assert intersection_number(form, d, mk, mk, mk) == 0
 
 
+def assert_riemann_roch(form):
+    """The MPCP hypersurface X of a 4-polytope is a smooth threefold that
+    misses the ambient's point singularities, so every ray divisor D
+    restricts to a Cartier divisor on it: D^3 . X and c2 . D are integers,
+    and so is chi(O_X(D)) = D^3 / 6 + c2 . D / 12 (Hirzebruch-Riemann-
+    Roch), that is 2 D^3 + c2 . D = 0 mod 12.  D^3 . X starts from
+    D . V(0) = W(D), the class of D's own ray, so each ray sweeps its star
+    only; c2 . D is the form's sweep over all rays at once."""
+    for i, c2 in enumerate(form._c2_rays):
+        ray = ({i: 1}, 1)
+        cube = form._degree([ray, ray, form._all_rays], ({(i,): 1}, 1))
+        assert cube.denominator == 1 and c2.denominator == 1, form.rays[i]
+        assert (2 * cube + c2) % 12 == 0, form.rays[i]
+
+
 @pytest.mark.parametrize(
     "make, chi",
     [
@@ -325,7 +360,9 @@ def test_c2_vanishes_on_divisors_missing_the_hypersurface(cross4):
 def test_euler_characteristic_from_the_ring_matches_batyrev(make, chi):
     delta = make()
     assert hodge.report(delta).euler == chi
-    assert euler_characteristic(mpcp_triangulate(delta)) == chi
+    form = IntersectionForm(mpcp_triangulate(delta))
+    assert euler_characteristic(form) == chi
+    assert_riemann_roch(form)
 
 
 def test_euler_characteristic_on_all_weighted_ray_simplices():
@@ -345,7 +382,9 @@ def test_euler_characteristic_on_weighted_mirror_sides():
     assert len(sides) == 51
     for simplex in sides:
         rep = hodge.report(simplex)
-        assert euler_characteristic(mpcp_triangulate(simplex)) == 2 * (rep.h11 - rep.h12), simplex
+        form = IntersectionForm(mpcp_triangulate(simplex))
+        assert euler_characteristic(form) == 2 * (rep.h11 - rep.h12), simplex
+        assert_riemann_roch(form)
 
 
 def test_invariants_under_unimodular_shears():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 
@@ -256,3 +257,40 @@ def test_every_fixture_passes_check(runner):
         assert result.exit_code == 0, name
         doc = json.loads(result.output)
         assert doc["reflexive"] is True, name
+
+
+# sha256 of the --json stdout with the fixture's path written as <fixture>,
+# recorded at commit 1121832, before walls, edges, wall relations and the
+# intersection form shared one cone table; reorganising those must keep
+# every byte, whatever order walls and relations are visited in
+JSON_DIGESTS = (
+    ("cross4d", "fan mpcp", 0, "ecd1c2f5606cb0757c01f5dfe5a174e9d18bd372c8995d3fc3198bd2232a940b"),
+    ("cross4d", "fan nef --divisor -K", 1, "72ef438a8eab21a811775d68e844f9f07038b38533eea4d3dc023dddba1b050a"),
+    ("cross4d", "fan nef --resolve --divisor -K", 0, "cafcc1514e5cc85d3615618c00f3f3ca9a8814e041786685383f4ea7d0f69e98"),
+    ("cross4d", "chern c2", 0, "0df43ef3c2ae4a7926d31178ee131a2564ccaaa78c63b08a53ae41492f80df23"),
+    ("cross4d", "chern curves", 0, "7bccad41aca4e2edb753858a3293116443589df9d5174145e88b9540932aeeef"),
+    ("example_s3", "fan mpcp", 0, "307607a8a037a66dd3ca3262905341f775e377ff89ac9a00628dbec2183c2aa9"),
+    ("example_s3", "fan nef --divisor -K", 1, "72ef438a8eab21a811775d68e844f9f07038b38533eea4d3dc023dddba1b050a"),
+    ("example_s3", "fan nef --resolve --divisor -K", 0, "cafcc1514e5cc85d3615618c00f3f3ca9a8814e041786685383f4ea7d0f69e98"),
+    ("example_s3", "chern c2", 0, "e192e90de137059b88d8668de681290da9688fba693ca1205a6cb7ed4e2d97d4"),
+    ("example_s3", "chern curves", 0, "bb8e56da19313cd29f1cb8114834a746e97961b4305c7bbedb11e567c0b9a735"),
+    ("quintic", "fan mpcp", 0, "5004bd4e52544f71bef021139db141368d2fac62229b6cfc1904f2d13d4eeec5"),
+    ("quintic", "fan nef --divisor -K", 0, "cafcc1514e5cc85d3615618c00f3f3ca9a8814e041786685383f4ea7d0f69e98"),
+    ("quintic", "fan nef --resolve --divisor -K", 0, "cafcc1514e5cc85d3615618c00f3f3ca9a8814e041786685383f4ea7d0f69e98"),
+    ("quintic", "chern c2", 0, "29a6b190c384185a9421d804143d3d71d79e8ce7703e7ce233a30f1464891d53"),
+    ("quintic", "chern curves", 0, "f5c9206213a5e1530a34308fc09f0fba2dd747e3a28078c7400657377852d71a"),
+    ("cube", "fan mpcp", 0, "98a0feb11ca78b0e3ec2e3c38e1552c7dff23171188cffb9f51f1f86e07ae773"),
+    ("cube", "fan nef --divisor -K", 0, "cafcc1514e5cc85d3615618c00f3f3ca9a8814e041786685383f4ea7d0f69e98"),
+    ("cube", "fan nef --resolve --divisor -K", 0, "cafcc1514e5cc85d3615618c00f3f3ca9a8814e041786685383f4ea7d0f69e98"),
+    ("cube", "chern c2", 0, "94bdbdb2227e8d751288a8eeee85d87bd3443ce151f41afc002e0a3a87325acc"),
+    ("cube", "chern curves", 0, "c8f4a7da5d1ebc518a3fd95c873b425060844cef5d586f929b7825002df7e021"),
+)
+
+
+def test_fan_and_chern_json_is_byte_identical_to_recorded_digests(runner):
+    for name, args, status, digest in JSON_DIGESTS:
+        path = fixture_file(name)
+        result = runner.invoke(main, ["--json", *args.split(), path])
+        assert result.exit_code == status, (name, args)
+        text = result.stdout.replace(path, "<fixture>")
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (name, args)

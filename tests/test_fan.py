@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,10 +7,13 @@ from operator import mul
 
 import pytest
 
+from cytoric import chern
 from cytoric import fan as fan_module
+from cytoric.chern import IntersectionForm
 from cytoric.errors import InputError, NotReflexiveError, NotSimplicialError
 from cytoric.fan import (
     Cone,
+    ConeTable,
     Fan,
     WeilDivisor,
     _facet_points,
@@ -291,6 +295,28 @@ def test_validate_mpcp_rejects_broken_refinements(cube4, cube_mpcp, quintic):
         _validate_mpcp(face_fan(quintic.dual()), quintic)
 
 
+def test_refinement_rejects_a_cell_pulled_twice(cube4, cube_mpcp, monkeypatch):
+    # a duplicated cell puts three cones on each of its walls and covers
+    # its volume twice, in a hand-built fan and out of the pulling itself
+    dual = cube4.dual()
+    cones = list(cube_mpcp.maximal_cones)
+    with pytest.raises(InputError, match="wall consistency"):
+        _validate_mpcp(Fan(cones + cones[:1], "mpcp", cube4, dual), dual)
+    pulled = []
+
+    def twice_first(*args):
+        cells = _pull_triangulate_facet(*args)
+        if not pulled:
+            pulled.append(cells[0])
+            cells = cells + cells[:1]
+        return cells
+
+    monkeypatch.setattr(fan_module, "_pull_triangulate_facet", twice_first)
+    with pytest.raises(InputError, match="wall consistency"):
+        mpcp_triangulate(cube4)
+    assert len(pulled) == 1
+
+
 def test_refinement_takes_one_dual_basis_per_cone(monkeypatch):
     calls = {"matrix_rank": 0, "int_det": 0, "dual_basis": 0}
 
@@ -311,6 +337,55 @@ def test_refinement_takes_one_dual_basis_per_cone(monkeypatch):
     assert is_nef(fan, WeilDivisor.anticanonical(fan))
     assert len(fan.maximal_cones) == 384
     assert calls == {"matrix_rank": 0, "int_det": 0, "dual_basis": 384}
+
+
+def test_star_matches_every_cone_subset(p4_fan, example_mpcp, cross4d_mpcp, wp11222_mpcp):
+    # the star, walls and edges against the subsets of every maximal cone
+    fans = [p4_fan, example_mpcp, cross4d_mpcp, wp11222_mpcp]
+    fans += [face_fan(fixture_polytope(name)) for name in POLYGONS]
+    for fan in fans:
+        table = fan.cone_table
+        expected = {}
+        for c, cone in enumerate(fan.maximal_cones):
+            top = tuple(map(fan.ray_index, cone.rays))
+            assert table.cones[c] == top
+            for k in range(1, fan.dim):
+                for g in itertools.combinations(top, k):
+                    expected.setdefault(g, []).append(c)
+        assert table.star == {g: tuple(c) for g, c in expected.items()}
+        assert fan.walls() == {g: tuple(c) for g, c in expected.items() if len(g) == fan.dim - 1}
+        pairs = {(a, b) for cone in fan.maximal_cones for a, b in itertools.combinations(cone.rays, 2)}
+        assert fan.edges() == sorted(pairs)
+
+
+def test_form_and_relations_pair_each_cone_with_a_ray_once(monkeypatch):
+    # the intersection form and the wall relations share one memo of
+    # <n_i, u>: never asked for a ray u of the cone (those values are
+    # det or 0), and each (cone, ray) pair costs d dot products once; the
+    # form's own subset loop and the relations took 13,216 and 34,808
+    assert not hasattr(chern, "dot")  # the form computes no pairing itself
+    dots, asked = [0], []
+    dot, pairings = fan_module.dot, ConeTable.pairings
+
+    def counted_dot(*args):
+        dots[0] += 1
+        return dot(*args)
+
+    def recorded(table, c, u):
+        asked.append((table, c, u))
+        return pairings(table, c, u)
+
+    for delta, expected in ((fixture_polytope("cross4d"), 5568), (ray_simplex((1, 1, 1, 4)), 14880)):
+        fan = mpcp_triangulate(delta)
+        dots[0], asked[:] = 0, []
+        monkeypatch.setattr(fan_module, "dot", counted_dot)
+        monkeypatch.setattr(ConeTable, "pairings", recorded)
+        IntersectionForm(fan)
+        assert is_nef(fan, WeilDivisor.anticanonical(fan))
+        monkeypatch.undo()
+        table = fan.cone_table
+        assert all(t is table and u not in table.cones[c] for t, c, u in asked)
+        assert dots[0] == fan.dim * len({(c, u) for _, c, u in asked}) == expected
 
 
 def test_mpcp_wall_consistency(example_mpcp, cube_mpcp):
@@ -472,9 +547,10 @@ def test_wall_relations(p4_fan, quintic, example_mpcp, cross4d_mpcp, wp11222_mpc
             rays = [fan.rays[i] for i in indices]
             sigma, other = fan.maximal_cones[ci].rays, fan.maximal_cones[cj].rays
             assert set(rays) == set(sigma) | set(other) and set(rays[:-1]) == set(sigma)
+            assert set(wall) == set(table.cones[ci]) & set(table.cones[cj]) and len(wall) == fan.dim - 1
             assert all(sum(x * v[k] for x, v in zip(b, rays)) == 0 for k in range(fan.dim))
             assert math.gcd(*b) == 1
-            off_wall = [x for x, v in zip(b, rays) if v not in wall]
+            off_wall = [x for x, i in zip(b, indices) if i not in wall]
             assert len(off_wall) == 2 and min(off_wall) > 0
 
 
