@@ -156,10 +156,12 @@ def _as_form(fan_or_form) -> IntersectionForm:
 
 
 def _check_is_refinement_of(delta: Polytope, fan: Fan):
-    if fan.base is not delta and fan.base != delta:
-        raise InputError("fan was not built from this polytope")
-    if set(fan.rays) != set(delta.dual().boundary_points()):
-        raise InputError("fan is not the full crepant refinement of the dual")
+    if getattr(fan, "_refines", None) is not delta:  # a fan that passed is checked once
+        if fan.base is not delta and fan.base != delta:
+            raise InputError("fan was not built from this polytope")
+        if set(fan.rays) != set(delta.dual().boundary_points()):
+            raise InputError("fan is not the full crepant refinement of the dual")
+        fan._refines = delta
 
 
 def c2_dot(delta: Polytope, fan_or_form, divisor: WeilDivisor) -> Fraction:
@@ -229,8 +231,7 @@ def curve_census(delta: Polytope, fan: Fan) -> CurveCensus:
     for a, b in fan.edges():
         ka = classified[a].kind
         kb = classified[b].kind
-        sat = census.face_of[a].facet_set & census.face_of[b].facet_set
-        face = dual.faces().by_facet_set(sat)
+        face = dual.faces().by_fmask[census.face_of[a].fmask & census.face_of[b].fmask]
         if ka is PointType.IN_3FACE or kb is PointType.IN_3FACE or face.dim == 3:
             entries.append(CurveEntry((a, b), CurveClass.EMPTY, 0, face.dim))
             continue

@@ -320,12 +320,13 @@ def _facet_points(dual: Polytope, order: str):
     if order == "lex":
         key = tuple
     elif order == "incidence":
-        incidence = {p: len(census.face_of[p].facet_set) for p in census.boundary}
+        incidence = {p: census.face_of[p].fmask.bit_count() for p in census.boundary}
         key = lambda p: (incidence[p], tuple(p))
     else:
         raise InputError(f"unknown pulling order {order!r} (use 'incidence' or 'lex')")
     for facet in dual.faces(dual.dim - 1):
-        points = [p for p in census.boundary if census.face_of[p].facet_set >= facet.facet_set]
+        # a facet's mask is its one bit, so sharing it is lying on the facet
+        points = [p for p in census.boundary if census.face_of[p].fmask & facet.fmask]
         yield facet, sorted(points, key=key)
 
 
@@ -350,12 +351,12 @@ def _pull_triangulate_facet(dual: Polytope, facet, points):
     and the values it carries there cost two products per wall.
     Returns the simplices as frozensets of rays.
     """
-    (i,) = facet.facet_set
+    i = facet.fmask.bit_length() - 1  # a facet's mask is its own bit
     m_i = dual.facets[i].normal
     walls = []
     for ridge in dual.faces(dual.dim - 2):
-        if i in ridge.facet_set:
-            (j,) = ridge.facet_set - facet.facet_set
+        if ridge.fmask & facet.fmask:
+            j = (ridge.fmask ^ facet.fmask).bit_length() - 1  # a ridge lies on two facets
             normal = [a - b for a, b in zip(dual.facets[j].normal, m_i)]
             walls.append((primitive_vector(normal), frozenset(ridge.vertices)))
     first = _Cell(

@@ -9,11 +9,11 @@ the true (possibly non-simplicial) facets.
 
 A polytope evaluates its vertex x facet slack table once, when the
 constructor checks the two representations against each other, and keeps
-each vertex's saturated facets.  The face lattice is read from that
-incidence alone: inside a (k+1)-face the k-faces are the inclusion-maximal
-intersections with the other (k+1)-faces (the diamond property), so no
-rank is taken.  Lattice polytopes are maximally degenerate, so nothing
-here assumes general position.
+each vertex's saturated facets as an int bitmask (bit i is facet i; vertex
+sets are masks too).  The face lattice is read from that incidence alone:
+inside a (k+1)-face the k-faces are the inclusion-maximal intersections
+with the other (k+1)-faces (the diamond property; Kaibel and Pfetsch 2002),
+so no rank is taken and nothing assumes general position.
 
 The polar dual of a reflexive polytope is written down, not hulled: its
 vertices are the facet normals and its facets are cut out by the vertices,
@@ -52,26 +52,31 @@ from .lattice import (
 
 
 class Face:
-    """A proper face: dimension, vertex set, and the facets that cut it out.
-    Vertices and facets are also kept as index sets into the owning
-    polytope's sorted vertex and facet tuples.
+    """A proper face: dimension, vertex set, and the facets that cut it out,
+    as bitmasks over the owning polytope's sorted vertices and facets (bit
+    j of `vmask` is vertex j, bit i of `fmask` facet i), with set views.
 
     Lattice point counts (total and relative-interior) come from the owning
     polytope's census, which runs on first access.
     """
 
-    __slots__ = (
-        "dim", "vertices", "vertex_indices", "facet_set", "_polytope", "_n_points", "_n_interior"
-    )
+    __slots__ = ("dim", "vmask", "fmask", "_polytope", "_vertices", "_n_points", "_n_interior")
 
-    def __init__(self, dim, vertex_indices, facet_set, polytope):
+    def __init__(self, dim, vmask, fmask, polytope):
         self.dim = dim
-        self.vertex_indices = frozenset(vertex_indices)
-        self.vertices = tuple(polytope.vertices[j] for j in sorted(self.vertex_indices))
-        self.facet_set = frozenset(facet_set)
+        self.vmask = vmask
+        self.fmask = fmask
         self._polytope = polytope
-        self._n_points = None
-        self._n_interior = None
+        self._vertices = self._n_points = self._n_interior = None
+
+    @property
+    def vertices(self):  # in the owning polytope's (sorted) order, built on first read
+        if self._vertices is None:
+            self._vertices = tuple(map(self._polytope.vertices.__getitem__, _bits(self.vmask)))
+        return self._vertices
+
+    vertex_indices = property(lambda self: frozenset(_bits(self.vmask)))
+    facet_set = property(lambda self: frozenset(_bits(self.fmask)))
 
     @property
     def key(self):
@@ -89,12 +94,12 @@ class Face:
     @property
     def n_points(self) -> int:
         """Number of lattice points on the face (l of the face): the points
-        whose saturated facet sets contain the face's, summed from the
+        whose saturated facet masks contain the face's, summed from the
         census on first read."""
         if self._n_points is None:
-            fs = self.facet_set
+            fm = self.fmask
             self._n_points = sum(
-                n for satset, n in self._polytope.census().n_saturating.items() if fs <= satset
+                n for sat, n in self._polytope.census().n_saturating.items() if sat & fm == fm
             )
         return self._n_points
 
@@ -114,12 +119,11 @@ class Face:
 
 
 class FaceLattice:
-    """All proper faces of a polytope, indexed by dimension and identity."""
+    """All proper faces of a polytope, indexed by dimension and by facet mask."""
 
-    def __init__(self, polytope, by_dim):
-        self._polytope = polytope
+    def __init__(self, by_dim):
         self.by_dim = {d: tuple(faces) for d, faces in by_dim.items()}
-        self._by_facetset = {f.facet_set: f for faces in self.by_dim.values() for f in faces}
+        self.by_fmask = {f.fmask: f for faces in self.by_dim.values() for f in faces}
 
     def __call__(self, dim=None):
         if dim is None:
@@ -134,25 +138,26 @@ class FaceLattice:
         return {d: len(fs) for d, fs in sorted(self.by_dim.items())}
 
     def by_facet_set(self, facet_set):
-        return self._by_facetset[frozenset(facet_set)]
+        return self.by_fmask[sum(1 << i for i in frozenset(facet_set))]
 
     def children(self, face):
         """The faces one dimension down inside `face`: those whose facet
-        sets contain face.facet_set."""
-        fs = face.facet_set
-        return [g for g in self.by_dim.get(face.dim - 1, ()) if fs < g.facet_set]
+        masks contain face.fmask."""
+        fm = face.fmask
+        return [g for g in self.by_dim.get(face.dim - 1, ()) if g.fmask & fm == fm]
 
     def parents(self, face):
         """The faces one dimension up containing `face`: those whose facet
-        sets lie in face.facet_set."""
-        fs = face.facet_set
-        return [g for g in self.by_dim.get(face.dim + 1, ()) if g.facet_set < fs]
+        masks lie in face.fmask."""
+        fm = face.fmask
+        return [g for g in self.by_dim.get(face.dim + 1, ()) if g.fmask & fm == g.fmask]
 
 
 class PointCensus:
     """Every lattice point of a polytope, tagged by the face whose relative
     interior contains it (None for points interior to the polytope itself),
-    and the number of points on each saturated facet set."""
+    and the number of points on each saturated facet mask (bit i for facet
+    i, 0 for the interior)."""
 
     def __init__(self, points, interior, boundary, face_of, n_saturating):
         self.points = points
@@ -227,20 +232,20 @@ class Polytope:
                 raise InputError("facet normals must live in the dual lattice")
             if f.normal.dim != d:
                 raise InputError(f"dimension mismatch: {d} vs {f.normal.dim}")
-        # The incidence table: each vertex's saturated facets, from one
-        # evaluation of the slack table.
+        # The incidence table: each vertex's saturated facets as a mask (bit
+        # i for facet i), from one evaluation of the slack table.
         self._planes = tuple((f.normal, f.offset) for f in self.facets)
         saturated = []
         for v in self.vertices:
             slacks = self._slacks(v)
             if min(slacks, default=0) < 0:
                 raise InputError(f"vertex {v} violates a facet inequality")
-            tight = frozenset(i for i, s in enumerate(slacks) if s == 0)
-            if len(tight) < d:
+            tight = sum(1 << i for i, s in enumerate(slacks) if s == 0)
+            if tight.bit_count() < d:
                 raise InputError(f"vertex {v} saturates fewer than {d} facets")
             saturated.append(tight)
         self._saturated = tuple(saturated)
-        for i, on in enumerate(self._facet_vertex_indices()):
+        for i, on in enumerate(map(_bits, self._facet_vertex_masks())):
             if len(on) < d:
                 raise InputError(f"facet {i} holds fewer than {d} vertices")
             first = self.vertices[on[0]]
@@ -248,12 +253,12 @@ class Polytope:
             if matrix_rank(diffs) != d - 1:
                 raise InputError(f"facet {i} vertices do not span it")
 
-    def _facet_vertex_indices(self):
-        """For each facet, the indices of the vertices on it, ascending."""
-        on = [[] for _ in self.facets]
+    def _facet_vertex_masks(self):
+        """For each facet, the mask of the vertices on it (bit j for vertex j)."""
+        on = [0] * len(self.facets)
         for j, tight in enumerate(self._saturated):
-            for i in tight:
-                on[i].append(j)
+            for i in _bits(tight):
+                on[i] |= 1 << j
         return on
 
     # -- basic queries -----------------------------------------------------
@@ -375,50 +380,53 @@ class Polytope:
         return self._faces(dim)
 
     def _build_faces(self):
-        """Faces from the incidence table, facets down to edges: inside a
-        (k+1)-face, the k-faces are the inclusion-maximal intersections with
-        the other (k+1)-faces that keep more than k vertices (each k-face
-        lies in exactly two (k+1)-faces and is their intersection)."""
+        """Faces from the vertex masks, facets down to edges: inside a
+        (k+1)-face, the k-faces are the inclusion-maximal cuts face & other
+        with the other (k+1)-faces that keep more than k vertices.  For
+        k <= 2 every such cut is maximal, as a face of dimension below k has
+        at most k vertices.  A face's facet mask is the AND of its vertices'.
+        Sorting a level on vertex indices sorts it on vertex tuples."""
         d = self.ambient_dim
         sat = self._saturated
-        level = [frozenset(on) for on in self._facet_vertex_indices()]
+        level = self._facet_vertex_masks()
         by_dim = {d - 1: level}
         for k in range(d - 2, 0, -1):
+            members = list(map(_bits, level))
             through = [[] for _ in self.vertices]  # vertex -> faces of level
-            for a, face in enumerate(level):
-                for j in face:
+            for a, on in enumerate(members):
+                for j in on:
                     through[j].append(a)
             found = set()
             for a, face in enumerate(level):
-                neighbours = {b for j in face for b in through[j]}
+                neighbours = {b for j in members[a] for b in through[j]}
                 neighbours.discard(a)
-                cuts = [c for c in {face & level[b] for b in neighbours} if len(c) > k]
-                found.update(c for c in cuts if not any(c < e for e in cuts))
+                cuts = [c for c in {face & level[b] for b in neighbours} if c.bit_count() > k]
+                if k > 2:
+                    cuts = [c for c in cuts if not any(c & e == c != e for e in cuts)]
+                found.update(cuts)
             by_dim[k] = level = list(found)
-        faces = {
-            fdim: [
-                Face(fdim, on, frozenset.intersection(*(sat[j] for j in on)), self)
-                for on in level
+        by_dim[0] = [1 << j for j in range(len(sat))]
+        return FaceLattice({
+            k: [
+                Face(k, vmask, functools.reduce(int.__and__, map(sat.__getitem__, on)), self)
+                for on, vmask in sorted((_bits(vmask), vmask) for vmask in level)
             ]
-            for fdim, level in by_dim.items()
-        }
-        faces[0] = [Face(0, (j,), tight, self) for j, tight in enumerate(sat)]
-        for level in faces.values():
-            level.sort(key=lambda f: f.vertices)
-        return FaceLattice(self, faces)
+            for k, level in by_dim.items()
+        })
 
     def _transposed_faces(self, lattice):
         """Our face lattice from the dual's: the dual's k-face with vertex
-        indices V and facet set S is our (d-1-k)-face with vertex indices S
-        and facet set V, since dual vertex i is our facet i and dual facet j
-        is our vertex j.  Each level is sorted as `_build_faces` sorts it."""
+        mask V and facet mask S is our (d-1-k)-face with vertex mask S and
+        facet mask V, since dual vertex i is our facet i and dual facet j is
+        our vertex j.  Each level is sorted as `_build_faces` sorts it."""
         top = self.ambient_dim - 1
-        faces = {}
-        for k in sorted(lattice.by_dim):
-            level = [Face(top - k, f.facet_set, f.vertex_indices, self) for f in lattice.by_dim[k]]
-            level.sort(key=lambda f: f.vertices)
-            faces[top - k] = level
-        return FaceLattice(self, faces)
+        return FaceLattice({
+            top - k: [
+                Face(top - k, f.fmask, f.vmask, self)
+                for f in sorted(level, key=lambda f: _bits(f.fmask))
+            ]
+            for k, level in lattice.by_dim.items()
+        })
 
     # -- lattice points ------------------------------------------------------
 
@@ -426,7 +434,7 @@ class Polytope:
         """Enumerate all lattice points, in lexicographic order, and assign
         each to the face whose relative interior contains it.  Also fills
         each face's relative-interior count; `Face.n_points` is summed from
-        the census's count of points per saturated set when first read.
+        the count of points per saturated facet mask when first read.
 
         Points are enumerated slice by slice, with each coordinate bounded
         by the facet inequalities (see :func:`_lattice_points`), so the cost
@@ -440,20 +448,20 @@ class Polytope:
         interior = []
         boundary = []
         face_of = {}
-        n_saturating = Counter()  # saturated facet set -> number of points
+        n_saturating = Counter()  # saturated facet mask -> number of points
         point = self.point_cls._from_ints
-        for raw, satset in _lattice_points(self.vertices, self._planes):
+        for raw, sat in _lattice_points(self.vertices, self._planes):
             p = point(raw)
             points.append(p)
-            n_saturating[satset] += 1
-            if satset:
+            n_saturating[sat] += 1
+            if sat:
                 boundary.append(p)
-                face_of[p] = lattice.by_facet_set(satset)
+                face_of[p] = lattice.by_fmask[sat]
             else:
                 interior.append(p)
                 face_of[p] = None
         for face in lattice:
-            face._n_interior = n_saturating[face.facet_set]
+            face._n_interior = n_saturating[face.fmask]
         self._census = PointCensus(
             tuple(points), tuple(interior), tuple(boundary), face_of, n_saturating
         )
@@ -478,11 +486,11 @@ class Polytope:
         Defined for reflexive polytopes; dimensions satisfy
         dim(face) + dim(dual) = ambient_dim - 1 and the map is an involution.
         Dual facet j is cut out by our vertex j, so the dual face is the one
-        whose facet set is `face`'s vertex index set.
+        whose facet mask is `face`'s vertex mask.
         """
         if not self.is_reflexive():
             raise NotReflexiveError("dual faces need a reflexive polytope")
-        dual_face = self.dual().faces().by_facet_set(face.vertex_indices)
+        dual_face = self.dual().faces().by_fmask[face.vmask]
         if face.dim + dual_face.dim != self.ambient_dim - 1:
             raise InternalInvariantError("dual face has the wrong dimension")
         return dual_face
@@ -517,8 +525,17 @@ class Polytope:
         return self._volume
 
 
+def _bits(mask):
+    """The indices of the set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
+
+
 def _lattice_points(vertices, planes):
-    """Yield (coordinates, saturated facet indices) for every lattice point
+    """Yield (coordinates, saturated facet mask) for every lattice point
     of conv(vertices), in lexicographic order; planes[j] is the (normal,
     offset) of facet j.
 
@@ -531,7 +548,7 @@ def _lattice_points(vertices, planes):
     The last two levels run as one loop over the slices x_{d-2} = x: the
     exact range of x_{d-1} on the slice is computed inline, so an empty
     slice costs no more than that.  On a nonempty slice one pass over the
-    facets gives every point's saturated set: a facet with last
+    facets gives every point's saturated mask: a facet with last
     coefficient 0 is saturated on the whole slice or nowhere, one with
     a != 0 only at x_{d-1} = -slack / a, when that is an integer.
     """
@@ -585,13 +602,14 @@ def _lattice_points(vertices, planes):
             return
         # Level d - 2.  On the slice x_{d-2} = x, facet j's slack at
         # x_{d-1} = y is s + a2 * x + a * y, with s its slack so far, a2 its
-        # coefficient on x_{d-2} and a the one on x_{d-1}.
+        # coefficient on x_{d-2} and a the one on x_{d-1}; facet j is
+        # carried as its bit 1 << j.
         above, below = (
-            [(j, a, partial[j] - offsets[j], column[j]) for j, a, _ in rows]
+            [(1 << j, a, partial[j] - offsets[j], column[j]) for j, a, _ in rows]
             for rows in limits[-1]
         )
         tilted = above + below
-        flat_slack = [(j, partial[j] - offsets[j], column[j]) for j in flat]
+        flat_slack = [(1 << j, partial[j] - offsets[j], column[j]) for j in flat]
         for x in range(low, high + 1):
             first, last = lo[-1], hi[-1]
             for _, a, s, a2 in above:
@@ -604,13 +622,12 @@ def _lattice_points(vertices, planes):
                     last = y
             if first > last:
                 continue
-            base = frozenset([j for j, s, a2 in flat_slack if s + a2 * x == 0])
-            extra = {}
-            for j, a, s, a2 in tilted:
+            base = sum(bit for bit, s, a2 in flat_slack if s + a2 * x == 0)
+            saturated = {}
+            for bit, a, s, a2 in tilted:
                 s += a2 * x
                 if s % a == 0 and first <= -s // a <= last:
-                    extra.setdefault(-s // a, []).append(j)
-            saturated = {y: base.union(js) for y, js in extra.items()}
+                    saturated[-s // a] = saturated.get(-s // a, base) | bit
             head = prefix + (x,)
             for y in range(first, last + 1):
                 yield head + (y,), saturated.get(y, base)

@@ -8,6 +8,7 @@ from cytoric import hodge
 from cytoric.chern import (
     CurveClass,
     IntersectionForm,
+    c2_audit,
     c2_dot,
     chern_report,
     curve_census,
@@ -18,7 +19,7 @@ from cytoric.errors import InputError
 from cytoric.fan import WeilDivisor, face_fan, mpcp_triangulate, picard_rank_q
 from cytoric.fixtures import fixture_points
 from cytoric.lattice import NPoint
-from cytoric.polytope import hull
+from cytoric.polytope import Polytope, hull
 from conftest import mpoints, ray_simplex, shear, transvection, weighted_ray_simplices
 from oracles import (
     MemoIntersectionForm,
@@ -273,9 +274,40 @@ def test_intersection_number_dense_matches_sparse(quintic, p4_form):
 
 
 def test_c2_rejects_wrong_fan(example_s3, quintic):
-    f = mpcp_triangulate(quintic)
+    # a fan from another polytope, and a face fan short of the 200 boundary
+    # points of the dual, are refused on every call
+    delta = ray_simplex((1, 1, 1, 4))
+    coarse = face_fan(delta)
+    assert coarse.is_simplicial and len(coarse.rays) == 5
+    for poly, fan in ((example_s3, mpcp_triangulate(quintic)), (delta, coarse)):
+        for fan_or_form in (fan, IntersectionForm(fan), fan):
+            with pytest.raises(InputError):
+                c2_dot(poly, fan_or_form, WeilDivisor.zero())
+            with pytest.raises(InputError):
+                curve_census(poly, fan)
+
+
+def test_c2_audit_checks_the_refinement_once(monkeypatch):
+    # the wp(1,1,1,1,4) mirror: 200 rays, so 201 pairings and one audit
+    delta = ray_simplex((1, 1, 1, 4))
+    form = IntersectionForm(mpcp_triangulate(delta))
+    calls = []
+    boundary_points = Polytope.boundary_points
+
+    def counted(self):
+        calls.append(self)
+        return boundary_points(self)
+
+    monkeypatch.setattr(Polytope, "boundary_points", counted)
+    mk = WeilDivisor.anticanonical(form.fan)
+    values, audits = c2_audit(delta, form, [("-K", mk)])
+    assert len(values) == 201 and len(audits) == 1
+    assert calls == [delta.dual()]
+    # the passed check is remembered for this polytope only
     with pytest.raises(InputError):
-        c2_dot(example_s3, f, WeilDivisor.zero())
+        c2_dot(hull(fixture_points("quintic")), form, mk)
+    curve_census(delta, form.fan)
+    assert calls == [delta.dual()]
 
 
 # -- curve census --------------------------------------------------------------------

@@ -166,6 +166,55 @@ def test_face_incidences(square):
         assert edge in lattice.parents(v)
 
 
+def test_face_lattice_random_hulls_against_diamond_oracle():
+    # The whole lattice, (vertices, facet set) per face at every level, in
+    # order.  Up to d = 4 every cut keeping more than k vertices is a k-face;
+    # in 5-D box clouds two facets can meet in a polygon that is no ridge,
+    # which only the maximality filter drops.
+    rng = random.Random(31)
+    box = list(itertools.product(range(-1, 2), repeat=5))
+    clouds = itertools.chain(
+        random_point_sets(rng, 60, 2, 4),
+        ((5, sorted(rng.sample(box, rng.randint(7, 16)))) for _ in range(20)),
+    )
+    built = Counter()
+    for d, pts in clouds:
+        try:
+            p = hull(mpoints(pts))
+        except NotFullDimensionalError:
+            continue
+        expected = diamond_faces(p)
+        assert sorted(p.faces().by_dim) == sorted(expected) == list(range(d))
+        for k, level in expected.items():
+            assert [(f.vertices, f.facet_set) for f in p.faces(k)] == level, (pts, k)
+        built[d] += 1
+    assert sorted(built) == [2, 3, 4, 5] and min(built.values()) >= 10, built
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_face_views_read_the_incidence_as_sets(name):
+    delta = fixture_polytope(name)
+    again = hull(fixture_points(name))
+    for p, twin in ((delta, again), (delta.dual(), again.dual())):
+        lattice = p.faces()
+        for face in lattice:
+            on = frozenset(j for j, v in enumerate(p.vertices) if v in face.vertices)
+            cut = frozenset(
+                i
+                for i, f in enumerate(p.facets)
+                if all(sum(a * b for a, b in zip(v, f.normal)) == f.offset for v in face.vertices)
+            )
+            assert type(face.vertex_indices) is frozenset and face.vertex_indices == on
+            assert type(face.facet_set) is frozenset and face.facet_set == cut
+            for facet_set in (cut, set(cut), tuple(sorted(cut)), list(cut)):
+                assert lattice.by_facet_set(facet_set) is face
+            # equality and hashing go by dimension and vertex set, across builds
+            other = twin.faces().by_facet_set(cut)
+            assert other is not face and other == face and hash(other) == hash(face)
+            assert hash(face) == hash((face.dim, frozenset(face.vertices)))
+            assert face != face.vertices and all(g != face for g in lattice.parents(face))
+
+
 @pytest.mark.parametrize("name", ALL)
 def test_face_links_match_vertex_scan(name):
     # the facet-set index against the scan of the next dimension it replaced
