@@ -3,10 +3,12 @@
 Four subcommand groups mirror the library layers: `poly` (convex geometry
 and reflexivity), `cy` (Hodge data of the anticanonical hypersurface),
 `fan` (face fans, refinements, divisor audits), `chern` (intersection
-numbers and second-Chern-class pairings).  Every command takes polytope
-files; `--json` switches to a machine-readable tree with stable keys and
-deterministic byte-identical output, `--jobs N` fans independent input
-files out to worker processes, results merged in input order.
+numbers and second-Chern-class pairings).  A command is one row of
+`_TABLE`: its name, report function, help text and click parameters.
+Every command takes polytope files; `--json` switches to a machine-readable
+tree with stable keys and deterministic byte-identical output, `--jobs N`
+fans independent input files out to min(N, files) worker processes,
+results merged in input order.
 
 Exit status: 0 success, 1 domain error (e.g. non-reflexive input where
 reflexivity is required), 2 usage error, 3 internal error.  Domain and
@@ -72,6 +74,8 @@ def parse_divisor(spec: str, fan) -> WeilDivisor:
             term += ch
     if term:
         terms.append(term)
+    if not terms:
+        raise click.UsageError("divisor is empty; give ray=coeff terms, 'anticanonical' or '-K'")
     for raw in terms:
         if "=" not in raw:
             raise click.UsageError(f"divisor term {raw!r} is not ray=coeff")
@@ -329,24 +333,6 @@ def report_chern_curves(path, opts):
     }
 
 
-_COMMANDS = {
-    "poly.check": report_poly_check,
-    "poly.dual": report_poly_dual,
-    "poly.points": report_poly_points,
-    "poly.faces": report_poly_faces,
-    "poly.dump": report_poly_dump,
-    "cy.hodge": report_cy_hodge,
-    "cy.census": report_cy_census,
-    "fan.build": report_fan_build,
-    "fan.mpcp": report_fan_mpcp,
-    "fan.singular": report_fan_singular,
-    "fan.picard": report_fan_picard,
-    "fan.nef": report_fan_nef,
-    "chern.c2": report_chern_c2,
-    "chern.curves": report_chern_curves,
-}
-
-
 def _run_one(command, path, opts):
     try:
         return 0, _COMMANDS[command](path, opts)
@@ -402,7 +388,7 @@ def _execute(ctx, command, paths, opts):
     jobs = ctx.obj["jobs"]
     results = []
     if jobs > 1 and len(paths) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(paths))) as pool:
             futures = [pool.submit(_run_one, command, p, opts) for p in paths]
             results = [f.result() for f in futures]
     else:
@@ -428,11 +414,6 @@ def _execute(ctx, command, paths, opts):
     ctx.exit(status)
 
 
-def _common(f):
-    f = click.argument("paths", nargs=-1, required=True, type=click.Path(exists=True, dir_okay=False))(f)
-    return f
-
-
 @click.group()
 @click.option("--json", "as_json", is_flag=True, help="machine-readable output with stable keys")
 @click.option("--jobs", type=int, default=1, show_default=True, help="parallel workers for multiple input files")
@@ -444,146 +425,64 @@ def main(ctx, as_json, jobs):
     ctx.obj = {"json": as_json, "jobs": jobs}
 
 
-@main.group()
-def poly():
-    """Convex geometry: hulls, duality, reflexivity, faces, points."""
+_FILE = click.Path(exists=True, dir_okay=False)
+_PATHS = click.Argument(["paths"], nargs=-1, required=True, type=_FILE)
+_RESOLVE = click.Option(["--resolve"], is_flag=True, help="use the crepant refinement instead of the face fan")
+
+# group: (help, rows of (command, report, help, click params)); click hands the
+# params to the one callback as keyword arguments, which become the report's opts
+_TABLE = {
+    "poly": ("Convex geometry: hulls, duality, reflexivity, faces, points.", (
+        ("check", report_poly_check, "Reflexivity and size summary.", (_PATHS,)),
+        ("dual", report_poly_dual, "Vertices of the polar dual.", (_PATHS,)),
+        ("points", report_poly_points, "Lattice point census with face assignments.", (_PATHS,)),
+        ("faces", report_poly_faces, "Face lattice summary with per-face point counts.", (_PATHS,)),
+        ("dump", report_poly_dump, "Re-emit the parsed point list in the canonical file format.",
+         (click.Argument(["path"], type=_FILE),)),
+    )),
+    "cy": ("Hodge data of the anticanonical hypersurface.", (
+        ("hodge", report_cy_hodge, "h11, h12, Euler characteristic, and the count terms.", (_PATHS,)),
+        ("census", report_cy_census, "Divisor census: irreducible, split, and skipped boundary points.", (_PATHS,)),
+    )),
+    "fan": ("Face fans, crepant refinements, and divisor audits.", (
+        ("build", report_fan_build, "Construct the fan and list its maximal cones.", (_PATHS, _RESOLVE)),
+        ("mpcp", report_fan_mpcp, "Crepant simplicial refinement summary.", (_PATHS,)),
+        ("singular", report_fan_singular, "Maximal cones with multiplicity above one.", (_PATHS, _RESOLVE)),
+        ("picard", report_fan_picard, "Picard rank over Q.", (_PATHS, _RESOLVE)),
+        ("nef", report_fan_nef, "Q-Cartier and nef tests for a divisor.", (
+            _PATHS, _RESOLVE,
+            click.Option(["--divisor"], required=True, help="ray=coeff list, 'anticanonical', or '-K'"),
+        )),
+    )),
+    "chern": ("Second Chern class pairings and the toric curve census.", (
+        ("c2", report_chern_c2, "c2 pairings against -K and each ray divisor, plus positivity audit.", (
+            _PATHS,
+            click.Option(["--divisor", "divisors"], multiple=True, help="extra classes to audit (ray=coeff list)"),
+        )),
+        ("curves", report_chern_curves,
+         "Classify the curves the refinement's 2-cones cut on the hypersurface.", (_PATHS,)),
+    )),
+}
 
 
-@poly.command("check")
-@_common
 @click.pass_context
-def poly_check(ctx, paths):
-    """Reflexivity and size summary."""
-    _execute(ctx, "poly.check", paths, {})
+def _command(ctx, paths=(), path=None, **opts):
+    _execute(ctx, f"{ctx.parent.command.name}.{ctx.command.name}", paths or (path,), opts)
 
 
-@poly.command("dual")
-@_common
-@click.pass_context
-def poly_dual(ctx, paths):
-    """Vertices of the polar dual."""
-    _execute(ctx, "poly.dual", paths, {})
+def _add_commands(table):
+    """Add each group and command of `table` to `main`; map "group.name" to its report."""
+    commands = {}
+    for group_name, (group_help, rows) in table.items():
+        group = click.Group(group_name, help=group_help)
+        main.add_command(group)
+        for name, report, help_text, params in rows:
+            group.add_command(click.Command(name, callback=_command, params=list(params), help=help_text))
+            commands[f"{group_name}.{name}"] = report
+    return commands
 
 
-@poly.command("points")
-@_common
-@click.pass_context
-def poly_points(ctx, paths):
-    """Lattice point census with face assignments."""
-    _execute(ctx, "poly.points", paths, {})
-
-
-@poly.command("faces")
-@_common
-@click.pass_context
-def poly_faces(ctx, paths):
-    """Face lattice summary with per-face point counts."""
-    _execute(ctx, "poly.faces", paths, {})
-
-
-@poly.command("dump")
-@click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@click.pass_context
-def poly_dump(ctx, path):
-    """Re-emit the parsed point list in the canonical file format."""
-    _execute(ctx, "poly.dump", (path,), {})
-
-
-@main.group()
-def cy():
-    """Hodge data of the anticanonical hypersurface."""
-
-
-@cy.command("hodge")
-@_common
-@click.pass_context
-def cy_hodge(ctx, paths):
-    """h11, h12, Euler characteristic, and the count terms."""
-    _execute(ctx, "cy.hodge", paths, {})
-
-
-@cy.command("census")
-@_common
-@click.pass_context
-def cy_census(ctx, paths):
-    """Divisor census: irreducible, split, and skipped boundary points."""
-    _execute(ctx, "cy.census", paths, {})
-
-
-@main.group()
-def fan():
-    """Face fans, crepant refinements, and divisor audits."""
-
-
-def _resolve_opt(f):
-    return click.option("--resolve", is_flag=True, help="use the crepant refinement instead of the face fan")(f)
-
-
-@fan.command("build")
-@_common
-@_resolve_opt
-@click.pass_context
-def fan_build(ctx, paths, resolve):
-    """Construct the fan and list its maximal cones."""
-    _execute(ctx, "fan.build", paths, {"resolve": resolve})
-
-
-@fan.command("mpcp")
-@_common
-@click.pass_context
-def fan_mpcp(ctx, paths):
-    """Crepant simplicial refinement summary."""
-    _execute(ctx, "fan.mpcp", paths, {})
-
-
-@fan.command("singular")
-@_common
-@_resolve_opt
-@click.pass_context
-def fan_singular(ctx, paths, resolve):
-    """Maximal cones with multiplicity above one."""
-    _execute(ctx, "fan.singular", paths, {"resolve": resolve})
-
-
-@fan.command("picard")
-@_common
-@_resolve_opt
-@click.pass_context
-def fan_picard(ctx, paths, resolve):
-    """Picard rank over Q."""
-    _execute(ctx, "fan.picard", paths, {"resolve": resolve})
-
-
-@fan.command("nef")
-@_common
-@_resolve_opt
-@click.option("--divisor", required=True, help="ray=coeff list, 'anticanonical', or '-K'")
-@click.pass_context
-def fan_nef(ctx, paths, resolve, divisor):
-    """Q-Cartier and nef tests for a divisor."""
-    _execute(ctx, "fan.nef", paths, {"resolve": resolve, "divisor": divisor})
-
-
-@main.group()
-def chern():
-    """Second Chern class pairings and the toric curve census."""
-
-
-@chern.command("c2")
-@_common
-@click.option("--divisor", "divisors", multiple=True, help="extra classes to audit (ray=coeff list)")
-@click.pass_context
-def chern_c2(ctx, paths, divisors):
-    """c2 pairings against -K and each ray divisor, plus positivity audit."""
-    _execute(ctx, "chern.c2", paths, {"divisors": tuple(divisors)})
-
-
-@chern.command("curves")
-@_common
-@click.pass_context
-def chern_curves(ctx, paths):
-    """Classify the curves the refinement's 2-cones cut on the hypersurface."""
-    _execute(ctx, "chern.curves", paths, {})
+_COMMANDS = _add_commands(_TABLE)
 
 
 if __name__ == "__main__":

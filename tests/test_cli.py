@@ -1,6 +1,7 @@
 import hashlib
 import json
 import multiprocessing
+from concurrent.futures import Future
 
 import pytest
 from click.testing import CliRunner
@@ -144,6 +145,15 @@ def test_fan_nef_divisor_parsing(runner):
     assert bad.exit_code == 2
 
 
+@pytest.mark.parametrize("spec", ["", "   "])
+@pytest.mark.parametrize("command", [["fan", "nef", "--resolve"], ["chern", "c2"]])
+def test_empty_divisor_is_a_usage_error(runner, command, spec):
+    result = runner.invoke(main, [*command, "--divisor", spec, fixture_file("quintic")])
+    assert result.exit_code == 2
+    assert "Error: divisor is empty" in result.stderr
+    assert result.stdout == ""
+
+
 def test_parse_divisor_index_and_anticanonical(quintic):
     fan = face_fan(quintic)
     d = parse_divisor("0=2,1=-1/2", fan)
@@ -225,6 +235,41 @@ def test_jobs_merge_in_input_order(runner):
     assert serial.output == parallel.output
     docs = json.loads(parallel.output)
     assert [d["file"] for d in docs] == paths
+
+
+def test_jobs_starts_at_most_one_worker_per_file(runner, monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    two = [fixture_file(n) for n in ("pgon_square", "pgon_diamond")]
+    three = [*two, fixture_file("pgon_hexagon")]
+    for jobs, paths in (("6", two), ("2", three), ("6", two[:1])):
+        assert runner.invoke(main, ["--jobs", jobs, "poly", "check", *paths]).exit_code == 0
+    assert sizes == [2, 2]  # one file runs inline, with no pool
+
+
+def test_usage_error_in_a_worker_exits_2(runner):
+    paths = [fixture_file(n) for n in ("quintic", "cube")]
+    result = runner.invoke(main, ["--jobs", "2", "fan", "nef", "--divisor", "(9,9,9,9)=1", *paths])
+    assert result.exit_code == 2
+    assert "Usage: main fan nef [OPTIONS] PATHS..." in result.stderr
+    assert "Error: (9,9,9,9) is not a ray of the fan" in result.stderr
+    assert result.stdout == ""
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
