@@ -390,7 +390,14 @@ def _execute(ctx, command, paths, opts):
     if jobs > 1 and len(paths) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(paths))) as pool:
             futures = [pool.submit(_run_one, command, p, opts) for p in paths]
-            results = [f.result() for f in futures]
+            try:
+                results = [f.result() for f in futures]
+            except BaseException:
+                # A usage error ends the batch: leaving the block must not
+                # wait for the files not yet started.
+                for f in futures:
+                    f.cancel()
+                raise
     else:
         results = [_run_one(command, p, opts) for p in paths]
     status = 0

@@ -1,25 +1,30 @@
 """Exact convex geometry of full-dimensional lattice polytopes.
 
-Hulls are built by beneath-beyond insertion on plain integer tuples: the
-facet through a horizon ridge and the new point is the nonnegative
+Hulls are built by beneath-beyond insertion over the sorted input points:
+the facet through a horizon ridge and the new point is the nonnegative
 combination of the two facets sharing that ridge that vanishes at the
 point (Barber, Dobkin and Huhdanpaa, 1996), and ridge ownership is updated
-as facets come and go.  Coplanar simplicial pieces are then merged into
-the true (possibly non-simplicial) facets.
+as facets come and go.  A simplicial facet is keyed by the int bitmask of
+its point indices, so a ridge is the key with one bit cleared.  Coplanar
+simplicial pieces are then merged into the true (possibly non-simplicial)
+facets, and one slack table of every input point against every merged
+facet checks the result, picks the vertices and gives the incidence.
 
-A polytope evaluates its vertex x facet slack table once, when the
-constructor checks the two representations against each other, and keeps
-each vertex's saturated facets as an int bitmask (bit i is facet i; vertex
-sets are masks too).  The face lattice is read from that incidence alone:
-inside a (k+1)-face the k-faces are the inclusion-maximal intersections
-with the other (k+1)-faces (the diamond property; Kaibel and Pfetsch 2002),
-so no rank is taken and nothing assumes general position.
+A polytope keeps each vertex's saturated facets as an int bitmask (bit i
+is facet i) and each facet's vertices as one too (bit j is vertex j).
+`hull` and `Polytope.dual` hand that incidence to the constructor, which
+checks it; only a hand-assembled polytope has its slack table evaluated
+there.  The face lattice is read from the incidence alone: inside a
+(k+1)-face the k-faces are the inclusion-maximal intersections with the
+other (k+1)-faces (the diamond property; Kaibel and Pfetsch 2002), so no
+rank is taken and nothing assumes general position.
 
 The polar dual of a reflexive polytope is written down, not hulled: its
 vertices are the facet normals and its facets are cut out by the vertices,
-so its incidence table is the transpose and its face lattice is the same
+so its incidence table is the transpose, and its face lattice is the same
 one turned upside down (Batyrev 1994; Ziegler, Lectures on Polytopes,
-section 2.3).  Each dual pair builds one face lattice.
+section 2.3).  Each dual pair evaluates one slack table and builds one
+face lattice.
 """
 
 from __future__ import annotations
@@ -198,10 +203,15 @@ class Polytope:
     """Full-dimensional lattice polytope with exact V- and H-representations.
 
     Build instances with :func:`hull`; the constructor cross-validates the
-    two representations and is not meant for hand-assembled data.
+    two representations.  `incidence`, when given, is the pair (each
+    vertex's saturated facet mask, each facet's vertex mask) for vertices
+    and facets already in sorted order, as `hull` and `dual` hand it over;
+    without it the constructor evaluates the slack table itself.  Either
+    way every vertex lies on at least d facets, and every facet holds at
+    least d vertices that span it.
     """
 
-    def __init__(self, vertices, facets):
+    def __init__(self, vertices, facets, *, incidence=None):
         if not vertices:
             raise InputError("polytope needs vertices")
         self.point_cls = type(vertices[0])
@@ -210,7 +220,11 @@ class Polytope:
         self.ambient_dim = vertices[0].dim
         self.vertices = tuple(sorted(vertices))
         self.facets = tuple(sorted(facets, key=lambda f: (tuple(f.normal), f.offset)))
-        self._validate()
+        if incidence is not None and (
+            self.vertices != tuple(vertices) or self.facets != tuple(facets)
+        ):
+            raise InternalInvariantError("incidence given for unsorted vertices or facets")
+        self._validate(incidence)
         self._faces = None
         self._census = None
         self._dual = None
@@ -219,7 +233,7 @@ class Polytope:
 
     # -- construction-time consistency ------------------------------------
 
-    def _validate(self):
+    def _validate(self, incidence):
         d = self.ambient_dim
         for v in self.vertices:
             if v.dim != d:
@@ -232,34 +246,26 @@ class Polytope:
                 raise InputError("facet normals must live in the dual lattice")
             if f.normal.dim != d:
                 raise InputError(f"dimension mismatch: {d} vs {f.normal.dim}")
-        # The incidence table: each vertex's saturated facets as a mask (bit
-        # i for facet i), from one evaluation of the slack table.
         self._planes = tuple((f.normal, f.offset) for f in self.facets)
-        saturated = []
-        for v in self.vertices:
-            slacks = self._slacks(v)
-            if min(slacks, default=0) < 0:
-                raise InputError(f"vertex {v} violates a facet inequality")
-            tight = sum(1 << i for i, s in enumerate(slacks) if s == 0)
+        if incidence is None:
+            saturated = []
+            for v in self.vertices:
+                slacks = self._slacks(v)
+                if min(slacks, default=0) < 0:
+                    raise InputError(f"vertex {v} violates a facet inequality")
+                saturated.append(sum(1 << i for i, s in enumerate(slacks) if s == 0))
+            incidence = (saturated, _transpose(saturated, len(self.facets)))
+        self._saturated, self._facet_vertices = map(tuple, incidence)
+        for v, tight in zip(self.vertices, self._saturated):
             if tight.bit_count() < d:
                 raise InputError(f"vertex {v} saturates fewer than {d} facets")
-            saturated.append(tight)
-        self._saturated = tuple(saturated)
-        for i, on in enumerate(map(_bits, self._facet_vertex_masks())):
+        for i, on in enumerate(map(_bits, self._facet_vertices)):
             if len(on) < d:
                 raise InputError(f"facet {i} holds fewer than {d} vertices")
             first = self.vertices[on[0]]
             diffs = [tuple(a - b for a, b in zip(self.vertices[j], first)) for j in on[1:]]
             if matrix_rank(diffs) != d - 1:
                 raise InputError(f"facet {i} vertices do not span it")
-
-    def _facet_vertex_masks(self):
-        """For each facet, the mask of the vertices on it (bit j for vertex j)."""
-        on = [0] * len(self.facets)
-        for j, tight in enumerate(self._saturated):
-            for i in _bits(tight):
-                on[i] |= 1 << j
-        return on
 
     # -- basic queries -----------------------------------------------------
 
@@ -311,6 +317,10 @@ class Polytope:
     def strictly_contains(self, p) -> bool:
         return min(self._slacks(p)) > 0
 
+    def _origin_interior(self):
+        """0 is strictly inside: its slack -offset is positive on every facet."""
+        return all(offset < 0 for _, offset in self._planes)
+
     # -- duality and reflexivity -------------------------------------------
 
     def is_reflexive(self) -> bool:
@@ -322,7 +332,7 @@ class Polytope:
         """
         if self._reflexive is not None:
             return self._reflexive
-        if not self.strictly_contains(self.origin()):
+        if not self._origin_interior():
             raise OriginNotInteriorError(
                 "reflexivity is only defined for polytopes with 0 strictly interior"
             )
@@ -340,16 +350,20 @@ class Polytope:
 
         For a reflexive polytope this is again a Polytope in the dual
         lattice, written down rather than hulled: its vertices are our facet
-        normals, its facets are <., v> >= -1 for our vertices v, and the
-        constructor checks the two against each other.  Both sides sort
-        alike (every offset is -1), so dual vertex i is our facet i and dual
-        facet j is our vertex j.  The two are back-linked, so dualising
-        twice is free and exact.  A non-reflexive polytope gets a
-        RationalPolytope carrying the exact fractional vertices.
+        normals and its facets are <., v> >= -1 for our vertices v.  Both
+        sides sort alike (every offset is -1), so dual vertex i is our facet
+        i and dual facet j is our vertex j, and the slack of dual vertex i
+        on dual facet j is ours of vertex j on facet i, <n_i, v_j> + 1.  So
+        the dual's incidence is ours transposed, handed over without
+        evaluating any slack; the constructor's span check on each dual
+        facet checks that our vertex j is a vertex.  The two are
+        back-linked, so dualising twice is free and exact.  A non-reflexive
+        polytope gets a RationalPolytope carrying the exact fractional
+        vertices.
         """
         if self._dual is not None:
             return self._dual
-        if not self.strictly_contains(self.origin()):
+        if not self._origin_interior():
             raise OriginNotInteriorError("dual is unbounded unless 0 is interior")
         if not self.is_reflexive():
             verts = [
@@ -357,7 +371,9 @@ class Polytope:
             ]
             return RationalPolytope(verts, DUAL_LATTICE[self.point_cls])
         d = Polytope(
-            [f.normal for f in self.facets], [RationalHyperplane(v, -1) for v in self.vertices]
+            [f.normal for f in self.facets],
+            [RationalHyperplane(v, -1) for v in self.vertices],
+            incidence=(self._facet_vertices, self._saturated),
         )
         self._dual = d
         d._dual = self
@@ -388,7 +404,7 @@ class Polytope:
         Sorting a level on vertex indices sorts it on vertex tuples."""
         d = self.ambient_dim
         sat = self._saturated
-        level = self._facet_vertex_masks()
+        level = self._facet_vertices
         by_dim = {d - 1: level}
         for k in range(d - 2, 0, -1):
             members = list(map(_bits, level))
@@ -534,6 +550,16 @@ def _bits(mask):
     return out
 
 
+def _transpose(rows, n):
+    """The n column masks of a table given by its row masks: bit j of
+    column i is bit i of row j."""
+    columns = [0] * n
+    for j, row in enumerate(rows):
+        for i in _bits(row):
+            columns[i] |= 1 << j
+    return columns
+
+
 def _lattice_points(vertices, planes):
     """Yield (coordinates, saturated facet mask) for every lattice point
     of conv(vertices), in lexicographic order; planes[j] is the (normal,
@@ -644,10 +670,16 @@ def hull(points) -> Polytope:
     Beneath-beyond insertion in sorted order: a point with negative slack
     s_F < 0 on a facet F sees it, and each ridge F shares with a facet G it
     does not see (s_G >= 0) gets the new facet s_G * F - s_F * G, made
-    primitive.  Coplanar simplicial facets are merged afterwards, so
+    primitive.  Facets and ridges are keyed by bitmasks of indices into the
+    sorted points.  Coplanar simplicial facets are merged afterwards, so
     non-simplicial facets (the normal case for lattice polytopes) come out
-    as single facets with full vertex sets.  Every input point is checked
-    against the result.
+    as single facets with full vertex sets.
+
+    One slack table of every input point against every merged facet then
+    does three jobs: a negative entry means the construction failed; a
+    point whose tight facet mask lies strictly inside another's is no
+    vertex (it is interior to a larger face); and the vertices' rows are
+    the incidence the constructor checks.
     """
     pts = sorted(set(points))
     if not pts:
@@ -675,26 +707,28 @@ def hull(points) -> Polytope:
         )
 
     simplex = _initial_simplex(pts, d)
-    facets = _simplex_facets(simplex)  # vertex set -> (inner normal, rhs)
+    # point-index mask -> (inner normal, rhs, the mask's single bits)
+    facets = _simplex_facets(pts, simplex)
     ridge_owners = {}
-    for key in facets:
-        for v in key:
-            ridge_owners.setdefault(key - {v}, []).append(key)
+    for key, (_, _, bits) in facets.items():
+        for bit in bits:
+            ridge_owners.setdefault(key ^ bit, []).append(key)
 
     done = set(simplex)
-    for p in pts:
-        if p in done:
+    for i, p in enumerate(pts):
+        if i in done:
             continue
-        slack = {key: dot(normal, p) - rhs for key, (normal, rhs) in facets.items()}
+        slack = {key: dot(normal, p) - rhs for key, (normal, rhs, _) in facets.items()}
         visible = [key for key, s in slack.items() if s < 0]
         if not visible:
             continue
+        apex = 1 << i
         new_facets = {}
         for key in visible:
-            normal_f, rhs_f = facets[key]
+            normal_f, rhs_f, bits = facets[key]
             s_f = slack[key]
-            for v in key:
-                ridge = key - {v}
+            for bit in bits:
+                ridge = key ^ bit
                 owners = ridge_owners[ridge]
                 if len(owners) != 2:
                     raise InternalInvariantError("boundary complex lost a ridge")
@@ -704,70 +738,79 @@ def hull(points) -> Polytope:
                     continue
                 # s_g * F - s_f * G vanishes on the ridge and at p, and both
                 # weights are >= 0 (-s_f > 0), so it stays positive inside.
-                normal_g, rhs_g = facets[other]
+                normal_g, rhs_g, _ = facets[other]
                 normal = [s_g * a - s_f * b for a, b in zip(normal_f, normal_g)]
                 g = gcd(*normal)
-                new_facets[ridge | {p}] = (
+                new_facets[ridge | apex] = (
                     tuple(c // g for c in normal),
                     (s_g * rhs_f - s_f * rhs_g) // g,
+                    tuple(b for b in bits if b != bit) + (apex,),
                 )
         for key in visible:
-            del facets[key]
-            for v in key:
-                ridge = key - {v}
+            for bit in facets.pop(key)[2]:
+                ridge = key ^ bit
                 owners = ridge_owners[ridge]
                 owners.remove(key)
                 if not owners:
                     del ridge_owners[ridge]
-        for key, plane in new_facets.items():
-            facets[key] = plane
-            for v in key:
-                ridge_owners.setdefault(key - {v}, []).append(key)
+        for key, facet in new_facets.items():
+            facets[key] = facet
+            for bit in facet[2]:
+                ridge_owners.setdefault(key ^ bit, []).append(key)
 
-    # Merge coplanar simplicial pieces into honest facets.
-    candidates = sorted(set().union(*facets))
-    plane_list = sorted(set(facets.values()))
-    # A candidate is a vertex unless it lies in the relative interior of a
-    # larger face, whose vertices (also candidates) lie on strictly more of
-    # the merged facets.
-    tight = [
-        frozenset(i for i, (normal, rhs) in enumerate(plane_list) if dot(normal, c) == rhs)
-        for c in candidates
-    ]
-    vertices = [c for c, t in zip(candidates, tight) if not any(t < u for u in tight)]
-    hyperplanes = [
-        RationalHyperplane(dual_cls(normal), rhs) for normal, rhs in plane_list
-    ]
-    poly = Polytope(vertices, hyperplanes)
+    # Merge coplanar simplicial pieces into honest facets, in the
+    # constructor's facet order, and evaluate the one slack table.
+    planes = sorted({(normal, rhs) for normal, rhs, _ in facets.values()})
+    tight = []
     for p in pts:
-        if not poly.contains(p):
-            raise InputError(f"hull construction failed: {p} outside result")
-    return poly
+        mask = 0
+        for j, (normal, rhs) in enumerate(planes):
+            s = dot(normal, p) - rhs
+            if s <= 0:
+                if s:
+                    raise InputError(f"hull construction failed: {p} outside result")
+                mask |= 1 << j
+        tight.append(mask)
+    # A candidate (a point of some simplicial facet) is a vertex unless it
+    # lies in the relative interior of a larger face, whose vertices (also
+    # candidates) lie on strictly more of the merged facets.
+    candidates = _bits(functools.reduce(int.__or__, facets))
+    masks = {tight[i] for i in candidates}
+    vertices = [i for i in candidates if not any(tight[i] & u == tight[i] != u for u in masks)]
+    saturated = [tight[i] for i in vertices]
+    return Polytope(
+        [pts[i] for i in vertices],
+        [RationalHyperplane(dual_cls(normal), rhs) for normal, rhs in planes],
+        incidence=(saturated, _transpose(saturated, len(planes))),
+    )
 
 
 def _initial_simplex(pts, d):
-    simplex = [pts[0]]
+    """Indices of d + 1 affinely independent points, the first point and
+    then each point that raises the rank of the differences so far."""
+    simplex = [0]
     diffs = []
-    for p in pts[1:]:
-        cand = tuple(a - b for a, b in zip(p, simplex[0]))
+    for i in range(1, len(pts)):
+        cand = tuple(a - b for a, b in zip(pts[i], pts[0]))
         if matrix_rank(diffs + [cand]) > len(diffs):
             diffs.append(cand)
-            simplex.append(p)
+            simplex.append(i)
             if len(simplex) == d + 1:
                 return simplex
     raise NotFullDimensionalError(len(diffs), d)
 
 
-def _simplex_facets(simplex):
-    """{vertex set: (primitive inner normal, rhs)} for the d + 1 facets of a
-    d-simplex s_0 .. s_d, inside where <normal, x> >= rhs.
+def _simplex_facets(pts, simplex):
+    """{point-index mask: (primitive inner normal, rhs, single bits)} for
+    the d + 1 facets of the d-simplex on pts[s_0] .. pts[s_d], inside where
+    <normal, x> >= rhs.
 
     The dual basis n_j of the edges s_j - s_0 (<n_j, s_i - s_0> = det when
     i = j, else 0), turned by the sign of det, gives the facet omitting s_j;
     the facet omitting s_0 gets -(n_1 + ... + n_d).
     """
-    base = simplex[0]
-    det, duals = dual_basis([tuple(a - b for a, b in zip(s, base)) for s in simplex[1:]])
+    base = pts[simplex[0]]
+    det, duals = dual_basis([tuple(a - b for a, b in zip(pts[s], base)) for s in simplex[1:]])
     sign = 1 if det > 0 else -1
     normals = [tuple(sign * c for c in n) for n in duals]
     normals.insert(0, tuple(-sum(column) for column in zip(*normals)))
@@ -775,5 +818,6 @@ def _simplex_facets(simplex):
     for omit, normal in enumerate(normals):
         normal = primitive_vector(normal)
         on = simplex[:omit] + simplex[omit + 1 :]
-        facets[frozenset(on)] = (normal, dot(normal, on[0]))
+        bits = tuple(1 << i for i in on)
+        facets[sum(bits)] = (normal, dot(normal, pts[on[0]]), bits)
     return facets

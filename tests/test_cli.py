@@ -263,6 +263,38 @@ def test_jobs_starts_at_most_one_worker_per_file(runner, monkeypatch):
     assert sizes == [2, 2]  # one file runs inline, with no pool
 
 
+def test_usage_error_in_a_worker_cancels_the_files_not_started(runner, monkeypatch):
+    futures = []
+
+    class FirstFileOnlyPool:  # runs the first file inline; the rest wait
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            if not futures:
+                try:
+                    future.set_result(fn(*args))
+                except Exception as exc:
+                    future.set_exception(exc)
+            futures.append(future)
+            return future
+
+    args = ["fan", "nef", "--divisor", "(9,9,9,9)=1"]
+    paths = [fixture_file(n) for n in ("quintic", "cube", "cross4d")]
+    serial = runner.invoke(main, [*args, *paths])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FirstFileOnlyPool)
+    result = runner.invoke(main, ["--jobs", "2", *args, *paths])
+    assert len(futures) == 3 and all(f.cancelled() for f in futures[1:])
+    assert (result.exit_code, result.stderr, result.stdout) == (2, serial.stderr, "")
+
+
 def test_usage_error_in_a_worker_exits_2(runner):
     paths = [fixture_file(n) for n in ("quintic", "cube")]
     result = runner.invoke(main, ["--jobs", "2", "fan", "nef", "--divisor", "(9,9,9,9)=1", *paths])

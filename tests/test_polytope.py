@@ -8,7 +8,8 @@ import pytest
 from cytoric.errors import NotFullDimensionalError, OriginNotInteriorError
 from cytoric.lattice import MPoint, NPoint, pairing
 from cytoric.fixtures import ALL, CORPUS_4D, fixture_points, fixture_polytope
-from cytoric.polytope import RationalPolytope, hull
+from cytoric import polytope as polytope_module
+from cytoric.polytope import Polytope, RationalPolytope, hull
 from conftest import (
     example_s3_vertices,
     mpoints,
@@ -577,6 +578,44 @@ def test_transposed_dual_matches_hull_oracle(group, primal_first):
             assert d.dual_face(g) is f
         for g in d.faces():
             assert p.dual_face(d.dual_face(g)) is g
+
+
+@pytest.mark.parametrize("group", sorted(DUAL_CASES))
+def test_handed_incidence_matches_the_constructors_slack_table(group):
+    # hull and dual() give the constructor the incidence in its own sorted
+    # order; a hand-assembled copy evaluates the slack table itself
+    for points in DUAL_CASES[group]():
+        p = hull(points)
+        for side in (p, p.dual()):
+            rebuilt = Polytope(list(side.vertices), list(side.facets))
+            assert side._saturated == rebuilt._saturated
+            assert side._facet_vertices == rebuilt._facet_vertices
+
+
+def test_hull_and_dual_evaluate_no_slack_and_keep_every_span_check(monkeypatch):
+    calls = Counter()
+    rank, slacks = polytope_module.matrix_rank, Polytope._slacks
+
+    def counted_rank(rows):
+        calls["matrix_rank"] += 1
+        return rank(rows)
+
+    def counted_slacks(self, p):
+        calls["_slacks"] += 1
+        return slacks(self, p)
+
+    monkeypatch.setattr(polytope_module, "matrix_rank", counted_rank)
+    monkeypatch.setattr(Polytope, "_slacks", counted_slacks)
+    hexagon, triangle = (
+        [tuple(v) for v in fixture_points(name)] for name in ("pgon_hexagon", "pgon_triangle_p123")
+    )
+    product = mpoints(shear([a + b for a in hexagon for b in triangle], MOVES[4]))
+    # rank calls: the initial simplex's, then one span check per facet on
+    # each side (cross4d 4 + 16 + 8, the product 12 + 9 + 18)
+    for points, ranks in ((fixture_points("cross4d"), 28), (product, 39)):
+        calls.clear()
+        hull(points).dual()
+        assert calls == {"matrix_rank": ranks}
 
 
 # -- dual faces ---------------------------------------------------------------------
