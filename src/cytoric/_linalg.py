@@ -1,11 +1,13 @@
 """Exact integer and rational linear algebra on plain Python numbers.
 
 Everything works on ``int`` tuples/lists, never on floats; the geometric
-predicates elsewhere rely on that exactness.  Rank, solutions and kernels
-come from one fraction-free Gauss-Jordan elimination, :func:`row_reduce`,
-and solutions are integer numerators over one denominator.  Determinants
-and adjugates (:func:`int_det`, :func:`dual_basis`) use Bareiss's exact
-division instead.
+predicates elsewhere rely on that exactness.  Ranks, determinants,
+adjugates, solutions and kernels all read one fraction-free Gauss-Jordan
+elimination, :func:`_eliminate`, whose steps divide exactly by the previous
+pivot (Bareiss, Math. Comp. 22, 1968; for any m x n matrix, Nakos, Turner
+and Williams, SIGSAM Bull. 31(3), 1997).  Every reduced pivot ends equal
+to the last one, so solutions are integer numerators over that one
+denominator.
 """
 
 from fractions import Fraction
@@ -13,17 +15,12 @@ from math import gcd, lcm
 from operator import mul
 
 
-def vector_gcd(v):
-    """gcd of the entries of an integer vector (0 for the zero vector)."""
-    return gcd(*v)
-
-
 def primitive_vector(v):
     """Divide an integer vector by the gcd of its entries.
 
     Raises ValueError on the zero vector, where the direction is undefined.
     """
-    g = vector_gcd(v)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in v)
@@ -33,81 +30,96 @@ def dot(a, b):
     return sum(map(mul, a, b))
 
 
+def _eliminate(a, reduced=True):
+    """Fraction-free Gauss-Jordan elimination of the int rows `a`, in place.
+
+    Returns (pivots, swaps, last): the pivot columns, the row swaps as
+    (pivot row, row) pairs, and the last pivot (1 if none).  Pivots go left
+    to right, the first nonzero row at or below the next pivot row wins,
+    and a column with no such row is skipped, as is every column once
+    rank = rows.
+    The step on pivot p in row r, column c sets a row to (p * row - f *
+    row r) // prev, f its entry in column c and prev the previous pivot:
+    every entry stays a minor, so the division is exact.  ``reduced=False``
+    leaves the rows above r alone and writes into no row: an echelon form,
+    all a rank or a determinant needs.
+
+    ``reduced=True`` eliminates [A | I] in place, so the rows must be
+    lists: after step r left column c is p times a unit vector, so it takes
+    right column r instead, and pivot column c of pivot row k holds column
+    k of the row operations.  With a pivot in every row the swaps are then
+    undone on those columns, which for a square A hold last * A^-1.  Every
+    pivot entry ends equal to `last`, so off the pivot columns, pivot row
+    k over `last` is row k of the reduced row echelon form.
+    """
+    m = len(a)
+    pivots, swaps = [], []
+    prev = 1
+    for c in range(len(a[0]) if m else 0):
+        r = len(pivots)
+        for i in range(r, m):
+            if a[i][c]:
+                break
+        else:
+            continue
+        if i != r:
+            a[r], a[i] = a[i], a[r]
+            swaps.append((r, i))
+        top = a[r]
+        p = top[c]
+        for i in range(0 if reduced else r + 1, m):
+            row = a[i]
+            f = row[c]
+            if i == r or (not f and p == prev):
+                continue  # the step would leave the row as it is
+            row = [(p * x - f * y) // prev for x, y in zip(row, top)]
+            if reduced:
+                row[c] = -f  # right column r: (p * 0 - f * prev) / prev
+            a[i] = row
+        if reduced:
+            top[c] = prev
+        pivots.append(c)
+        prev = p
+    if reduced and len(pivots) == m:
+        for k, i in reversed(swaps):
+            for row in a:
+                row[pivots[k]], row[pivots[i]] = row[pivots[i]], row[pivots[k]]
+    return pivots, swaps, prev
+
+
 def int_det(rows):
-    """Determinant of a square integer matrix (Bareiss, fraction-free)."""
+    """Determinant of a square integer matrix: the signed last pivot."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    pivots, swaps, last = _eliminate(list(rows), reduced=False)
+    return 0 if len(pivots) < n else -last if len(swaps) % 2 else last
 
 
 def dual_basis(rows):
     """Determinant and adjugate of a square integer matrix, by columns.
 
-    Returns (det, duals) with <duals[i], rows[j]> = det * (i == j).  A
-    fraction-free Gauss-Jordan elimination (Bareiss) of [A | I], kept in
-    place: after step k the left columns up to k and the right columns past
-    k are the pivot times unit vectors, so one n x n array holds the rest.
-    Every step divides exactly by the previous pivot; at the end the array
-    is the last pivot, det of the row-swapped matrix, times its inverse,
-    and undoing the row swaps on the columns gives A's.  Raises ValueError
-    on a singular matrix, whose rows have no dual basis.
+    Returns (det, duals) with <duals[i], rows[j]> = det * (i == j), read
+    off the reduced elimination's row operations, last * A^-1, with det
+    the last pivot signed by the row swaps.  Raises ValueError on a
+    singular matrix, whose rows have no dual basis.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
     a = [list(r) for r in rows]
-    swaps = []
-    prev = 1
-    for k in range(n):
-        for i in range(k, n):
-            if a[i][k]:
-                break
-        else:
-            raise ValueError("singular matrix has no dual basis")
-        if i != k:
-            a[k], a[i] = a[i], a[k]
-            swaps.append((k, i))
-        top = a[k]
-        p = top[k]
-        for i, row in enumerate(a):
-            f = row[k]
-            if i == k or (not f and p == prev):
-                continue  # the step would leave the row as it is
-            row = [(p * x - f * y) // prev for x, y in zip(row, top)]
-            row[k] = -f  # right column k: (p * 0 - f * prev) / prev
-            a[i] = row
-        top[k] = prev
-        prev = p
-    for k, i in reversed(swaps):
-        for row in a:
-            row[k], row[i] = row[i], row[k]
+    pivots, swaps, last = _eliminate(a)
+    if len(pivots) < n:
+        raise ValueError("singular matrix has no dual basis")
     sign = -1 if len(swaps) % 2 else 1
-    return sign * prev, [tuple(sign * row[i] for row in a) for i in range(n)]
+    return sign * last, [tuple(sign * row[i] for row in a) for i in range(n)]
 
 
 def _integer_rows(rows):
-    """The rows with int entries.  A row holding a Fraction is scaled by the
+    """The rows as new int lists.  A row holding a Fraction is scaled by the
     lcm of its denominators, which changes neither row space nor pivots."""
     if all(type(x) is int for row in rows for x in row):
-        return list(rows)
+        return [list(row) for row in rows]
     out = []
     for row in rows:
         den = lcm(*[x.denominator for x in row])
@@ -120,38 +132,18 @@ def row_reduce(rows, reduced=True):
 
     Returns (rows, pivot_columns), pivots chosen left to right, first
     nonzero row wins; row k over its entry in column pivots[k] is row k of
-    the reduced row echelon form.  A step sets a row to p * row - f * pivot
-    row and divides out its gcd, which keeps entries small (Bareiss, 1968,
-    uses an exact division instead).  ``reduced=False`` leaves the rows
-    above a pivot alone: an echelon form, all a rank needs.
+    the reduced row echelon form, and that entry is the last pivot for
+    every k.  ``reduced=False`` leaves the rows above a pivot alone: an
+    echelon form, all a rank needs.
     """
     a = _integer_rows(rows)
-    if not a:
-        return [], []
-    m = len(a)
-    pivots = []
-    r = 0
-    for c in range(len(a[0])):
-        for i in range(r, m):
-            if a[i][c]:
-                break
-        else:
-            continue
-        a[r], a[i] = a[i], a[r]
-        top = a[r]
-        p = top[c]
-        for i in range(0 if reduced else r + 1, m):
-            row = a[i]
-            f = row[c]
-            if f and i != r:
-                row = [p * x - f * y for x, y in zip(row, top)]
-                g = gcd(*row)
-                a[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return a[:r], pivots
+    pivots, _, last = _eliminate(a, reduced)
+    del a[len(pivots):]
+    if reduced:  # the pivot columns held the row operations
+        for k, row in enumerate(a):
+            for j, c in enumerate(pivots):
+                row[c] = last if j == k else 0
+    return a, pivots
 
 
 def matrix_rank(rows):
@@ -169,14 +161,16 @@ def solve_linear(a_rows, b):
     if not a_rows:
         return (), 1
     ncols = len(a_rows[0])
-    reduced, pivots = row_reduce([list(row) + [bi] for row, bi in zip(a_rows, b, strict=True)])
+    a = _integer_rows([list(row) + [bi] for row, bi in zip(a_rows, b, strict=True)])
+    pivots, _, den = _eliminate(a)
     if pivots and pivots[-1] == ncols:
         return None
-    den = lcm(*[row[c] for row, c in zip(reduced, pivots)])
     num = [0] * ncols
-    for row, c in zip(reduced, pivots):
-        num[c] = row[-1] * (den // row[c])
+    for row, c in zip(a, pivots):
+        num[c] = row[-1]
     g = gcd(den, *num)
+    if den < 0:
+        g = -g
     return tuple(x // g for x in num), den // g
 
 
@@ -185,13 +179,14 @@ def nullspace(a_rows):
     if not a_rows:
         return []
     ncols = len(a_rows[0])
-    reduced, pivots = row_reduce(a_rows)
+    a = _integer_rows(a_rows)
+    pivots, _, den = _eliminate(a)
     basis = []
     for f in (c for c in range(ncols) if c not in pivots):
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
-        for row, c in zip(reduced, pivots):
-            vec[c] = Fraction(-row[f], row[c])
+        for row, c in zip(a, pivots):
+            vec[c] = Fraction(-row[f], den)
         basis.append(tuple(vec))
     return basis
 

@@ -44,7 +44,6 @@ from ._linalg import (
     matrix_rank,
     primitive_vector,
     solve_linear,
-    vector_gcd,
 )
 from .errors import (
     InputError,
@@ -67,7 +66,7 @@ class Cone:
         if len(set(rays)) != len(rays):
             raise InputError("cone has a repeated ray generator")
         for r in rays:
-            if r.is_zero() or vector_gcd(r) != 1:
+            if r.is_zero() or math.gcd(*r) != 1:
                 raise InputError(f"ray generator {tuple(r)} is not primitive")
         object.__setattr__(self, "rays", rays)
 

@@ -9,8 +9,9 @@ bug class in this kind of code.  Only :func:`pairing` crosses the boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
-from ._linalg import primitive_vector, vector_gcd
+from ._linalg import primitive_vector
 from .errors import InputError
 
 
@@ -131,7 +132,7 @@ class RationalHyperplane:
     def __post_init__(self):
         if self.normal.is_zero():
             raise InputError("hyperplane normal must be nonzero")
-        if vector_gcd(self.normal) != 1:
+        if gcd(*self.normal) != 1:
             raise InputError(f"hyperplane normal {self.normal} is not primitive")
 
     def evaluate(self, p: LatticeVector) -> int:
@@ -140,6 +141,6 @@ class RationalHyperplane:
 
 def integral_distance(h: RationalHyperplane, p: LatticeVector) -> int:
     """Lattice distance |offset - <p, normal>| between a hyperplane and a point."""
-    if vector_gcd(h.normal) != 1:
+    if gcd(*h.normal) != 1:
         raise InputError("integral distance needs a primitive hyperplane normal")
     return abs(h.offset - pairing(p, h.normal))

@@ -40,6 +40,7 @@ from ._linalg import (
     int_det,
     matrix_rank,
     primitive_vector,
+    row_reduce,
 )
 from .errors import (
     InputError,
@@ -54,6 +55,8 @@ from .lattice import (
     NPoint,
     RationalHyperplane,
 )
+
+CENSUS_POINT_BUDGET = 100_000  # the largest reflexive 4-polytope has 680 points
 
 
 class Face:
@@ -455,7 +458,8 @@ class Polytope:
         Points are enumerated slice by slice, with each coordinate bounded
         by the facet inequalities (see :func:`_lattice_points`), so the cost
         scales with the lattice points in the slices the facets allow, not
-        with the bounding box.
+        with the bounding box.  Past CENSUS_POINT_BUDGET points it raises
+        InputError.
         """
         if self._census is not None:
             return self._census
@@ -467,6 +471,8 @@ class Polytope:
         n_saturating = Counter()  # saturated facet mask -> number of points
         point = self.point_cls._from_ints
         for raw, sat in _lattice_points(self.vertices, self._planes):
+            if len(points) == CENSUS_POINT_BUDGET:
+                raise InputError(f"more than {CENSUS_POINT_BUDGET} lattice points to count")
             p = point(raw)
             points.append(p)
             n_saturating[sat] += 1
@@ -787,17 +793,13 @@ def hull(points) -> Polytope:
 
 def _initial_simplex(pts, d):
     """Indices of d + 1 affinely independent points, the first point and
-    then each point that raises the rank of the differences so far."""
-    simplex = [0]
-    diffs = []
-    for i in range(1, len(pts)):
-        cand = tuple(a - b for a, b in zip(pts[i], pts[0]))
-        if matrix_rank(diffs + [cand]) > len(diffs):
-            diffs.append(cand)
-            simplex.append(i)
-            if len(simplex) == d + 1:
-                return simplex
-    raise NotFullDimensionalError(len(diffs), d)
+    then each point that raises the rank of the differences so far: the
+    pivot columns of one echelon form of the differences as columns."""
+    base = pts[0]
+    pivots = row_reduce([[p[k] - base[k] for p in pts[1:]] for k in range(d)], reduced=False)[1]
+    if len(pivots) < d:
+        raise NotFullDimensionalError(len(pivots), d)
+    return [0] + [c + 1 for c in pivots]
 
 
 def _simplex_facets(pts, simplex):

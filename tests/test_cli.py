@@ -1,6 +1,7 @@
 import hashlib
 import json
 import multiprocessing
+import time
 from concurrent.futures import Future
 
 import pytest
@@ -11,6 +12,7 @@ from cytoric.cli import main, parse_divisor
 from cytoric.errors import InternalInvariantError, PolytopeFileError
 from cytoric.fan import face_fan
 from cytoric.polyfile import dump_polytope, parse_polytope
+from cytoric.polytope import CENSUS_POINT_BUDGET
 
 
 @pytest.fixture()
@@ -203,6 +205,19 @@ def test_poly_dual_origin_not_interior_is_domain_error(runner, tmp_path):
     f.write_text("4 2\n0 0\n0 1\n1 0\n1 1\n")
     result = runner.invoke(main, ["poly", "dual", str(f)])
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize("command", ["points", "check", "faces"])
+def test_census_past_the_point_budget_is_refused(runner, tmp_path, command):
+    # conv(-(1, 1, 1, 1), 2000 e_1, ..., 2000 e_4) holds about 6.7e11 points
+    f = tmp_path / "simplex.poly"
+    f.write_text("5 4\n-1 -1 -1 -1\n2000 0 0 0\n0 2000 0 0\n0 0 2000 0\n0 0 0 2000\n")
+    start = time.perf_counter()
+    result = runner.invoke(main, ["--json", "poly", command, str(f)])
+    assert time.perf_counter() - start < 5
+    assert result.exit_code == 1
+    assert "Traceback" not in result.output
+    assert json.loads(result.output)["error"] == f"more than {CENSUS_POINT_BUDGET} lattice points to count"
 
 
 def test_unknown_command_usage_error(runner):

@@ -29,6 +29,9 @@ def test_int_det_matches_cofactor_expansion():
         n = rng.randint(1, 5)
         m = random_matrix(rng, n, n)
         assert int_det(m) == naive_det(m)
+    for _ in range(300):  # rank-deficient, with a zero row or a zero column
+        m = random_kernel_case(rng, square=True)
+        assert int_det(m) == naive_det(m)
 
 
 def test_int_det_identity_and_singular():
@@ -138,6 +141,8 @@ def assert_kernel_matches_reference(rows):
     reduced, pivots = row_reduce(rows)
     assert pivots == ref_pivots
     assert rref(reduced, pivots) == ref_rows
+    # Bareiss: every reduced pivot ends equal to the last one
+    assert len({row[c] for row, c in zip(reduced, pivots)}) <= 1
     assert all(type(x) is int for row in reduced for x in row)
     assert matrix_rank(rows) == len(ref_pivots)
     assert nullspace(rows) == fraction_nullspace(rows)
@@ -156,13 +161,14 @@ def assert_kernel_matches_reference(rows):
             assert math.gcd(sol[1], *sol[0]) == 1
 
 
-def random_kernel_case(rng):
+def random_kernel_case(rng, square=False):
     """A small matrix with seeded structure: rank deficiency, zero rows and
-    columns, wide and tall shapes, and rows with Fraction entries."""
+    columns, wide and tall shapes, and rows with Fraction entries.  A
+    square case is an int matrix and always has one of the first three."""
     n = rng.randint(1, 6)
-    m = rng.randint(1, 6)
+    m = n if square else rng.randint(1, 6)
     rows = random_matrix(rng, n, m, rng.choice((1, 3, 9)))
-    kind = rng.randrange(5)
+    kind = rng.randrange(3 if square else 5)
     if kind == 0 and n > 1:  # rank-deficient: a row is a combination of two others
         i, j = rng.randrange(n), rng.randrange(n)
         rows[rng.randrange(n)] = [2 * x - 3 * y for x, y in zip(rows[i], rows[j])]

@@ -71,11 +71,25 @@ def test_hull_collinear_boundary_point_dropped():
     assert len(p.vertices) == 4
 
 
-def test_hull_not_full_dimensional_reports_affine_dim():
+@pytest.mark.parametrize(
+    "points, affine_dim",
+    [
+        ([(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0)], 2),
+        ([(1, 2, 3, 4), (1, 2, 3, 4)], 0),
+        ([(0, 0, 0, 0), (1, 1, 0, 0), (2, 2, 0, 0), (1, 1, 0, 0), (-3, -3, 0, 0)], 1),
+        # the first four points in sorted order are collinear
+        ([(0, 0, 0, k) for k in range(4)] + [(1, 0, 0, 5), (1, 0, 0, 0), (0, 0, 0, 2)], 2),
+        ([(0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 2, 0), (0, 1, 0, 0), (1, 1, 1, 0)], 3),
+        # on the hyperplane x1 + 2 x2 - x3 + 3 x4 = 6
+        ([(6, 0, 0, 0), (0, 3, 0, 0), (0, 0, -6, 0), (0, 0, 0, 2), (1, 1, -3, 0), (2, 2, 0, 0)], 3),
+    ],
+    ids=["plane-in-z3", "point", "line", "plane", "solid", "tilted-solid"],
+)
+def test_hull_not_full_dimensional_reports_affine_dim(points, affine_dim):
     with pytest.raises(NotFullDimensionalError) as info:
-        hull(mpoints([(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0)]))
-    assert info.value.affine_dim == 2
-    assert info.value.ambient_dim == 3
+        hull(mpoints(points))
+    assert info.value.affine_dim == affine_dim
+    assert info.value.ambient_dim == len(points[0])
 
 
 def test_hull_segment():
@@ -594,28 +608,33 @@ def test_handed_incidence_matches_the_constructors_slack_table(group):
 
 def test_hull_and_dual_evaluate_no_slack_and_keep_every_span_check(monkeypatch):
     calls = Counter()
-    rank, slacks = polytope_module.matrix_rank, Polytope._slacks
+    rank, reduce, slacks = polytope_module.matrix_rank, polytope_module.row_reduce, Polytope._slacks
 
     def counted_rank(rows):
         calls["matrix_rank"] += 1
         return rank(rows)
+
+    def counted_reduce(rows, reduced=True):
+        calls["row_reduce"] += 1
+        return reduce(rows, reduced)
 
     def counted_slacks(self, p):
         calls["_slacks"] += 1
         return slacks(self, p)
 
     monkeypatch.setattr(polytope_module, "matrix_rank", counted_rank)
+    monkeypatch.setattr(polytope_module, "row_reduce", counted_reduce)
     monkeypatch.setattr(Polytope, "_slacks", counted_slacks)
     hexagon, triangle = (
         [tuple(v) for v in fixture_points(name)] for name in ("pgon_hexagon", "pgon_triangle_p123")
     )
     product = mpoints(shear([a + b for a in hexagon for b in triangle], MOVES[4]))
-    # rank calls: the initial simplex's, then one span check per facet on
-    # each side (cross4d 4 + 16 + 8, the product 12 + 9 + 18)
-    for points, ranks in ((fixture_points("cross4d"), 28), (product, 39)):
+    # one echelon pass picks the initial simplex, then one rank per facet
+    # checks its span on each side (cross4d 16 + 8, the product 9 + 18)
+    for points, ranks in ((fixture_points("cross4d"), 24), (product, 27)):
         calls.clear()
         hull(points).dual()
-        assert calls == {"matrix_rank": ranks}
+        assert calls == {"row_reduce": 1, "matrix_rank": ranks}
 
 
 # -- dual faces ---------------------------------------------------------------------
