@@ -16,6 +16,11 @@ singular points of the refined ambient variety V, so restricting to it is
 multiplying by X = -K on the simplicial fan.  With c(V) = prod_u (1 + D_u),
 c_k(V) is the sum of W(g) over the k-cones; c2(X) . L =
 c2(V) . X . L and, by adjunction, chi(X) = (c3(V) - c2(V) . X) . X.
+
+The form reads the fan's star, dual bases and pairings; divisors become
+integer coefficients through :meth:`~cytoric.fan.Fan.scaled_coeffs`, and
+the fan's :attr:`~cytoric.fan.Fan.is_fine` shows it is the full crepant
+refinement.
 """
 
 from __future__ import annotations
@@ -37,11 +42,11 @@ class IntersectionForm:
     """The Chow ring of a simplicial complete 4-fan, built once.
 
     Cones are ascending tuples of ray indices.  `_cones[g]` holds the
-    determinant det of g's host in the star of the fan's
-    :attr:`~cytoric.fan.Fan.cone_table`, M / det for the lcm M of all
-    maximal cones' determinants, and per link ray u the entry (u, g + u, c)
-    with <m_i, u> = c_i / det for the host's dual basis m_i: 0 for u in
-    the host, else the table's pairings, shared with the wall relations.
+    determinant det of g's host in the fan's
+    :attr:`~cytoric.fan.Fan.star`, M / det for the lcm M of all maximal
+    cones' determinants, and per link ray u the entry (u, g + u, c) with
+    <m_i, u> = c_i / det for the host's dual basis m_i: 0 for u in the
+    host, else the fan's pairings, shared with the wall relations.
     `_top[g]` is M / mult(g) for the maximal cones.  Classes are integer
     numerators on the W(g) over one denominator.
     """
@@ -51,23 +56,21 @@ class IntersectionForm:
             raise NotSimplicialError("intersection numbers need a simplicial fan")
         if fan.dim != 4:
             raise InputError("intersection form is implemented for 4-dimensional fans")
-        table = fan.cone_table
-        table.require_complete()
+        fan.require_complete()
         self.fan = fan
         self.rays = fan.rays
-        self._index = {r: i for i, r in enumerate(fan.rays)}
-        tops, dets = table.cones, table.dets
+        tops, dets = fan.cones, fan.dets
         self._lcm = lcm(*dets)
         self._top = {top: self._lcm // m for top, m in zip(tops, dets)}
         # the origin: every ray links it; det 1 and M keep det * M / det = M
         self._cones = {(): (1, self._lcm, tuple((u, (u,), ()) for u in range(len(fan.rays))))}
-        for g, owners in table.star.items():
+        for g, owners in fan.star.items():
             host = owners[0]
             top = tops[host]
             zero, at = (0,) * len(g), [top.index(i) for i in g]
             entries = []
             for u in set().union(*map(tops.__getitem__, owners)).difference(g):
-                c = zero if u in top else tuple(map(table.pairings(host, u).__getitem__, at))
+                c = zero if u in top else tuple(map(fan.pairings(host, u).__getitem__, at))
                 entries.append((u, tuple(sorted(g + (u,))), c))
             self._cones[g] = (dets[host], self._top[top], entries)
         self._all_rays = (dict.fromkeys(range(len(fan.rays)), 1), 1)
@@ -92,23 +95,17 @@ class IntersectionForm:
             cls = self._times(cls, d)
         return Fraction(sum(x * self._top[g] for g, x in cls[0].items()), cls[1] * self._lcm)
 
-    def _coeffs(self, divisor: WeilDivisor):
-        """The divisor as (ray index -> integer coefficient, denominator)."""
-        for r in divisor.support:
-            if r not in self._index:
-                raise InputError(f"divisor supported outside the fan: {tuple(r)}")
-        scale = lcm(*[a.denominator for _, a in divisor.coeffs])
-        return {self._index[r]: int(a * scale) for r, a in divisor.coeffs}, scale
-
     def value(self, multiset) -> Fraction:
         """Intersection number of the four prime divisors in `multiset`
         (a 4-element tuple of rays, repetitions allowed)."""
         multiset = tuple(multiset)
         if len(multiset) != 4:
             raise InputError("the form takes exactly four divisors")
-        if any(r not in self._index for r in multiset):
-            return Fraction(0)
-        return self._degree([({self._index[r]: 1}, 1) for r in multiset])
+        try:
+            divisors = [({self.fan.ray_index(r): 1}, 1) for r in multiset]
+        except KeyError:
+            return Fraction(0)  # a ray off the fan: its divisor is zero
+        return self._degree(divisors)
 
     @cached_property
     def _c2_x(self):
@@ -135,7 +132,7 @@ def intersection_number(form, d1, d2, d3, d4) -> Fraction:
     """d1 . d2 . d3 . d4 for rational divisor combinations: V(0) times each
     divisor in turn by the product rule, then the degree."""
     form = _as_form(form)
-    return form._degree([form._coeffs(d) for d in (d1, d2, d3, d4)])
+    return form._degree([form.fan.scaled_coeffs(d) for d in (d1, d2, d3, d4)])
 
 
 def euler_characteristic(fan_or_form) -> Fraction:
@@ -156,12 +153,10 @@ def _as_form(fan_or_form) -> IntersectionForm:
 
 
 def _check_is_refinement_of(delta: Polytope, fan: Fan):
-    if getattr(fan, "_refines", None) is not delta:  # a fan that passed is checked once
-        if fan.base is not delta and fan.base != delta:
-            raise InputError("fan was not built from this polytope")
-        if set(fan.rays) != set(delta.dual().boundary_points()):
-            raise InputError("fan is not the full crepant refinement of the dual")
-        fan._refines = delta
+    if fan.base is not delta and fan.base != delta:
+        raise InputError("fan was not built from this polytope")
+    if not fan.is_fine:
+        raise InputError("fan is not the full crepant refinement of the dual")
 
 
 def c2_dot(delta: Polytope, fan_or_form, divisor: WeilDivisor) -> Fraction:
@@ -172,7 +167,7 @@ def c2_dot(delta: Polytope, fan_or_form, divisor: WeilDivisor) -> Fraction:
     form = _as_form(fan_or_form)
     _check_is_refinement_of(delta, form.fan)
     f = form._c2_rays
-    coeffs, scale = form._coeffs(divisor)
+    coeffs, scale = form.fan.scaled_coeffs(divisor)
     return sum((a * f[i] for i, a in coeffs.items()), Fraction(0)) / scale
 
 

@@ -250,12 +250,11 @@ def report_fan_build(path, opts):
 
 def report_fan_mpcp(path, opts):
     delta, fan = _fan_for(path, True)
-    dual = delta.dual()
     return {
         "fan": _fan_summary(fan),
-        "fine": set(fan.rays) == set(dual.boundary_points()),
+        "fine": fan.is_fine,
         "crepant": True,
-        "normalized_volume": dual.normalized_volume(),
+        "normalized_volume": delta.dual().normalized_volume(),
     }
 
 

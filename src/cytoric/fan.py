@@ -22,10 +22,13 @@ volume.
 The nef test is toric Kleiman on the wall relations (Cox-Little-Schenck,
 Toric Varieties, Thm 6.3.12 and 6.4): a divisor is nef iff it pairs
 nonnegatively with the relation of every wall, one integer test per wall.
-A simplicial fan's skeleton is one per-fan :class:`ConeTable`: the star of
-every face, each maximal cone's integer dual basis and the pairings of
-those bases with rays.  Walls, edges, the wall relations and the
-intersection form in :mod:`cytoric.chern` all read it.
+A :class:`Fan` owns every fact about itself: its rays, whether it is fine,
+and for a simplicial fan its skeleton (the star of every face, each
+maximal cone's integer dual basis, the pairings of those bases with rays
+and the wall relations), each built once.  Walls, edges, the nef test and
+the intersection form in :mod:`cytoric.chern` all read it, and every
+divisor audit refuses a divisor off the rays in :meth:`Fan.scaled_coeffs`,
+which also gives its integer coefficients on the ray indices.
 """
 
 from __future__ import annotations
@@ -115,26 +118,30 @@ class Fan:
 
     `source` is the polytope whose boundary the cones subdivide (the dual of
     the defining reflexive polytope); `base` is the defining polytope itself.
-    `cone_facets` maps each maximal cone to the facet of `source` whose cone
-    it refines, which makes refinement checks combinatorial.
+
+    A simplicial fan also owns its skeleton, built once and shared by the
+    walls, the edges, the nef test and the intersection form.  `cones[c]`
+    holds the ascending ray indices of maximal cone c.  `star` maps each
+    face of dimension 1 .. d-1, as ascending ray indices, to the maximal
+    cones containing it in cone order, the first its host; `owners` is its
+    restriction to the walls, which `walls()` shares, so do not mutate it.
+    For cone c with rays v_0 .. v_{d-1}, `dets[c]` is its multiplicity
+    |det| and `duals[c][i]` the integer vector n_i with <n_i, v_j> =
+    dets[c] * (i == j), one :func:`dual_basis` per cone in any dimension
+    (the eliminations that show the fan simplicial).
     """
 
-    def __init__(self, maximal_cones, provenance, base, source, cone_facets=None):
+    def __init__(self, maximal_cones, provenance, base, source):
         self.maximal_cones = tuple(
             sorted(maximal_cones, key=lambda c: c.rays)
         )
         self.provenance = provenance
         self.base = base
         self.source = source
-        if cone_facets is None:
-            self.cone_facets = None
-        else:
-            self.cone_facets = tuple(
-                cone_facets[c] for c in self.maximal_cones
-            )
         rays = sorted({r for c in self.maximal_cones for r in c.rays})
         self.rays = tuple(rays)
         self._ray_index = {r: i for i, r in enumerate(rays)}
+        self._pairings = {}
 
     @property
     def dim(self) -> int:
@@ -144,9 +151,15 @@ class Fan:
     def is_simplicial(self) -> bool:
         """Whether every maximal cone is spanned by d independent rays: d
         rays and a nonzero determinant (the maximal cones of a complete fan
-        are full-dimensional).  Read from the dual bases the cone table
-        keeps, so a simplicial fan takes one elimination per cone."""
+        are full-dimensional).  Read from the dual bases, so a simplicial
+        fan takes one elimination per cone."""
         return self._dual_bases is not None
+
+    @cached_property
+    def is_fine(self) -> bool:
+        """Whether the rays are all the boundary lattice points of the
+        base's dual, as on the full crepant refinement."""
+        return set(self.rays) == set(self.base.dual().boundary_points())
 
     @cached_property
     def _dual_bases(self):
@@ -171,13 +184,24 @@ class Fan:
     def ray_index(self, ray) -> int:
         return self._ray_index[ray]
 
+    def scaled_coeffs(self, divisor: WeilDivisor):
+        """The divisor sum a_v D_v as (ray index -> integer a_v * scale,
+        scale), scale the lcm of the denominators; refused unless every ray
+        it is supported on is a ray of the fan."""
+        index = self._ray_index
+        for r in divisor.support:
+            if r not in index:
+                raise InputError(f"divisor supported on {tuple(r)} which is not a fan ray")
+        scale = math.lcm(*[c.denominator for _, c in divisor.coeffs])
+        return {index[r]: c.numerator * (scale // c.denominator) for r, c in divisor.coeffs}, scale
+
     def walls(self):
         """Each wall (codimension-one face) as ascending ray indices, with
         the maximal cones sharing it: two each in a complete fan.  Read off
-        the cone table's star, or for a non-simplicial face fan the ridges
-        of the source polytope."""
+        the star, or for a non-simplicial face fan the ridges of the source
+        polytope."""
         if self.is_simplicial:
-            return self.cone_table.owners
+            return self.owners
         cone_pos = {frozenset(cone.rays): ci for ci, cone in enumerate(self.maximal_cones)}
         return {
             tuple(sorted(map(self.ray_index, ridge.vertices))): tuple(
@@ -189,57 +213,37 @@ class Fan:
     def wall_consistency(self) -> bool:
         return all(len(v) == 2 for v in self.walls().values())
 
-    @cached_property
-    def cone_table(self) -> ConeTable:
-        """The skeleton of a simplicial fan, built once and shared by the
-        walls, the edges, the nef test and the intersection form."""
-        return ConeTable(self)
-
-    def edges(self):
-        """All 2-element ray sets spanning a 2-cone of a simplicial fan,
-        ascending: the star's 2-faces (the maximal cones of a 2-fan)."""
-        if not self.is_simplicial:
-            raise NotSimplicialError("edge enumeration expects a simplicial fan")
-        table = self.cone_table
-        pairs = table.cones if self.dim == 2 else [g for g in table.star if len(g) == 2]
-        return [(self.rays[a], self.rays[b]) for a, b in sorted(pairs)]
-
-    def __repr__(self):
-        return (
-            f"Fan({self.provenance}, {len(self.maximal_cones)} maximal cones, "
-            f"{len(self.rays)} rays)"
-        )
-
-
-class ConeTable:
-    """The skeleton of a simplicial fan, built once per fan.
-
-    `rays` is `fan.rays`; `cones[c]` holds the ascending ray indices of
-    maximal cone c.  `star` maps each face of dimension 1 .. d-1, as
-    ascending ray indices, to the maximal cones containing it in cone
-    order, the first its host; `owners` is its restriction to the walls,
-    which `fan.walls()` shares, so do not mutate it.  For cone c with rays
-    v_0 .. v_{d-1}, `dets[c]` is its multiplicity |det| and `duals[c][i]`
-    the integer vector n_i with <n_i, v_j> = dets[c] * (i == j), one
-    :func:`dual_basis` per cone in any dimension (the eliminations that
-    show the fan simplicial).  The table keeps no reference to the fan, so
-    the two form no cycle.
-    """
-
-    def __init__(self, fan: Fan):
-        if not fan.is_simplicial:
+    def _simplicial_bases(self):
+        """`_dual_bases`, refused on a fan that is not simplicial."""
+        if self._dual_bases is None:
             raise NotSimplicialError("cone table needs a simplicial fan")
-        self.rays = fan.rays
-        self.cones = tuple(tuple(map(fan.ray_index, c.rays)) for c in fan.maximal_cones)
-        self.dets, self.duals = fan._dual_bases
+        return self._dual_bases
+
+    @property
+    def dets(self):
+        return self._simplicial_bases()[0]
+
+    @property
+    def duals(self):
+        return self._simplicial_bases()[1]
+
+    @cached_property
+    def cones(self):
+        return tuple(tuple(map(self.ray_index, c.rays)) for c in self.maximal_cones)
+
+    @cached_property
+    def star(self):
+        self._simplicial_bases()  # a star of a simplicial fan only
         star = {}
         for c, top in enumerate(self.cones):
             for k in range(1, len(top)):
                 for g in combinations(top, k):  # ascending, as top is
                     star.setdefault(g, []).append(c)
-        self.star = {g: tuple(c) for g, c in star.items()}
-        self.owners = {g: c for g, c in self.star.items() if len(g) == fan.dim - 1}
-        self._pairings = {}
+        return {g: tuple(c) for g, c in star.items()}
+
+    @cached_property
+    def owners(self):
+        return {g: c for g, c in self.star.items() if len(g) == self.dim - 1}
 
     def require_complete(self):
         if any(len(c) != 2 for c in self.owners.values()):
@@ -275,6 +279,20 @@ class ConeTable:
             out.append((self.cones[ci] + (u,), tuple(x // g for x in b)))
         return tuple(out)
 
+    def edges(self):
+        """All 2-element ray sets spanning a 2-cone of a simplicial fan,
+        ascending: the star's 2-faces (the maximal cones of a 2-fan)."""
+        if not self.is_simplicial:
+            raise NotSimplicialError("edge enumeration expects a simplicial fan")
+        pairs = self.cones if self.dim == 2 else [g for g in self.star if len(g) == 2]
+        return [(self.rays[a], self.rays[b]) for a, b in sorted(pairs)]
+
+    def __repr__(self):
+        return (
+            f"Fan({self.provenance}, {len(self.maximal_cones)} maximal cones, "
+            f"{len(self.rays)} rays)"
+        )
+
 
 def _require_reflexive(delta: Polytope, what: str) -> Polytope:
     if not delta.is_reflexive():
@@ -286,13 +304,7 @@ def face_fan(delta: Polytope) -> Fan:
     """Fan whose cones are the cones over the proper faces of the dual
     polytope; maximal cones correspond to dual facets."""
     dual = _require_reflexive(delta, "face fan")
-    cones = []
-    cone_facets = {}
-    for i, facet in enumerate(dual.faces(dual.dim - 1)):
-        cone = Cone(facet.vertices)
-        cones.append(cone)
-        cone_facets[cone] = i
-    return Fan(cones, "face", delta, dual, cone_facets)
+    return Fan([Cone(f.vertices) for f in dual.faces(dual.dim - 1)], "face", delta, dual)
 
 
 # -- MPCP refinement -------------------------------------------------------------
@@ -311,22 +323,15 @@ class _Cell:
         self.held = held
 
 
-def _facet_points(dual: Polytope, order: str):
+def _facet_points(dual: Polytope):
     """Each facet of `dual` with its lattice points in the global pull order:
-    "incidence" (points on fewer facets first, ties lexicographic) or
-    "lex"."""
+    points on fewer facets first, ties lexicographic."""
     census = dual.census()
-    if order == "lex":
-        key = tuple
-    elif order == "incidence":
-        incidence = {p: census.face_of[p].fmask.bit_count() for p in census.boundary}
-        key = lambda p: (incidence[p], tuple(p))
-    else:
-        raise InputError(f"unknown pulling order {order!r} (use 'incidence' or 'lex')")
+    face_of = census.face_of
+    order = sorted(census.boundary, key=lambda p: (face_of[p].fmask.bit_count(), tuple(p)))
     for facet in dual.faces(dual.dim - 1):
         # a facet's mask is its one bit, so sharing it is lying on the facet
-        points = [p for p in census.boundary if census.face_of[p].fmask & facet.fmask]
-        yield facet, sorted(points, key=key)
+        yield facet, [p for p in order if face_of[p].fmask & facet.fmask]
 
 
 def _pull_triangulate_facet(dual: Polytope, facet, points):
@@ -407,27 +412,22 @@ def _pull_triangulate_facet(dual: Polytope, facet, points):
     return [cell.rays for cell in cells if cell.held is not None]
 
 
-def mpcp_triangulate(delta: Polytope, order: str = "incidence") -> Fan:
+def mpcp_triangulate(delta: Polytope) -> Fan:
     """Crepant simplicial refinement of the face fan whose rays are all the
     boundary lattice points of the dual polytope.
 
     The cone over each dual facet is triangulated by iterated pulling with
-    one global point order (see :func:`_pull_triangulate_facet`), so the
-    result is fine, face-respecting, and regular by construction.  `order`
-    picks the pull sequence: "incidence" (default, points on fewer facets
-    first, ties lexicographic) or plain "lex".
-    The choice can change the triangulation where a facet admits several
-    fine splits; it never changes ray set, Picard rank, or Hodge data.
+    one global point order, points on fewer facets first and ties
+    lexicographic (see :func:`_pull_triangulate_facet`), so the result is
+    fine, face-respecting, and regular by construction.
     """
     dual = _require_reflexive(delta, "refinement")
-    cones = []
-    cone_facets = {}
-    for fi, (facet, points) in enumerate(_facet_points(dual, order)):
-        for simplex in _pull_triangulate_facet(dual, facet, points):
-            cone = Cone._from_rays(simplex)  # boundary points are primitive
-            cones.append(cone)
-            cone_facets[cone] = fi
-    fan = Fan(cones, "mpcp", delta, dual, cone_facets)
+    cones = [
+        Cone._from_rays(simplex)  # boundary points are primitive
+        for facet, points in _facet_points(dual)
+        for simplex in _pull_triangulate_facet(dual, facet, points)
+    ]
+    fan = Fan(cones, "mpcp", delta, dual)
     _validate_mpcp(fan, dual)
     return fan
 
@@ -435,15 +435,14 @@ def mpcp_triangulate(delta: Polytope, order: str = "incidence") -> Fan:
 def _validate_mpcp(fan: Fan, dual: Polytope):
     """Fine, simplicial (every cone's determinant is nonzero), every wall
     on two cones, and the cones' |det| sum to the dual's normalized volume:
-    one dual basis per cone and the star, kept in the fan's cone table."""
-    boundary = set(dual.boundary_points())
-    if set(fan.rays) != boundary:
+    one dual basis per cone and the star, kept on the fan."""
+    if not fan.is_fine:
         raise InputError("refinement is not fine: ray set != boundary points")
     if not fan.is_simplicial:
         raise InputError("refinement left a non-simplicial cone")
     if not fan.wall_consistency():
         raise InputError("refinement broke wall consistency")
-    total = sum(fan.cone_table.dets)
+    total = sum(fan.dets)
     if total != dual.normalized_volume():
         raise InputError(
             f"refined cones cover {total}, expected {dual.normalized_volume()}"
@@ -455,11 +454,10 @@ def _validate_mpcp(fan: Fan, dual: Polytope):
 
 def singularity_census(fan: Fan):
     """All maximal cones with multiplicity > 1, with their multiplicities,
-    read from the cone table."""
+    read from the fan's dual bases."""
     if not fan.is_simplicial:
         raise NotSimplicialError("singularity census needs a simplicial fan")
-    dets = fan.cone_table.dets
-    return [(c, m) for c, m in zip(fan.maximal_cones, dets) if m > 1]
+    return [(c, m) for c, m in zip(fan.maximal_cones, fan.dets) if m > 1]
 
 
 _ZERO = Fraction(0)
@@ -524,12 +522,6 @@ class WeilDivisor:
         return "WeilDivisor(" + " + ".join(parts) + ")"
 
 
-def _check_support(fan: Fan, divisor: WeilDivisor):
-    for r in divisor.support:
-        if r not in fan._ray_index:
-            raise InputError(f"divisor supported on {tuple(r)} which is not a fan ray")
-
-
 def _cone_support_data(cone: Cone, coeffs):
     """Local data m with <m, v> = -a_v on every ray v of the cone, as
     (numerators, denominator), or None; `coeffs` maps rays to a_v."""
@@ -541,7 +533,7 @@ def _cone_support_data(cone: Cone, coeffs):
 def is_qcartier(fan: Fan, divisor: WeilDivisor):
     """Whether per-cone linear support data exists; if so, also the smallest
     positive integer clearing all denominators (the Cartier index)."""
-    _check_support(fan, divisor)
+    fan.scaled_coeffs(divisor)  # refuses a divisor off the rays
     coeffs = divisor._lookup
     index = 1
     for cone in fan.maximal_cones:
@@ -580,7 +572,7 @@ def is_nef(fan: Fan, divisor: WeilDivisor) -> bool:
     """Toric Kleiman (Cox-Little-Schenck, Toric Varieties, Thm 6.3.12): on
     a complete simplicial fan, D = sum a_v D_v is nef iff D . V(tau) >= 0
     for every wall tau, i.e. sum b_v a_v >= 0 for the wall's relation
-    sum b_v v = 0 (:attr:`ConeTable.relations`).  With sigma's dual basis
+    sum b_v v = 0 (:attr:`Fan.relations`).  With sigma's dual basis
     that reads det_sigma * a_u' - sum_i a_i <n_i, u'> >= 0: the support
     function is convex across the wall.  One integer test per wall.
 
@@ -588,12 +580,9 @@ def is_nef(fan: Fan, divisor: WeilDivisor) -> bool:
     invariant under positive scaling)."""
     if not fan.is_simplicial:
         raise NotSimplicialError("nef test expects a simplicial fan")
-    _check_support(fan, divisor)
-    scale = math.lcm(*[c.denominator for _, c in divisor.coeffs])
-    a = [0] * len(fan.rays)
-    for r, c in divisor.coeffs:
-        a[fan.ray_index(r)] = c.numerator * (scale // c.denominator)
+    scaled, _ = fan.scaled_coeffs(divisor)
+    a = [scaled.get(i, 0) for i in range(len(fan.rays))]
     return all(
         sum(b * a[i] for i, b in zip(indices, coeffs)) >= 0
-        for indices, coeffs in fan.cone_table.relations
+        for indices, coeffs in fan.relations
     )

@@ -97,6 +97,8 @@ class HodgeReport:
 
 
 def _h11_terms(delta: Polytope):
+    """(h11, l(D), sum l*(F), sum l*(T) * l*(T^)) for the dual D, its facets
+    F and its 2-faces T with their dual edges T^; the counts are checked."""
     dual = delta.dual()
     n_dual_points = dual.n_points
     facet_correction = sum(f.n_interior for f in dual.faces(3))
@@ -106,17 +108,16 @@ def _h11_terms(delta: Polytope):
             continue
         edge = dual.dual_face(two_face)
         pairing_term += two_face.n_interior * edge.n_interior
-    return n_dual_points, facet_correction, pairing_term
+    if facet_correction < 0 or pairing_term < 0:
+        raise InternalInvariantError("negative Hodge count term")
+    value = n_dual_points - 5 - facet_correction + pairing_term
+    return value, n_dual_points, facet_correction, pairing_term
 
 
 def h11(delta: Polytope) -> int:
     """Picard-side Hodge number of the resolved anticanonical hypersurface."""
     _require_reflexive_4d(delta, "h11")
-    n, facet_corr, pair_term = _h11_terms(delta)
-    value = n - 5 - facet_corr + pair_term
-    if facet_corr < 0 or pair_term < 0:
-        raise InternalInvariantError("negative Hodge count term")
-    return value
+    return _h11_terms(delta)[0]
 
 
 def h12(delta: Polytope) -> int:
@@ -163,8 +164,7 @@ def divisor_census(delta: Polytope, h11_value: int | None = None) -> DivisorCens
 def report(delta: Polytope) -> HodgeReport:
     """Full Hodge data for one polytope, with the individual count terms."""
     _require_reflexive_4d(delta, "hodge report")
-    n, facet_corr, pair_term = _h11_terms(delta)
-    h11_value = n - 5 - facet_corr + pair_term
+    h11_value, n, facet_corr, pair_term = _h11_terms(delta)
     h12_value = h11(delta.dual())
     return HodgeReport(
         h11=h11_value,

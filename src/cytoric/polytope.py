@@ -699,19 +699,6 @@ def hull(points) -> Polytope:
             raise InputError("hull points must share one lattice and dimension")
     dual_cls = DUAL_LATTICE[point_cls]
 
-    if d == 1:
-        lo = min(p[0] for p in pts)
-        hi = max(p[0] for p in pts)
-        if lo == hi:
-            raise NotFullDimensionalError(0, 1)
-        return Polytope(
-            [point_cls((lo,)), point_cls((hi,))],
-            [
-                RationalHyperplane(dual_cls((1,)), lo),
-                RationalHyperplane(dual_cls((-1,)), -hi),
-            ],
-        )
-
     simplex = _initial_simplex(pts, d)
     # point-index mask -> (inner normal, rhs, the mask's single bits)
     facets = _simplex_facets(pts, simplex)

@@ -442,14 +442,14 @@ class MemoIntersectionForm:
         return total
 
 
-def combination_form_cones(table):
+def combination_form_cones(fan):
     """The intersection form's per-cone data as its constructor built it
-    before the cone table held the star: every subset of every maximal
+    before the fan held the star: every subset of every maximal
     cone, its first maximal cone as host, its link from all cones holding
     it, and <n_i, u> dotted afresh for every (face, link ray) pair.  Maps
     each face to (det, M / det, set of (u, face + u, c))."""
-    tops = table.cones
-    m = math.lcm(*table.dets)
+    tops = fan.cones
+    m = math.lcm(*fan.dets)
     host, link = {}, {}
     for ci, top in enumerate(tops):
         for k in range(len(top)):
@@ -459,12 +459,12 @@ def combination_form_cones(table):
     out = {}
     for g, ci in host.items():
         top = tops[ci]
-        basis = [table.duals[ci][top.index(i)] for i in g]
+        basis = [fan.duals[ci][top.index(i)] for i in g]
         entries = {
-            (u, tuple(sorted(g + (u,))), tuple(sum(map(mul, n, table.rays[u])) for n in basis))
+            (u, tuple(sorted(g + (u,))), tuple(sum(map(mul, n, fan.rays[u])) for n in basis))
             for u in link[g].difference(g)
         }
-        out[g] = (table.dets[ci], m // table.dets[ci], entries)
+        out[g] = (fan.dets[ci], m // fan.dets[ci], entries)
     return out
 
 

@@ -16,7 +16,7 @@ from cytoric.chern import (
     intersection_number,
 )
 from cytoric.errors import InputError
-from cytoric.fan import WeilDivisor, face_fan, mpcp_triangulate, picard_rank_q
+from cytoric.fan import WeilDivisor, face_fan, is_nef, is_qcartier, mpcp_triangulate, picard_rank_q
 from cytoric.fixtures import fixture_points
 from cytoric.lattice import NPoint
 from cytoric.polytope import Polytope, hull
@@ -162,7 +162,7 @@ def test_form_cones_match_combination_oracle(example_form):
     fans.append(mpcp_triangulate(ray_simplex((1, 2, 2, 2))))
     for fan in fans:
         form = IntersectionForm(fan)
-        expected = combination_form_cones(fan.cone_table)
+        expected = combination_form_cones(fan)
         assert form._cones.keys() == expected.keys()
         for g, (det, w, entries) in form._cones.items():
             assert len(set(entries)) == len(entries)
@@ -274,17 +274,40 @@ def test_intersection_number_dense_matches_sparse(quintic, p4_form):
 
 
 def test_c2_rejects_wrong_fan(example_s3, quintic):
-    # a fan from another polytope, and a face fan short of the 200 boundary
-    # points of the dual, are refused on every call
+    # a fan from another polytope, and face fans short of the 200 and 125
+    # boundary points of their duals, are refused on every call
     delta = ray_simplex((1, 1, 1, 4))
     coarse = face_fan(delta)
     assert coarse.is_simplicial and len(coarse.rays) == 5
-    for poly, fan in ((example_s3, mpcp_triangulate(quintic)), (delta, coarse)):
+    mirror = quintic.dual()
+    cases = [
+        (example_s3, mpcp_triangulate(quintic), "fan was not built from this polytope"),
+        (delta, coarse, "not the full crepant refinement"),
+        (mirror, face_fan(mirror), "not the full crepant refinement"),
+    ]
+    for poly, fan, message in cases:
         for fan_or_form in (fan, IntersectionForm(fan), fan):
-            with pytest.raises(InputError):
-                c2_dot(poly, fan_or_form, WeilDivisor.zero())
-            with pytest.raises(InputError):
+            with pytest.raises(InputError, match=message):
+                c2_dot(poly, fan_or_form, WeilDivisor.anticanonical(fan))
+            with pytest.raises(InputError, match=message):
                 curve_census(poly, fan)
+
+
+def test_divisor_off_the_fan_is_refused(quintic, p4_form):
+    # (1, 1, 0, 0) is no ray of the quintic's refinement (its rays are the
+    # five vertices of the dual simplex)
+    fan = p4_form.fan
+    off = WeilDivisor.ray(npt(1, 1, 0, 0)) + WeilDivisor.ray(fan.rays[0])
+    mk = WeilDivisor.anticanonical(fan)
+    refusals = [
+        lambda: is_nef(fan, off),
+        lambda: is_qcartier(fan, off),
+        lambda: intersection_number(p4_form, off, mk, mk, mk),
+        lambda: c2_dot(quintic, p4_form, off),
+    ]
+    for refusal in refusals:
+        with pytest.raises(InputError):
+            refusal()
 
 
 def test_c2_audit_checks_the_refinement_once(monkeypatch):
@@ -302,12 +325,11 @@ def test_c2_audit_checks_the_refinement_once(monkeypatch):
     mk = WeilDivisor.anticanonical(form.fan)
     values, audits = c2_audit(delta, form, [("-K", mk)])
     assert len(values) == 201 and len(audits) == 1
-    assert calls == [delta.dual()]
-    # the passed check is remembered for this polytope only
+    assert calls == []  # the refinement settled its fineness once when built
     with pytest.raises(InputError):
         c2_dot(hull(fixture_points("quintic")), form, mk)
     curve_census(delta, form.fan)
-    assert calls == [delta.dual()]
+    assert calls == []
 
 
 # -- curve census --------------------------------------------------------------------

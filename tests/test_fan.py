@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -13,7 +14,6 @@ from cytoric.chern import IntersectionForm
 from cytoric.errors import InputError, NotReflexiveError, NotSimplicialError
 from cytoric.fan import (
     Cone,
-    ConeTable,
     Fan,
     WeilDivisor,
     _facet_points,
@@ -159,7 +159,14 @@ def test_mpcp_example_splits_inside_the_big_cone(example_mpcp, example_face_fan)
 def test_mpcp_lex_order_knob(example_s3):
     # plain lexicographic pulling produces the other valid fine split of the
     # bipyramid facet: three smooth cones around the interior edge
-    f = mpcp_triangulate(example_s3, order="lex")
+    dual = example_s3.dual()
+    cones = [
+        Cone._from_rays(simplex)
+        for facet, points in _facet_points(dual)
+        for simplex in _pull_triangulate_facet(dual, facet, sorted(points, key=tuple))
+    ]
+    f = Fan(cones, "mpcp", example_s3, dual)
+    _validate_mpcp(f, dual)
     assert len(f.maximal_cones) == 17
     census = singularity_census(f)
     assert len(census) == 7
@@ -187,15 +194,11 @@ def test_mpcp_fineness_and_crepancy(example_s3, cube4, quintic):
 
 
 def test_mpcp_refines_face_fan(example_s3):
+    # each cone's rays share a facet bit: the cone lies in a facet's cone
     f = mpcp_triangulate(example_s3)
-    ff = face_fan(example_s3)
-    face_cones = [set(c.rays) for c in ff.maximal_cones]
-    dual = example_s3.dual()
-    census = dual.census()
-    for cone, facet_idx in zip(f.maximal_cones, f.cone_facets):
-        facet = dual.faces(3)[facet_idx]
-        for ray in cone.rays:
-            assert census.face_of[ray].facet_set >= facet.facet_set
+    census = example_s3.dual().census()
+    for cone in f.maximal_cones:
+        assert functools.reduce(int.__and__, (census.face_of[r].fmask for r in cone.rays))
 
 
 def test_mpcp_volume_conservation(example_s3, cube4, quintic, square):
@@ -268,11 +271,11 @@ def test_pulling_matches_every_cell_oracle():
     sources = [fixture_polytope(name).dual() for name in ALL]  # all reflexive
     sources += [ray_simplex(w) for w, _, _ in GOLDEN_SIMPLICES]
     for dual in sources:
-        for order in ("incidence", "lex"):
-            for facet, points in _facet_points(dual, order):
-                cells = _pull_triangulate_facet(dual, facet, points)
+        for facet, points in _facet_points(dual):
+            for order in (points, sorted(points, key=tuple)):  # incidence, lex
+                cells = _pull_triangulate_facet(dual, facet, order)
                 assert len(set(cells)) == len(cells)
-                assert set(cells) == pull_every_cell(dual, facet, points)
+                assert set(cells) == pull_every_cell(dual, facet, order)
 
 
 def test_validate_mpcp_rejects_broken_refinements(cube4, cube_mpcp, quintic):
@@ -293,6 +296,15 @@ def test_validate_mpcp_rejects_broken_refinements(cube4, cube_mpcp, quintic):
     # polytope as rays, not its other 120 boundary points
     with pytest.raises(InputError, match="not fine"):
         _validate_mpcp(face_fan(quintic.dual()), quintic)
+
+
+def test_incomplete_fan_is_refused(cube4, cube_mpcp):
+    # one cone removed leaves four walls with a single incident cone
+    fan = Fan(cube_mpcp.maximal_cones[1:], "mpcp", cube4, cube4.dual())
+    with pytest.raises(InputError, match="fan is not complete"):
+        IntersectionForm(fan)
+    with pytest.raises(InputError, match="fan is not complete"):
+        is_nef(fan, WeilDivisor.anticanonical(fan))
 
 
 def test_refinement_rejects_a_cell_pulled_twice(cube4, cube_mpcp, monkeypatch):
@@ -344,15 +356,14 @@ def test_star_matches_every_cone_subset(p4_fan, example_mpcp, cross4d_mpcp, wp11
     fans = [p4_fan, example_mpcp, cross4d_mpcp, wp11222_mpcp]
     fans += [face_fan(fixture_polytope(name)) for name in POLYGONS]
     for fan in fans:
-        table = fan.cone_table
         expected = {}
         for c, cone in enumerate(fan.maximal_cones):
             top = tuple(map(fan.ray_index, cone.rays))
-            assert table.cones[c] == top
+            assert fan.cones[c] == top
             for k in range(1, fan.dim):
                 for g in itertools.combinations(top, k):
                     expected.setdefault(g, []).append(c)
-        assert table.star == {g: tuple(c) for g, c in expected.items()}
+        assert fan.star == {g: tuple(c) for g, c in expected.items()}
         assert fan.walls() == {g: tuple(c) for g, c in expected.items() if len(g) == fan.dim - 1}
         pairs = {(a, b) for cone in fan.maximal_cones for a, b in itertools.combinations(cone.rays, 2)}
         assert fan.edges() == sorted(pairs)
@@ -365,26 +376,25 @@ def test_form_and_relations_pair_each_cone_with_a_ray_once(monkeypatch):
     # form's own subset loop and the relations took 13,216 and 34,808
     assert not hasattr(chern, "dot")  # the form computes no pairing itself
     dots, asked = [0], []
-    dot, pairings = fan_module.dot, ConeTable.pairings
+    dot, pairings = fan_module.dot, Fan.pairings
 
     def counted_dot(*args):
         dots[0] += 1
         return dot(*args)
 
-    def recorded(table, c, u):
-        asked.append((table, c, u))
-        return pairings(table, c, u)
+    def recorded(fan, c, u):
+        asked.append((fan, c, u))
+        return pairings(fan, c, u)
 
     for delta, expected in ((fixture_polytope("cross4d"), 5568), (ray_simplex((1, 1, 1, 4)), 14880)):
         fan = mpcp_triangulate(delta)
         dots[0], asked[:] = 0, []
         monkeypatch.setattr(fan_module, "dot", counted_dot)
-        monkeypatch.setattr(ConeTable, "pairings", recorded)
+        monkeypatch.setattr(Fan, "pairings", recorded)
         IntersectionForm(fan)
         assert is_nef(fan, WeilDivisor.anticanonical(fan))
         monkeypatch.undo()
-        table = fan.cone_table
-        assert all(t is table and u not in table.cones[c] for t, c, u in asked)
+        assert all(f is fan and u not in fan.cones[c] for f, c, u in asked)
         assert dots[0] == fan.dim * len({(c, u) for _, c, u in asked}) == expected
 
 
@@ -541,13 +551,12 @@ def test_wall_relations(p4_fan, quintic, example_mpcp, cross4d_mpcp, wp11222_mpc
     fans += list(mirror_mpcps.values())
     fans += [face_fan(fixture_polytope(name)) for name in POLYGONS]
     for fan in fans:
-        table = fan.cone_table
-        assert len(table.relations) == len(fan.maximal_cones) * fan.dim // 2
-        for (wall, (ci, cj)), (indices, b) in zip(table.owners.items(), table.relations):
+        assert len(fan.relations) == len(fan.maximal_cones) * fan.dim // 2
+        for (wall, (ci, cj)), (indices, b) in zip(fan.owners.items(), fan.relations):
             rays = [fan.rays[i] for i in indices]
             sigma, other = fan.maximal_cones[ci].rays, fan.maximal_cones[cj].rays
             assert set(rays) == set(sigma) | set(other) and set(rays[:-1]) == set(sigma)
-            assert set(wall) == set(table.cones[ci]) & set(table.cones[cj]) and len(wall) == fan.dim - 1
+            assert set(wall) == set(fan.cones[ci]) & set(fan.cones[cj]) and len(wall) == fan.dim - 1
             assert all(sum(x * v[k] for x, v in zip(b, rays)) == 0 for k in range(fan.dim))
             assert math.gcd(*b) == 1
             off_wall = [x for x, i in zip(b, indices) if i not in wall]

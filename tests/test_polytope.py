@@ -82,8 +82,9 @@ def test_hull_collinear_boundary_point_dropped():
         ([(0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 2, 0), (0, 1, 0, 0), (1, 1, 1, 0)], 3),
         # on the hyperplane x1 + 2 x2 - x3 + 3 x4 = 6
         ([(6, 0, 0, 0), (0, 3, 0, 0), (0, 0, -6, 0), (0, 0, 0, 2), (1, 1, -3, 0), (2, 2, 0, 0)], 3),
+        ([(5,), (5,)], 0),
     ],
-    ids=["plane-in-z3", "point", "line", "plane", "solid", "tilted-solid"],
+    ids=["plane-in-z3", "point", "line", "plane", "solid", "tilted-solid", "point-on-a-line"],
 )
 def test_hull_not_full_dimensional_reports_affine_dim(points, affine_dim):
     with pytest.raises(NotFullDimensionalError) as info:
@@ -96,6 +97,9 @@ def test_hull_segment():
     p = hull(mpoints([(-2,), (5,), (0,)]))
     assert len(p.vertices) == 2
     assert p.normalized_volume() == 7
+    p = hull(mpoints([(-1,), (1,)]))
+    assert p.vertices == tuple(mpoints([(-1,), (1,)]))
+    assert p.normalized_volume() == 2 and p.is_reflexive()
 
 
 def assert_hull_matches_brute_force(pts):
