@@ -34,7 +34,7 @@ from operator import mul
 
 from .errors import InputError, NotSimplicialError
 from .fan import Fan, WeilDivisor, is_nef
-from .hodge import PointType, classify_boundary
+from .hodge import PointType, classify_boundary, divisor_census
 from .polytope import Polytope
 
 
@@ -213,26 +213,29 @@ def curve_census(delta: Polytope, fan: Fan) -> CurveCensus:
     lattice length of the dual edge; an edge inside a 1-face with a
     non-vertex endpoint lies over a singular curve and gives the
     intersection of two exceptional branches; an edge of the 1-skeleton
-    between two vertices gives a smooth curve.
+    between two vertices gives a smooth curve.  The points reported as
+    covered or not are the divisor census's irreducible and split points.
     """
     if not fan.is_simplicial:
         raise NotSimplicialError("curve census expects the refined fan")
     _check_is_refinement_of(delta, fan)
     dual = delta.dual()
     census = dual.census()
-    classified = classify_boundary(dual)
+    kinds = classify_boundary(dual)
+    divisors = divisor_census(delta)
+    irreducible = set(divisors.irreducible_points)
+    split = {p for p, _ in divisors.split_points}
     entries = []
     covered = set()
     for a, b in fan.edges():
-        ka = classified[a].kind
-        kb = classified[b].kind
+        ka = kinds[a]
+        kb = kinds[b]
         face = dual.faces().by_fmask[census.face_of[a].fmask & census.face_of[b].fmask]
         if ka is PointType.IN_3FACE or kb is PointType.IN_3FACE or face.dim == 3:
             entries.append(CurveEntry((a, b), CurveClass.EMPTY, 0, face.dim))
             continue
         if face.dim == 2:
-            dual_edge = dual.dual_face(face)
-            n = dual_edge.n_interior + 1
+            n = dual.dual_face(face).lattice_length
             entries.append(CurveEntry((a, b), CurveClass.RATIONAL_FAMILY, n, 2))
         elif ka is PointType.VERTEX and kb is PointType.VERTEX:
             entries.append(CurveEntry((a, b), CurveClass.SMOOTH_SECTION, 1, face.dim))
@@ -240,17 +243,11 @@ def curve_census(delta: Polytope, fan: Fan) -> CurveCensus:
             entries.append(CurveEntry((a, b), CurveClass.BRANCH_INTERSECTION, 1, face.dim))
         covered.add(a)
         covered.add(b)
-    irreducible = {
-        p for p, info in classified.items()
-        if info.kind in (PointType.VERTEX, PointType.IN_EDGE)
-    }
-    split = {p for p, info in classified.items() if info.kind is PointType.IN_2FACE}
-    relevant = irreducible | split
     return CurveCensus(
         entries=tuple(entries),  # edges() is ascending
         covered_irreducible=frozenset(covered & irreducible),
         covered_split=frozenset(covered & split),
-        uncovered=frozenset(relevant - covered),
+        uncovered=frozenset((irreducible | split) - covered),
     )
 
 

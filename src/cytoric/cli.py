@@ -210,7 +210,7 @@ def report_cy_hodge(path, opts):
             "dual_points": rep.n_dual_points,
             "facet_interior_correction": rep.facet_interior_correction,
             "two_face_pairing_term": rep.two_face_pairing_term,
-            "linear_relations": 4,
+            "linear_relations": hodge_mod.LINEAR_RELATIONS,
         },
     }
 

@@ -116,8 +116,8 @@ def cone_mult(cone: Cone) -> int:
 class Fan:
     """Complete fan presented by its maximal cones.
 
-    `source` is the polytope whose boundary the cones subdivide (the dual of
-    the defining reflexive polytope); `base` is the defining polytope itself.
+    `base` is the defining reflexive polytope; the cones subdivide the
+    boundary of its dual.
 
     A simplicial fan also owns its skeleton, built once and shared by the
     walls, the edges, the nef test and the intersection form.  `cones[c]`
@@ -131,13 +131,12 @@ class Fan:
     (the eliminations that show the fan simplicial).
     """
 
-    def __init__(self, maximal_cones, provenance, base, source):
+    def __init__(self, maximal_cones, provenance, base):
         self.maximal_cones = tuple(
             sorted(maximal_cones, key=lambda c: c.rays)
         )
         self.provenance = provenance
         self.base = base
-        self.source = source
         rays = sorted({r for c in self.maximal_cones for r in c.rays})
         self.rays = tuple(rays)
         self._ray_index = {r: i for i, r in enumerate(rays)}
@@ -198,16 +197,17 @@ class Fan:
     def walls(self):
         """Each wall (codimension-one face) as ascending ray indices, with
         the maximal cones sharing it: two each in a complete fan.  Read off
-        the star, or for a non-simplicial face fan the ridges of the source
-        polytope."""
+        the star, or for a non-simplicial face fan the ridges of the base's
+        dual."""
         if self.is_simplicial:
             return self.owners
+        dual = self.base.dual()
         cone_pos = {frozenset(cone.rays): ci for ci, cone in enumerate(self.maximal_cones)}
         return {
             tuple(sorted(map(self.ray_index, ridge.vertices))): tuple(
-                sorted(cone_pos[frozenset(f.vertices)] for f in self.source.faces().parents(ridge))
+                sorted(cone_pos[frozenset(f.vertices)] for f in dual.faces().parents(ridge))
             )
-            for ridge in self.source.faces(self.source.dim - 2)
+            for ridge in dual.faces(dual.dim - 2)
         }
 
     def wall_consistency(self) -> bool:
@@ -304,7 +304,7 @@ def face_fan(delta: Polytope) -> Fan:
     """Fan whose cones are the cones over the proper faces of the dual
     polytope; maximal cones correspond to dual facets."""
     dual = _require_reflexive(delta, "face fan")
-    return Fan([Cone(f.vertices) for f in dual.faces(dual.dim - 1)], "face", delta, dual)
+    return Fan([Cone(f.vertices) for f in dual.faces(dual.dim - 1)], "face", delta)
 
 
 # -- MPCP refinement -------------------------------------------------------------
@@ -427,15 +427,15 @@ def mpcp_triangulate(delta: Polytope) -> Fan:
         for facet, points in _facet_points(dual)
         for simplex in _pull_triangulate_facet(dual, facet, points)
     ]
-    fan = Fan(cones, "mpcp", delta, dual)
-    _validate_mpcp(fan, dual)
+    fan = Fan(cones, "mpcp", delta)
+    _validate_mpcp(fan)
     return fan
 
 
-def _validate_mpcp(fan: Fan, dual: Polytope):
+def _validate_mpcp(fan: Fan):
     """Fine, simplicial (every cone's determinant is nonzero), every wall
-    on two cones, and the cones' |det| sum to the dual's normalized volume:
-    one dual basis per cone and the star, kept on the fan."""
+    on two cones, and the cones' |det| sum to the base's dual's normalized
+    volume: one dual basis per cone and the star, kept on the fan."""
     if not fan.is_fine:
         raise InputError("refinement is not fine: ray set != boundary points")
     if not fan.is_simplicial:
@@ -443,6 +443,7 @@ def _validate_mpcp(fan: Fan, dual: Polytope):
     if not fan.wall_consistency():
         raise InputError("refinement broke wall consistency")
     total = sum(fan.dets)
+    dual = fan.base.dual()
     if total != dual.normalized_volume():
         raise InputError(
             f"refined cones cover {total}, expected {dual.normalized_volume()}"

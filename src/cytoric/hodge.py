@@ -19,7 +19,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import InputError, InternalInvariantError, NotReflexiveError
-from .polytope import Face, Polytope
+from .polytope import Polytope
 
 
 class PointType(enum.Enum):
@@ -34,12 +34,7 @@ class PointType(enum.Enum):
 
 _TYPE_BY_DIM = {0: PointType.VERTEX, 1: PointType.IN_EDGE, 2: PointType.IN_2FACE, 3: PointType.IN_3FACE}
 
-
-@dataclass(frozen=True)
-class BoundaryPoint:
-    point: object
-    kind: PointType
-    face: Face
+LINEAR_RELATIONS = 4  # principal divisors: one per coordinate of M
 
 
 def _require_reflexive_4d(p: Polytope, what: str):
@@ -50,15 +45,12 @@ def _require_reflexive_4d(p: Polytope, what: str):
 
 
 def classify_boundary(dstar: Polytope) -> dict:
-    """Classify each boundary lattice point of a reflexive 4-polytope by the
-    unique face whose relative interior contains it."""
+    """{point: PointType} for each boundary lattice point of a reflexive
+    4-polytope, in lexicographic order: the dimension of the unique face
+    whose relative interior contains it, read from the census."""
     _require_reflexive_4d(dstar, "boundary classification")
     census = dstar.census()
-    out = {}
-    for p in census.boundary:
-        face = census.face_of[p]
-        out[p] = BoundaryPoint(p, _TYPE_BY_DIM[face.dim], face)
-    return out
+    return {p: _TYPE_BY_DIM[census.face_of[p].dim] for p in census.boundary}
 
 
 @dataclass(frozen=True)
@@ -74,7 +66,6 @@ class DivisorCensus:
     irreducible_points: tuple
     split_points: tuple  # pairs (point, number of components)
     off_hypersurface_points: tuple
-    n_linear_relations: int = 4
 
     @property
     def total_components(self) -> int:
@@ -82,7 +73,7 @@ class DivisorCensus:
 
     @property
     def rank(self) -> int:
-        return self.total_components - self.n_linear_relations
+        return self.total_components - LINEAR_RELATIONS
 
 
 @dataclass(frozen=True)
@@ -132,46 +123,44 @@ def euler(delta: Polytope) -> int:
     return 2 * (h11(delta) - h12(delta))
 
 
-def divisor_census(delta: Polytope, h11_value: int | None = None) -> DivisorCensus:
-    """Bucket the dual boundary points by how their divisors meet the
-    hypersurface; component counts use the lattice length of the dual edge.
-
-    The census rank is checked against h11; pass `h11_value` when it is
-    already known to skip recounting it."""
+def divisor_census(delta: Polytope) -> DivisorCensus:
+    """Bucket the dual boundary points, in lexicographic order, by the
+    dimension of their face: a vertex or edge point gives one irreducible
+    divisor, a 2-face point splits into as many components as the lattice
+    length of the dual edge, and a facet point misses the hypersurface.
+    The census rank is checked against h11."""
     _require_reflexive_4d(delta, "divisor census")
     dual = delta.dual()
-    classified = classify_boundary(dual)
+    census = dual.census()
     irreducible = []
     split = []
     skipped = []
-    for p in sorted(classified):
-        info = classified[p]
-        if info.kind in (PointType.VERTEX, PointType.IN_EDGE):
+    for p in census.boundary:
+        face = census.face_of[p]
+        if face.dim < 2:
             irreducible.append(p)
-        elif info.kind is PointType.IN_2FACE:
-            edge = dual.dual_face(info.face)
-            split.append((p, edge.n_interior + 1))
+        elif face.dim == 2:
+            split.append((p, dual.dual_face(face).lattice_length))
         else:
             skipped.append(p)
-    census = DivisorCensus(tuple(irreducible), tuple(split), tuple(skipped))
-    if h11_value is None:
-        h11_value = h11(delta)
-    if census.rank != h11_value:
-        raise InternalInvariantError(f"divisor census rank {census.rank} != h11 {h11_value}")
-    return census
+    out = DivisorCensus(tuple(irreducible), tuple(split), tuple(skipped))
+    expected = h11(delta)
+    if out.rank != expected:
+        raise InternalInvariantError(f"divisor census rank {out.rank} != h11 {expected}")
+    return out
 
 
 def report(delta: Polytope) -> HodgeReport:
     """Full Hodge data for one polytope, with the individual count terms."""
     _require_reflexive_4d(delta, "hodge report")
-    h11_value, n, facet_corr, pair_term = _h11_terms(delta)
+    value, n, facet_corr, pair_term = _h11_terms(delta)
     h12_value = h11(delta.dual())
     return HodgeReport(
-        h11=h11_value,
+        h11=value,
         h12=h12_value,
-        euler=2 * (h11_value - h12_value),
+        euler=2 * (value - h12_value),
         n_dual_points=n,
         facet_interior_correction=facet_corr,
         two_face_pairing_term=pair_term,
-        census=divisor_census(delta, h11_value),
+        census=divisor_census(delta),
     )

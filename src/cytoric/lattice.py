@@ -3,7 +3,14 @@
 Points of M and points of N are deliberately distinct types even though
 both are integer tuples: the polytope/dual-polytope structure lives across
 the M/N boundary and mixing the two silently is the single most damaging
-bug class in this kind of code.  Only :func:`pairing` crosses the boundary.
+bug class in this kind of code.  The types are enforced where points are
+made and where a polytope is assembled: a point gets its lattice when a
+:class:`LatticeVector` is constructed, arithmetic refuses to combine points
+of different lattices, and ``Polytope._validate`` refuses facet normals
+that do not live in the lattice dual to the vertices.  :func:`pairing` is
+the checked way across the boundary; the hot loops (``Polytope._slacks``,
+``hull`` and the refinement's pulling cells) pair M with N through the
+unchecked ``_linalg.dot``, on points whose types those checks fixed.
 """
 
 from __future__ import annotations

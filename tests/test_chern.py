@@ -351,8 +351,8 @@ def test_curve_census_cross_empty_rule(cross4):
     for entry in census.entries:
         a, b = entry.edge
         if (
-            classified[a].kind is hodge.PointType.IN_3FACE
-            or classified[b].kind is hodge.PointType.IN_3FACE
+            classified[a] is hodge.PointType.IN_3FACE
+            or classified[b] is hodge.PointType.IN_3FACE
         ):
             assert entry.kind is CurveClass.EMPTY
 
@@ -367,7 +367,7 @@ def test_curve_census_example_vertices_only(example_s3):
     assert census.uncovered == frozenset()
     # all endpoints are vertices of the dual here
     classified = hodge.classify_boundary(example_s3.dual())
-    assert all(info.kind is hodge.PointType.VERTEX for info in classified.values())
+    assert all(kind is hodge.PointType.VERTEX for kind in classified.values())
 
 
 def test_c2_vanishes_on_divisors_missing_the_hypersurface(cross4):
@@ -377,7 +377,7 @@ def test_c2_vanishes_on_divisors_missing_the_hypersurface(cross4):
     form = IntersectionForm(fan)
     classified = hodge.classify_boundary(cross4.dual())
     mk = WeilDivisor.anticanonical(fan)
-    skipped = [p for p, info in classified.items() if info.kind is hodge.PointType.IN_3FACE]
+    skipped = [p for p, kind in classified.items() if kind is hodge.PointType.IN_3FACE]
     assert len(skipped) == 8
     for p in skipped:
         d = WeilDivisor.ray(p)

@@ -65,6 +65,24 @@ def test_parse_comments_ignored():
     assert len(pts) == 4
 
 
+@pytest.mark.parametrize(
+    "call, argument, message, line",
+    [
+        (parse_polytope, "1 2 3", "header must be 'n_points dim'", 1),
+        (parse_polytope, "2 x", "header entries must be integers", 1),
+        (parse_polytope, "0 2", "header entries must be positive", 1),
+        (parse_polytope, "1 1\n0\n1", "more than the declared 1 points", 3),
+        (parse_polytope, "# only a comment\n", "empty file", 1),
+        (dump_polytope, [], "cannot dump an empty point list", None),
+    ],
+)
+def test_polytope_file_errors(call, argument, message, line):
+    with pytest.raises(PolytopeFileError) as info:
+        call(argument)
+    assert info.value.line == line
+    assert str(info.value) == (message if line is None else f"line {line}: {message}")
+
+
 def test_dump_round_trip():
     original = parse_polytope("4 2\n1 1\n 1  -1\n-1 1\n-1 -1")
     dumped = dump_polytope(original)
@@ -145,6 +163,28 @@ def test_fan_nef_divisor_parsing(runner):
     assert json.loads(neg.output)["nef"] is False
     bad = runner.invoke(main, ["fan", "nef", "--divisor", "(9,9,9,9)=1", path])
     assert bad.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args, status, message",
+    [
+        (["poly", "check", "SEGMENT"], 0, '"note": "origin is not strictly interior"'),
+        (["fan", "nef", "--divisor", "0=1", "cross4d"], 1, "divisor is not Q-Cartier; nef test undefined"),
+        (["fan", "nef", "--divisor", "1", "quintic"], 2, "divisor term '1' is not ray=coeff"),
+        (["fan", "nef", "--divisor", "(1,x)=1", "quintic"], 2, "bad ray coordinates '(1,x)'"),
+        (["fan", "nef", "--divisor", "x=1", "quintic"], 2, "bad ray index 'x'"),
+        (["fan", "nef", "--divisor", "99=1", "quintic"], 2, "ray index 99 out of range 0..4"),
+    ],
+)
+def test_cli_refusals(runner, tmp_path, args, status, message):
+    segment = tmp_path / "segment.poly"
+    segment.write_text("2 1\n0\n1\n")
+    files = {"SEGMENT": str(segment), "cross4d": fixture_file("cross4d"), "quintic": fixture_file("quintic")}
+    result = runner.invoke(main, ["--json"] + [files.get(a, a) for a in args])
+    assert result.exit_code == status
+    assert message in result.output
+    if status == 0:
+        assert json.loads(result.output)["reflexive"] is False
 
 
 @pytest.mark.parametrize("spec", ["", "   "])

@@ -165,8 +165,8 @@ def test_mpcp_lex_order_knob(example_s3):
         for facet, points in _facet_points(dual)
         for simplex in _pull_triangulate_facet(dual, facet, sorted(points, key=tuple))
     ]
-    f = Fan(cones, "mpcp", example_s3, dual)
-    _validate_mpcp(f, dual)
+    f = Fan(cones, "mpcp", example_s3)
+    _validate_mpcp(f)
     assert len(f.maximal_cones) == 17
     census = singularity_census(f)
     assert len(census) == 7
@@ -288,19 +288,19 @@ def test_validate_mpcp_rejects_broken_refinements(cube4, cube_mpcp, quintic):
         (cones[1:], "wall consistency"),  # one cone removed
     ]
     for maximal_cones, message in broken:
-        fan = Fan(maximal_cones, "mpcp", cube4, dual)
+        fan = Fan(maximal_cones, "mpcp", cube4)
         assert set(fan.rays) == set(dual.boundary_points())
         with pytest.raises(InputError, match=message):
-            _validate_mpcp(fan, dual)
+            _validate_mpcp(fan)
     # the mirror quintic's face fan has the five vertices of the quintic
     # polytope as rays, not its other 120 boundary points
     with pytest.raises(InputError, match="not fine"):
-        _validate_mpcp(face_fan(quintic.dual()), quintic)
+        _validate_mpcp(face_fan(quintic.dual()))
 
 
 def test_incomplete_fan_is_refused(cube4, cube_mpcp):
     # one cone removed leaves four walls with a single incident cone
-    fan = Fan(cube_mpcp.maximal_cones[1:], "mpcp", cube4, cube4.dual())
+    fan = Fan(cube_mpcp.maximal_cones[1:], "mpcp", cube4)
     with pytest.raises(InputError, match="fan is not complete"):
         IntersectionForm(fan)
     with pytest.raises(InputError, match="fan is not complete"):
@@ -310,10 +310,9 @@ def test_incomplete_fan_is_refused(cube4, cube_mpcp):
 def test_refinement_rejects_a_cell_pulled_twice(cube4, cube_mpcp, monkeypatch):
     # a duplicated cell puts three cones on each of its walls and covers
     # its volume twice, in a hand-built fan and out of the pulling itself
-    dual = cube4.dual()
     cones = list(cube_mpcp.maximal_cones)
     with pytest.raises(InputError, match="wall consistency"):
-        _validate_mpcp(Fan(cones + cones[:1], "mpcp", cube4, dual), dual)
+        _validate_mpcp(Fan(cones + cones[:1], "mpcp", cube4))
     pulled = []
 
     def twice_first(*args):
@@ -607,7 +606,7 @@ def test_nef_invariant_under_unimodular_shears(example_mpcp, cross4d_mpcp):
         for _ in range(3):
             steps = [(i, j, rng.choice((-2, -1, 1, 2))) for i, j in [rng.sample(range(4), 2) for _ in range(4)]]
             moved = dict(zip(fan.rays, map(NPoint, shear([tuple(r) for r in fan.rays], steps))))
-            sheared = Fan([Cone(tuple(moved[r] for r in c.rays)) for c in fan.maximal_cones], "sheared", None, None)
+            sheared = Fan([Cone(tuple(moved[r] for r in c.rays)) for c in fan.maximal_cones], "sheared", None)
             images = [WeilDivisor.from_dict({moved[r]: c for r, c in d.coeffs}) for d in divisors]
             assert [is_nef(sheared, d) for d in images] == verdicts
 

@@ -16,14 +16,14 @@ from oracles import grid_points, saturation_census
 def test_classify_cross_polytope_all_vertices(cross4):
     classified = hodge.classify_boundary(cross4)
     assert len(classified) == 8
-    assert all(info.kind is PointType.VERTEX for info in classified.values())
+    assert all(kind is PointType.VERTEX for kind in classified.values())
 
 
 def test_classify_cube_grid_partition(cube4):
     classified = hodge.classify_boundary(cube4)
     counts = {}
-    for info in classified.values():
-        counts[info.kind] = counts.get(info.kind, 0) + 1
+    for kind in classified.values():
+        counts[kind] = counts.get(kind, 0) + 1
     # oracle: all 80 boundary points of the 3^4 grid split by zero pattern
     oracle = saturation_census([tuple(v) for v in cube4.vertices])
     assert counts[PointType.IN_3FACE] == oracle[1] == 8
@@ -36,7 +36,7 @@ def test_classify_example_dual(example_s3):
     d = example_s3.dual()
     classified = hodge.classify_boundary(d)
     assert len(classified) == 8
-    assert all(info.kind is PointType.VERTEX for info in classified.values())
+    assert all(kind is PointType.VERTEX for kind in classified.values())
 
 
 def test_classify_counts_partition(example_s3, cube4, cross4, quintic):
