@@ -1,14 +1,14 @@
 """Exact convex geometry of full-dimensional lattice polytopes.
 
-Hulls are built by beneath-beyond insertion over the sorted input points:
-the facet through a horizon ridge and the new point is the nonnegative
+Hulls are built by beneath-beyond insertion over the sorted input points,
+one whole (possibly non-simplicial) facet per plane, each holding the int
+bitmask of the inserted points on it.  Two facets meet in a ridge when the
+points on both lie on no third facet (Fukuda and Prodon, 1996), and the
+facet through a horizon ridge and the new point is the nonnegative
 combination of the two facets sharing that ridge that vanishes at the
-point (Barber, Dobkin and Huhdanpaa, 1996), and ridge ownership is updated
-as facets come and go.  A simplicial facet is keyed by the int bitmask of
-its point indices, so a ridge is the key with one bit cleared.  Coplanar
-simplicial pieces are then merged into the true (possibly non-simplicial)
-facets, and one slack table of every input point against every merged
-facet checks the result, picks the vertices and gives the incidence.
+point (Barber, Dobkin and Huhdanpaa, 1996).  One slack table of every
+input point against every facet then checks the result, picks the
+vertices and gives the incidence.
 
 A polytope keeps each vertex's saturated facets as an int bitmask (bit i
 is facet i) and each facet's vertices as one too (bit j is vertex j).
@@ -33,6 +33,7 @@ import functools
 from collections import Counter
 from fractions import Fraction
 from math import gcd
+from operator import sub
 
 from ._linalg import (
     dot,
@@ -266,7 +267,7 @@ class Polytope:
             if len(on) < d:
                 raise InputError(f"facet {i} holds fewer than {d} vertices")
             first = self.vertices[on[0]]
-            diffs = [tuple(a - b for a, b in zip(self.vertices[j], first)) for j in on[1:]]
+            diffs = [list(map(sub, self.vertices[j], first)) for j in on[1:]]
             if matrix_rank(diffs) != d - 1:
                 raise InputError(f"facet {i} vertices do not span it")
 
@@ -527,24 +528,31 @@ class Polytope:
         missing that vertex, recursively down the face lattice.
         """
         if self._volume is None:
-            lattice = self.faces()
-
-            @functools.cache
-            def simplices(face):  # vertex tuples, the face's first vertex last
-                apex = face.vertices[0]
-                if face.dim == 0:
-                    return [(apex,)]
-                children = [g for g in lattice.children(face) if apex not in g.vertices]
-                return [s + (apex,) for g in children for s in simplices(g)]
-
-            apex = self.vertices[0]
+            lattice, memo, apex = self.faces(), {}, self.vertices[0]
             self._volume = sum(
                 abs(int_det([[a - b for a, b in zip(v, apex)] for v in s]))
                 for facet in lattice(self.dim - 1)
                 if apex not in facet.vertices
-                for s in simplices(facet)
+                for s in _pulling_simplices(lattice, facet, memo)
             )
         return self._volume
+
+
+def _pulling_simplices(lattice, face, memo):
+    """Vertex tuples of the pulling triangulation of `face`, each with the
+    face's first vertex last: that vertex coned over the triangulations of
+    the children missing it.  `memo` maps a face's vertex mask to its list;
+    a module function, as a recursive closure would be a reference cycle."""
+    out = memo.get(face.vmask)
+    if out is None:
+        apex = face.vertices[0]
+        if face.dim == 0:
+            out = [(apex,)]
+        else:
+            children = [g for g in lattice.children(face) if apex not in g.vertices]
+            out = [s + (apex,) for g in children for s in _pulling_simplices(lattice, g, memo)]
+        memo[face.vmask] = out
+    return out
 
 
 def _bits(mask):
@@ -673,19 +681,22 @@ def _lattice_points(vertices, planes):
 def hull(points) -> Polytope:
     """Convex hull of lattice points that affinely span the ambient space.
 
-    Beneath-beyond insertion in sorted order: a point with negative slack
-    s_F < 0 on a facet F sees it, and each ridge F shares with a facet G it
-    does not see (s_G >= 0) gets the new facet s_G * F - s_F * G, made
-    primitive.  Facets and ridges are keyed by bitmasks of indices into the
-    sorted points.  Coplanar simplicial facets are merged afterwards, so
-    non-simplicial facets (the normal case for lattice polytopes) come out
-    as single facets with full vertex sets.
+    Beneath-beyond insertion in sorted order over whole facets, each held
+    as its plane (primitive inner normal, rhs) with the bitmask of the
+    inserted points on it.  A point p with negative slack s_F < 0 on a
+    facet F sees it.  F and a facet G with s_G > 0 meet in a horizon ridge
+    when the points on both (at least d - 1 of them) lie on no third facet
+    (the combinatorial adjacency test of Fukuda and Prodon, 1996), and the
+    ridge gets the new facet s_G * F - s_F * G, made primitive, holding the
+    ridge's points and p.  Every facet with slack 0 gains p, so each mask
+    holds every inserted point on its plane, which the ridge test needs;
+    the facets p sees are dropped.
 
-    One slack table of every input point against every merged facet then
-    does three jobs: a negative entry means the construction failed; a
-    point whose tight facet mask lies strictly inside another's is no
-    vertex (it is interior to a larger face); and the vertices' rows are
-    the incidence the constructor checks.
+    One slack table of every input point against every facet then does
+    three jobs: a negative entry means the construction failed; a point
+    whose tight facet mask lies strictly inside another's is no vertex (it
+    is interior to a larger face); and the vertices' rows are the
+    incidence the constructor checks.
     """
     pts = sorted(set(points))
     if not pts:
@@ -700,60 +711,39 @@ def hull(points) -> Polytope:
     dual_cls = DUAL_LATTICE[point_cls]
 
     simplex = _initial_simplex(pts, d)
-    # point-index mask -> (inner normal, rhs, the mask's single bits)
-    facets = _simplex_facets(pts, simplex)
-    ridge_owners = {}
-    for key, (_, _, bits) in facets.items():
-        for bit in bits:
-            ridge_owners.setdefault(key ^ bit, []).append(key)
-
+    facets = _simplex_facets(pts, simplex)  # (inner normal, rhs) -> mask of the points on it
     done = set(simplex)
     for i, p in enumerate(pts):
         if i in done:
             continue
-        slack = {key: dot(normal, p) - rhs for key, (normal, rhs, _) in facets.items()}
-        visible = [key for key, s in slack.items() if s < 0]
-        if not visible:
-            continue
-        apex = 1 << i
+        slack = {plane: dot(plane[0], p) - plane[1] for plane in facets}
+        visible = [plane for plane, s in slack.items() if s < 0]
+        hidden = [plane for plane, s in slack.items() if s > 0]
         new_facets = {}
-        for key in visible:
-            normal_f, rhs_f, bits = facets[key]
-            s_f = slack[key]
-            for bit in bits:
-                ridge = key ^ bit
-                owners = ridge_owners[ridge]
-                if len(owners) != 2:
-                    raise InternalInvariantError("boundary complex lost a ridge")
-                other = owners[0] if owners[1] == key else owners[1]
-                s_g = slack[other]
-                if s_g < 0:
+        for f in visible:
+            (normal_f, rhs_f), s_f = f, slack[f]
+            for g in hidden:
+                ridge = facets[f] & facets[g]
+                if ridge.bit_count() < d - 1 or any(
+                    ridge & m == ridge for h, m in facets.items() if h is not f and h is not g
+                ):
                     continue
                 # s_g * F - s_f * G vanishes on the ridge and at p, and both
-                # weights are >= 0 (-s_f > 0), so it stays positive inside.
-                normal_g, rhs_g, _ = facets[other]
+                # weights are > 0, so it stays positive inside.
+                (normal_g, rhs_g), s_g = g, slack[g]
                 normal = [s_g * a - s_f * b for a, b in zip(normal_f, normal_g)]
-                g = gcd(*normal)
-                new_facets[ridge | apex] = (
-                    tuple(c // g for c in normal),
-                    (s_g * rhs_f - s_f * rhs_g) // g,
-                    tuple(b for b in bits if b != bit) + (apex,),
-                )
-        for key in visible:
-            for bit in facets.pop(key)[2]:
-                ridge = key ^ bit
-                owners = ridge_owners[ridge]
-                owners.remove(key)
-                if not owners:
-                    del ridge_owners[ridge]
-        for key, facet in new_facets.items():
-            facets[key] = facet
-            for bit in facet[2]:
-                ridge_owners.setdefault(key ^ bit, []).append(key)
+                c = gcd(*normal)
+                plane = tuple(x // c for x in normal), (s_g * rhs_f - s_f * rhs_g) // c
+                new_facets[plane] = ridge | 1 << i
+        for plane, s in slack.items():
+            if s == 0:
+                facets[plane] |= 1 << i
+        for f in visible:
+            del facets[f]
+        facets.update(new_facets)
 
-    # Merge coplanar simplicial pieces into honest facets, in the
-    # constructor's facet order, and evaluate the one slack table.
-    planes = sorted({(normal, rhs) for normal, rhs, _ in facets.values()})
+    # The one slack table, in the constructor's facet order.
+    planes = sorted(facets)
     tight = []
     for p in pts:
         mask = 0
@@ -764,10 +754,10 @@ def hull(points) -> Polytope:
                     raise InputError(f"hull construction failed: {p} outside result")
                 mask |= 1 << j
         tight.append(mask)
-    # A candidate (a point of some simplicial facet) is a vertex unless it
-    # lies in the relative interior of a larger face, whose vertices (also
-    # candidates) lie on strictly more of the merged facets.
-    candidates = _bits(functools.reduce(int.__or__, facets))
+    # A candidate (a point on some facet) is a vertex unless it lies in the
+    # relative interior of a larger face, whose vertices (also candidates)
+    # lie on strictly more of the facets.
+    candidates = _bits(functools.reduce(int.__or__, facets.values()))
     masks = {tight[i] for i in candidates}
     vertices = [i for i in candidates if not any(tight[i] & u == tight[i] != u for u in masks)]
     saturated = [tight[i] for i in vertices]
@@ -790,8 +780,8 @@ def _initial_simplex(pts, d):
 
 
 def _simplex_facets(pts, simplex):
-    """{point-index mask: (primitive inner normal, rhs, single bits)} for
-    the d + 1 facets of the d-simplex on pts[s_0] .. pts[s_d], inside where
+    """{(primitive inner normal, rhs): point-index mask} for the d + 1
+    facets of the d-simplex on pts[s_0] .. pts[s_d], inside where
     <normal, x> >= rhs.
 
     The dual basis n_j of the edges s_j - s_0 (<n_j, s_i - s_0> = det when
@@ -807,6 +797,5 @@ def _simplex_facets(pts, simplex):
     for omit, normal in enumerate(normals):
         normal = primitive_vector(normal)
         on = simplex[:omit] + simplex[omit + 1 :]
-        bits = tuple(1 << i for i in on)
-        facets[sum(bits)] = (normal, dot(normal, pts[on[0]]), bits)
+        facets[normal, dot(normal, pts[on[0]])] = sum(1 << i for i in on)
     return facets

@@ -1,11 +1,13 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Each oracle deliberately avoids the code path it checks: facet enumeration
-by subset search instead of incremental hulls, naive cofactor determinants
-and adjugates instead of Bareiss, Fraction row reduction instead of the
-integer elimination, grid partitions instead of the face-lattice census,
-the memoised elimination of repeated rays instead of the Chow-ring sweep,
-lattice-point counts of dilates instead of a triangulated volume.
+by subset search instead of incremental hulls, simplicial pieces with ridge
+owners instead of whole facets with the adjacency test, naive cofactor
+determinants and adjugates instead of Bareiss, Fraction row reduction
+instead of the integer elimination, grid partitions instead of the
+face-lattice census, the memoised elimination of repeated rays instead of
+the Chow-ring sweep, lattice-point counts of dilates instead of a
+triangulated volume.
 """
 
 import functools
@@ -588,3 +590,97 @@ def diamond_faces(polytope):
         )
         for k, level in by_dim.items()
     }
+
+
+def simplicial_hull(points):
+    """Convex hull by beneath-beyond over simplicial facets, as `hull` once
+    built it: each facet is keyed by the bitmask of its d point indices,
+    ridge owners are updated as facets come and go, and coplanar pieces are
+    merged into the true facets at the end.  The final slack table, vertex
+    selection and incidence are `hull`'s."""
+    from cytoric._linalg import dot
+    from cytoric.errors import InputError, InternalInvariantError
+    from cytoric.lattice import DUAL_LATTICE, RationalHyperplane
+    from cytoric.polytope import (
+        Polytope,
+        _bits,
+        _initial_simplex,
+        _simplex_facets,
+        _transpose,
+    )
+
+    pts = sorted(set(points))
+    simplex = _initial_simplex(pts, pts[0].dim)
+    # point-index mask -> (inner normal, rhs, the mask's single bits)
+    facets = {
+        key: (normal, rhs, tuple(1 << i for i in _bits(key)))
+        for (normal, rhs), key in _simplex_facets(pts, simplex).items()
+    }
+    ridge_owners = {}
+    for key, (_, _, bits) in facets.items():
+        for bit in bits:
+            ridge_owners.setdefault(key ^ bit, []).append(key)
+
+    done = set(simplex)
+    for i, p in enumerate(pts):
+        if i in done:
+            continue
+        slack = {key: dot(normal, p) - rhs for key, (normal, rhs, _) in facets.items()}
+        visible = [key for key, s in slack.items() if s < 0]
+        if not visible:
+            continue
+        apex = 1 << i
+        new_facets = {}
+        for key in visible:
+            normal_f, rhs_f, bits = facets[key]
+            s_f = slack[key]
+            for bit in bits:
+                ridge = key ^ bit
+                owners = ridge_owners[ridge]
+                if len(owners) != 2:
+                    raise InternalInvariantError("boundary complex lost a ridge")
+                other = owners[0] if owners[1] == key else owners[1]
+                s_g = slack[other]
+                if s_g < 0:
+                    continue
+                normal_g, rhs_g, _ = facets[other]
+                normal = [s_g * a - s_f * b for a, b in zip(normal_f, normal_g)]
+                g = gcd(*normal)
+                new_facets[ridge | apex] = (
+                    tuple(c // g for c in normal),
+                    (s_g * rhs_f - s_f * rhs_g) // g,
+                    tuple(b for b in bits if b != bit) + (apex,),
+                )
+        for key in visible:
+            for bit in facets.pop(key)[2]:
+                ridge = key ^ bit
+                owners = ridge_owners[ridge]
+                owners.remove(key)
+                if not owners:
+                    del ridge_owners[ridge]
+        for key, facet in new_facets.items():
+            facets[key] = facet
+            for bit in facet[2]:
+                ridge_owners.setdefault(key ^ bit, []).append(key)
+
+    planes = sorted({(normal, rhs) for normal, rhs, _ in facets.values()})
+    tight = []
+    for p in pts:
+        mask = 0
+        for j, (normal, rhs) in enumerate(planes):
+            s = dot(normal, p) - rhs
+            if s <= 0:
+                if s:
+                    raise InputError(f"hull construction failed: {p} outside result")
+                mask |= 1 << j
+        tight.append(mask)
+    candidates = _bits(functools.reduce(int.__or__, facets))
+    masks = {tight[i] for i in candidates}
+    vertices = [i for i in candidates if not any(tight[i] & u == tight[i] != u for u in masks)]
+    saturated = [tight[i] for i in vertices]
+    dual_cls = DUAL_LATTICE[type(pts[0])]
+    return Polytope(
+        [pts[i] for i in vertices],
+        [RationalHyperplane(dual_cls(normal), rhs) for normal, rhs in planes],
+        incidence=(saturated, _transpose(saturated, len(planes))),
+    )

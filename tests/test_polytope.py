@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import random
@@ -7,13 +8,14 @@ import pytest
 
 from cytoric.errors import NotFullDimensionalError, OriginNotInteriorError
 from cytoric.lattice import MPoint, NPoint, pairing
-from cytoric.fixtures import ALL, CORPUS_4D, fixture_points, fixture_polytope
+from cytoric.fixtures import ALL, CORPUS_4D, POLYGONS, fixture_points, fixture_polytope
 from cytoric import polytope as polytope_module
 from cytoric.polytope import Polytope, RationalPolytope, hull
 from conftest import (
     example_s3_vertices,
     mpoints,
     ray_simplex,
+    ray_simplex_points,
     shear,
     transvection,
     weighted_ray_simplices,
@@ -26,7 +28,9 @@ from oracles import (
     ehrhart_volume,
     grid_points,
     hull_dual,
+    simplicial_hull,
 )
+from test_fan import GOLDEN_SIMPLICES
 
 
 def as_plane_set(polytope):
@@ -143,6 +147,153 @@ def test_hull_dense_box_clouds_match_brute_force():
         box = list(itertools.product(range(-half, half + 1), repeat=d))
         for _ in range(6):
             assert assert_hull_matches_brute_force(sorted(rng.sample(box, size)))
+
+
+# -- whole facets against the simplicial oracle ------------------------------------
+
+
+def assert_hull_matches_simplicial_oracle(points):
+    """hull(points) and oracles.simplicial_hull(points) build the same
+    vertices, facets and incidence, or refuse with the same
+    NotFullDimensionalError.  Returns whether a hull was built."""
+    try:
+        expected = simplicial_hull(points)
+    except NotFullDimensionalError as refusal:
+        with pytest.raises(NotFullDimensionalError) as info:
+            hull(points)
+        assert (info.value.affine_dim, info.value.ambient_dim) == (
+            refusal.affine_dim,
+            refusal.ambient_dim,
+        )
+        return False
+    p = hull(points)
+    assert p.vertices == expected.vertices and p.facets == expected.facets, points
+    assert p._saturated == expected._saturated
+    assert p._facet_vertices == expected._facet_vertices
+    return True
+
+
+def polygon_products():
+    """The 136 products of two bundled polygons, sheared by MOVES[4]."""
+    rows = [[tuple(v) for v in fixture_points(name)] for name in POLYGONS]
+    return [
+        mpoints(shear([a + b for a in p for b in q], MOVES[4]))
+        for p, q in itertools.combinations_with_replacement(rows, 2)
+    ]
+
+
+ORACLE_CASES = {
+    "fixtures": lambda: [fixture_points(name) for name in ALL],
+    # every lattice point, so facets hold many non-vertex points
+    "dual-census": lambda: [list(fixture_polytope(name).dual().census().points) for name in ALL],
+    "products": polygon_products,
+    "ray-simplices": lambda: [
+        points
+        for w, _, _ in GOLDEN_SIMPLICES
+        for points in (ray_simplex_points(w), list(ray_simplex(w).dual().vertices))
+    ],
+}
+
+
+@pytest.mark.parametrize("group", sorted(ORACLE_CASES))
+def test_hull_matches_simplicial_oracle(group):
+    cases = ORACLE_CASES[group]()
+    assert len(cases) == {"fixtures": 20, "dual-census": 20, "products": 136, "ray-simplices": 24}[group]
+    for points in cases:
+        assert assert_hull_matches_simplicial_oracle(points)
+
+
+def test_hull_matches_simplicial_oracle_on_random_clouds():
+    # sparse draws from {-3..3}^d, and dense samples of small boxes, where
+    # most points land on facet planes; 1 to 5 dimensions, flat sets too
+    rng = random.Random(37)
+    boxes = {
+        d: list(itertools.product(range(-half, half + 1), repeat=d))
+        for d, half in ((1, 2), (2, 2), (3, 1), (4, 1), (5, 1))
+    }
+    dense = []
+    for _ in range(1000):
+        d = rng.randint(1, 5)
+        dense.append((d, sorted(rng.sample(boxes[d], rng.randint(1, min(len(boxes[d]), 3 * d + 6))))))
+    built = Counter()
+    for d, pts in itertools.chain(random_point_sets(rng, 1000, 1, 5), dense):
+        built[d, assert_hull_matches_simplicial_oracle(mpoints(pts))] += 1
+    assert sum(built.values()) == 2000
+    assert min(built[d, True] for d in range(1, 6)) >= 200, built
+    assert min(built[d, False] for d in range(1, 6)) >= 10, built
+
+
+def test_hull_takes_about_one_slack_per_point_and_facet(monkeypatch):
+    # hexagon x hexagon: 36 points, all vertices, on 12 facets of 12
+    # vertices each; the oracle's simplicial pieces take 2,730 dot products
+    calls = Counter()
+    dot = polytope_module.dot
+
+    def counted(a, b):
+        calls["dot"] += 1
+        return dot(a, b)
+
+    monkeypatch.setattr(polytope_module, "dot", counted)
+    hexagon, mirror = (
+        [tuple(v) for v in fixture_points(name)] for name in ("pgon_hexagon", "pgon_hexagon_mirror")
+    )
+    p = hull(mpoints([a + b for a in hexagon for b in mirror]))
+    n, f = len(p.vertices), len(p.facets)
+    assert (n, f) == (36, 12)
+    assert calls["dot"] <= 2 * n * f
+
+
+def test_hull_is_unimodular_equivariant_on_degenerate_clouds():
+    # hull(M P) for M in GL(d, Z): vertices M v, facets M^-T n (pulled back
+    # here by M^T), refusals alike; on dense boxes and polygon products,
+    # where most points sit on facets that are not simplices
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    polygons = [[tuple(v) for v in fixture_points(name)] for name in POLYGONS]
+    boxes = st.integers(2, 4).flatmap(
+        lambda d: st.lists(
+            st.sampled_from(list(itertools.product(range(-1, 2), repeat=d))),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    products = st.tuples(st.sampled_from(polygons), st.sampled_from(polygons)).map(
+        lambda pq: [a + b for a in pq[0] for b in pq[1]]
+    )
+
+    @st.composite
+    def moved(draw):
+        rows = draw(st.one_of(boxes, products))
+        d = len(rows[0])
+        signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=d, max_size=d))
+        m = [[s * (i == j) for j in range(d)] for i, s in zip(draw(st.permutations(range(d))), signs)]
+        steps = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1), st.integers(-2, 2))
+        for i, j, c in draw(st.lists(steps.filter(lambda t: t[0] != t[1]), max_size=5)):
+            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+        return rows, m
+
+    def apply(m, rows):
+        return [tuple(sum(a * x for a, x in zip(row, p)) for row in m) for p in rows]
+
+    @settings(max_examples=100, deadline=None)
+    @given(moved())
+    def run(case):
+        rows, m = case
+        try:
+            p = hull(mpoints(rows))
+        except NotFullDimensionalError as refusal:
+            with pytest.raises(NotFullDimensionalError) as info:
+                hull(mpoints(apply(m, rows)))
+            assert info.value.affine_dim == refusal.affine_dim
+            return
+        q = hull(mpoints(apply(m, rows)))
+        assert [tuple(v) for v in q.vertices] == sorted(apply(m, p.vertices))
+        transpose = list(zip(*m))
+        pulled = {(apply(transpose, [f.normal])[0], f.offset) for f in q.facets}
+        assert pulled == as_plane_set(p)
+
+    run()
 
 
 # -- faces -------------------------------------------------------------------
@@ -733,3 +884,17 @@ def test_normalized_volume_matches_ehrhart_oracle():
     polytopes += [ray_simplex(w) for w in ((1, 1, 1, 1), (1, 2, 2, 2), (1, 1, 6, 9), (2, 2, 10, 15))]
     for p in polytopes:
         assert p.normalized_volume() == ehrhart_volume(p), p
+
+
+def test_normalized_volume_leaves_no_reference_cycle():
+    # the pulling memo is freed by reference counting, not by the collector
+    p = fixture_polytope("cross4d")
+    assert p.normalized_volume() == 16
+    p._volume = None
+    gc.collect()
+    gc.disable()
+    try:
+        assert p.normalized_volume() == 16
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
