@@ -8,6 +8,13 @@ pivot (Bareiss, Math. Comp. 22, 1968; for any m x n matrix, Nakos, Turner
 and Williams, SIGSAM Bull. 31(3), 1997).  Every reduced pivot ends equal
 to the last one, so solutions are integer numerators over that one
 denominator.
+
+The one exception is the 4 x 4 determinant and adjugate, the size of every
+cone, cell and initial hull simplex in dimension 4: :func:`int_det` and
+:func:`dual_basis` expand those in closed form along the 2 x 2 minors of
+rows (0, 1) and (2, 3) (:func:`_laplace4`), with no elimination.  Every
+other size, and every rank, solution and nullspace, reads the Bareiss
+kernel.
 """
 
 from fractions import Fraction
@@ -87,11 +94,27 @@ def _eliminate(a, reduced=True):
     return pivots, swaps, prev
 
 
+def _laplace4(rows):
+    """Determinant of a 4 x 4 matrix by Laplace expansion along rows 0 and
+    1, with the 2 x 2 minors it reads: s of rows (0, 1) and t of rows
+    (2, 3), each in columns (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)."""
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
+    s = (a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0,
+         a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2)
+    t = (c0 * d1 - c1 * d0, c0 * d2 - c2 * d0, c0 * d3 - c3 * d0,
+         c1 * d2 - c2 * d1, c1 * d3 - c3 * d1, c2 * d3 - c3 * d2)
+    det = s[0] * t[5] - s[1] * t[4] + s[2] * t[3] + s[3] * t[2] - s[4] * t[1] + s[5] * t[0]
+    return det, s, t
+
+
 def int_det(rows):
-    """Determinant of a square integer matrix: the signed last pivot."""
+    """Determinant of a square integer matrix: :func:`_laplace4` on 4 x 4,
+    else the signed last pivot."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
+    if n == 4:
+        return _laplace4(rows)[0]
     pivots, swaps, last = _eliminate(list(rows), reduced=False)
     return 0 if len(pivots) < n else -last if len(swaps) % 2 else last
 
@@ -99,14 +122,33 @@ def int_det(rows):
 def dual_basis(rows):
     """Determinant and adjugate of a square integer matrix, by columns.
 
-    Returns (det, duals) with <duals[i], rows[j]> = det * (i == j), read
-    off the reduced elimination's row operations, last * A^-1, with det
-    the last pivot signed by the row swaps.  Raises ValueError on a
-    singular matrix, whose rows have no dual basis.
+    Returns (det, duals) with <duals[i], rows[j]> = det * (i == j): on
+    4 x 4 the cofactors of row i, each a sum of three products of an entry
+    and a minor of :func:`_laplace4`; else read off the reduced
+    elimination's row operations, last * A^-1, with det the last pivot
+    signed by the row swaps.  Raises ValueError on a singular matrix, whose
+    rows have no dual basis.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
+    if n == 4:
+        det, (s01, s02, s03, s12, s13, s23), (t01, t02, t03, t12, t13, t23) = _laplace4(rows)
+        if not det:
+            raise ValueError("singular matrix has no dual basis")
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
+        # <duals[0], x> = det(x, b, c, d), <duals[1], x> = det(a, x, c, d),
+        # <duals[2], x> = det(a, b, x, d) and <duals[3], x> = det(a, b, c, x)
+        return det, [
+            (b1 * t23 - b2 * t13 + b3 * t12, b2 * t03 - b0 * t23 - b3 * t02,
+             b0 * t13 - b1 * t03 + b3 * t01, b1 * t02 - b0 * t12 - b2 * t01),
+            (a2 * t13 - a1 * t23 - a3 * t12, a0 * t23 - a2 * t03 + a3 * t02,
+             a1 * t03 - a0 * t13 - a3 * t01, a0 * t12 - a1 * t02 + a2 * t01),
+            (d1 * s23 - d2 * s13 + d3 * s12, d2 * s03 - d0 * s23 - d3 * s02,
+             d0 * s13 - d1 * s03 + d3 * s01, d1 * s02 - d0 * s12 - d2 * s01),
+            (c2 * s13 - c1 * s23 - c3 * s12, c0 * s23 - c2 * s03 + c3 * s02,
+             c1 * s03 - c0 * s13 - c3 * s01, c0 * s12 - c1 * s02 + c2 * s01),
+        ]
     a = [list(r) for r in rows]
     pivots, swaps, last = _eliminate(a)
     if len(pivots) < n:

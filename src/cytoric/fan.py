@@ -128,7 +128,8 @@ class Fan:
     For cone c with rays v_0 .. v_{d-1}, `dets[c]` is its multiplicity
     |det| and `duals[c][i]` the integer vector n_i with <n_i, v_j> =
     dets[c] * (i == j), one :func:`dual_basis` per cone in any dimension
-    (the eliminations that show the fan simplicial).
+    (the determinants that show the fan simplicial; closed-form cofactors
+    in dimension 4).
     """
 
     def __init__(self, maximal_cones, provenance, base):
@@ -151,7 +152,7 @@ class Fan:
         """Whether every maximal cone is spanned by d independent rays: d
         rays and a nonzero determinant (the maximal cones of a complete fan
         are full-dimensional).  Read from the dual bases, so a simplicial
-        fan takes one elimination per cone."""
+        fan takes one :func:`dual_basis` per cone."""
         return self._dual_bases is not None
 
     @cached_property

@@ -8,7 +8,7 @@ from operator import mul
 
 import pytest
 
-from cytoric import chern
+from cytoric import _linalg, chern
 from cytoric import fan as fan_module
 from cytoric.chern import IntersectionForm
 from cytoric.errors import InputError, NotReflexiveError, NotSimplicialError
@@ -348,6 +348,27 @@ def test_refinement_takes_one_dual_basis_per_cone(monkeypatch):
     assert is_nef(fan, WeilDivisor.anticanonical(fan))
     assert len(fan.maximal_cones) == 384
     assert calls == {"matrix_rank": 0, "int_det": 0, "dual_basis": 384}
+
+
+def test_dual_bases_of_a_four_dimensional_fan_take_no_elimination(cross4d_mpcp, monkeypatch):
+    # the 4 x 4 adjugates are closed-form cofactors, not Bareiss eliminations
+    calls = []
+    eliminate = _linalg._eliminate
+
+    def counted(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(_linalg, "_eliminate", counted)
+    fan = Fan(cross4d_mpcp.maximal_cones, "mpcp", cross4d_mpcp.base)
+    dets, duals = fan._dual_bases
+    assert calls == []
+    assert len(dets) == len(duals) == 384
+    for cone, det, ns in zip(fan.maximal_cones, dets, duals):
+        assert det > 0
+        assert [[sum(map(mul, n, r)) for r in cone.rays] for n in ns] == [
+            [det * (i == j) for j in range(4)] for i in range(4)
+        ]
 
 
 def test_star_matches_every_cone_subset(p4_fan, example_mpcp, cross4d_mpcp, wp11222_mpcp):

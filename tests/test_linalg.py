@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cytoric._linalg import (
+    _eliminate,
     dual_basis,
     int_det,
     left_nullspace,
@@ -70,6 +71,68 @@ def test_dual_basis_refuses_singular_and_non_square():
         dual_basis([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
     with pytest.raises(ValueError, match="not square"):
         dual_basis([[1, 2, 3], [4, 5, 6]])
+
+
+def bareiss_dual_basis(m):
+    """(det, duals) of a square int matrix straight from the Bareiss kernel,
+    None if singular: the reference for the closed-form 4 x 4 adjugate."""
+    a = [list(r) for r in m]
+    pivots, swaps, last = _eliminate(a)
+    if len(pivots) < len(m):
+        return None
+    sign = -1 if len(swaps) % 2 else 1
+    return sign * last, [tuple(sign * row[i] for row in a) for i in range(len(m))]
+
+
+def bareiss_det(m):
+    pivots, swaps, last = _eliminate([list(r) for r in m], reduced=False)
+    return 0 if len(pivots) < len(m) else -last if len(swaps) % 2 else last
+
+
+def make_singular(m, kind, i, j, k):
+    """Make the 4 x 4 int matrix m singular in place; i, j, k distinct."""
+    if kind == "zero row":
+        m[i] = [0] * 4
+    elif kind == "zero column":
+        for row in m:
+            row[i] = 0
+    elif kind == "repeated row":
+        m[i] = list(m[j])
+    elif kind == "sum of two rows":
+        m[i] = [x + y for x, y in zip(m[j], m[k])]
+
+
+huge = st.integers(2**64, 2**70)
+matrices4 = st.sampled_from(
+    (st.integers(-3, 3), st.integers(-10**6, 10**6), st.one_of(huge, huge.map(lambda x: -x), st.integers(-3, 3)))
+).flatmap(lambda e: st.lists(st.lists(e, min_size=4, max_size=4), min_size=4, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    matrices4,
+    st.sampled_from((None, "zero row", "zero column", "repeated row", "sum of two rows")),
+    st.permutations(range(4)),
+)
+def test_closed_form_4x4_matches_bareiss_and_cofactor_expansion(m, singular, order):
+    make_singular(m, singular, *order[:3])
+    det = naive_det(m)
+    assert int_det(m) == bareiss_det(m) == det
+    expected = bareiss_dual_basis(m)
+    rows = [tuple(r) for r in m]  # the fan passes its cones' rays as tuples
+    if singular or det == 0:
+        assert det == 0 and expected is None
+        for a in (m, rows):
+            with pytest.raises(ValueError, match="singular"):
+                dual_basis(a)
+    else:
+        assert dual_basis(m) == dual_basis(rows) == expected
+        assert expected[0] == det
+    for shape in ([r[:3] for r in m], m[:3]):  # 4 x 3 and 3 x 4
+        with pytest.raises(ValueError, match="not square"):
+            int_det(shape)
+        with pytest.raises(ValueError, match="not square"):
+            dual_basis(shape)
 
 
 def test_matrix_rank():
