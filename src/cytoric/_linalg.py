@@ -111,10 +111,10 @@ def int_det(rows):
     """Determinant of a square integer matrix: :func:`_laplace4` on 4 x 4,
     else the signed last pivot."""
     n = len(rows)
+    if n == 4 and len(rows[0]) == len(rows[1]) == len(rows[2]) == len(rows[3]) == 4:
+        return _laplace4(rows)[0]
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-    if n == 4:
-        return _laplace4(rows)[0]
     pivots, swaps, last = _eliminate(list(rows), reduced=False)
     return 0 if len(pivots) < n else -last if len(swaps) % 2 else last
 
@@ -130,9 +130,7 @@ def dual_basis(rows):
     rows have no dual basis.
     """
     n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix is not square")
-    if n == 4:
+    if n == 4 and len(rows[0]) == len(rows[1]) == len(rows[2]) == len(rows[3]) == 4:
         det, (s01, s02, s03, s12, s13, s23), (t01, t02, t03, t12, t13, t23) = _laplace4(rows)
         if not det:
             raise ValueError("singular matrix has no dual basis")
@@ -149,6 +147,8 @@ def dual_basis(rows):
             (c2 * s13 - c1 * s23 - c3 * s12, c0 * s23 - c2 * s03 + c3 * s02,
              c1 * s03 - c0 * s13 - c3 * s01, c0 * s12 - c1 * s02 + c2 * s01),
         ]
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix is not square")
     a = [list(r) for r in rows]
     pivots, swaps, last = _eliminate(a)
     if len(pivots) < n:

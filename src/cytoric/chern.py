@@ -17,9 +17,9 @@ multiplying by X = -K on the simplicial fan.  With c(V) = prod_u (1 + D_u),
 c_k(V) is the sum of W(g) over the k-cones; c2(X) . L =
 c2(V) . X . L and, by adjunction, chi(X) = (c3(V) - c2(V) . X) . X.
 
-The form reads the fan's star, dual bases and pairings; divisors become
-integer coefficients through :meth:`~cytoric.fan.Fan.scaled_coeffs`, and
-the fan's :attr:`~cytoric.fan.Fan.is_fine` shows it is the full crepant
+The form reads the fan's star and dual bases; divisors become integer
+coefficients through :meth:`~cytoric.fan.Fan.scaled_coeffs`, and the
+fan's :attr:`~cytoric.fan.Fan.is_fine` shows it is the full crepant
 refinement.
 """
 
@@ -45,10 +45,19 @@ class IntersectionForm:
     determinant det of g's host in the fan's
     :attr:`~cytoric.fan.Fan.star`, M / det for the lcm M of all maximal
     cones' determinants, and per link ray u the entry (u, g + u, c) with
-    <m_i, u> = c_i / det for the host's dual basis m_i: 0 for u in the
-    host, else the fan's pairings, shared with the wall relations.
-    `_top[g]` is M / mult(g) for the maximal cones.  Classes are integer
-    numerators on the W(g) over one denominator.
+    <m_i, u> = c_i / det for the host's dual basis m_i.  `_top[g]` is
+    M / mult(g) for the maximal cones.  Classes are integer numerators on
+    the W(g) over one denominator.
+
+    The table is one pass over the maximal cones.  Each, with rays
+    a < b < e < d and dual basis n_a .. n_d, walks its faces as literal
+    tuples, smallest first, then itself.  A face h is new at its host, the
+    first cone in its star: there it takes the host's det and the n_i at
+    its rays, and for each ray u of h the face g = h - u gets the entry
+    (u, h, c), c the dot products of g's dual vectors with ray u.  So each
+    (face, link ray) pair comes out once, from the larger face.  No product
+    is skipped: a ray u of g's host gives c = 0, as <n_i, v_j> =
+    det * (i == j).
     """
 
     def __init__(self, fan: Fan):
@@ -59,20 +68,52 @@ class IntersectionForm:
         fan.require_complete()
         self.fan = fan
         self.rays = fan.rays
-        tops, dets = fan.cones, fan.dets
-        self._lcm = lcm(*dets)
-        self._top = {top: self._lcm // m for top, m in zip(tops, dets)}
+        vs = list(map(tuple, fan.rays))
+        tops, dets, star = fan.cones, fan.dets, fan.star
+        m = self._lcm = lcm(*dets)
+        self._top = {top: m // det for top, det in zip(tops, dets)}
         # the origin: every ray links it; det 1 and M keep det * M / det = M
-        self._cones = {(): (1, self._lcm, tuple((u, (u,), ()) for u in range(len(fan.rays))))}
-        for g, owners in fan.star.items():
-            host = owners[0]
-            top = tops[host]
-            zero, at = (0,) * len(g), [top.index(i) for i in g]
-            entries = []
-            for u in set().union(*map(tops.__getitem__, owners)).difference(g):
-                c = zero if u in top else tuple(map(fan.pairings(host, u).__getitem__, at))
-                entries.append((u, tuple(sorted(g + (u,))), c))
-            self._cones[g] = (dets[host], self._top[top], entries)
+        origin = []
+        cones = self._cones = {(): (1, m, origin)}
+        at = {}  # face -> (its entries, its host's dual vectors at its rays)
+        for c, (top, (na, nb, ne, nd), det) in enumerate(zip(tops, fan.duals, dets)):
+            a, b, e, d = top
+            w = m // det
+            for h, n in (((a,), na), ((b,), nb), ((e,), ne), ((d,), nd)):
+                if star[h][0] == c:
+                    entries = []
+                    cones[h] = (det, w, entries)
+                    at[h] = (entries, n)
+                    origin.append((h[0], h, ()))
+            for h, ns in (((a, b), (na, nb)), ((a, e), (na, ne)), ((a, d), (na, nd)),
+                          ((b, e), (nb, ne)), ((b, d), (nb, nd)), ((e, d), (ne, nd))):
+                if star[h][0] == c:
+                    entries = []
+                    cones[h] = (det, w, entries)
+                    at[h] = (entries, ns)
+                    u0, u1 = h
+                    for g, u in (((u1,), u0), ((u0,), u1)):
+                        x0, x1, x2, x3 = vs[u]
+                        links, (p0, p1, p2, p3) = at[g]
+                        links.append((u, h, (p0 * x0 + p1 * x1 + p2 * x2 + p3 * x3,)))
+            for h, ns in (((a, b, e), (na, nb, ne)), ((a, b, d), (na, nb, nd)),
+                          ((a, e, d), (na, ne, nd)), ((b, e, d), (nb, ne, nd))):
+                if star[h][0] == c:
+                    entries = []
+                    cones[h] = (det, w, entries)
+                    at[h] = (entries, ns)
+                    u0, u1, u2 = h
+                    for g, u in (((u1, u2), u0), ((u0, u2), u1), ((u0, u1), u2)):
+                        x0, x1, x2, x3 = vs[u]
+                        links, ((p0, p1, p2, p3), (q0, q1, q2, q3)) = at[g]
+                        links.append((u, h, (p0 * x0 + p1 * x1 + p2 * x2 + p3 * x3,
+                                             q0 * x0 + q1 * x1 + q2 * x2 + q3 * x3)))
+            for g, u in (((b, e, d), a), ((a, e, d), b), ((a, b, d), e), ((a, b, e), d)):
+                x0, x1, x2, x3 = vs[u]
+                links, ((p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3)) = at[g]
+                links.append((u, top, (p0 * x0 + p1 * x1 + p2 * x2 + p3 * x3,
+                                       q0 * x0 + q1 * x1 + q2 * x2 + q3 * x3,
+                                       r0 * x0 + r1 * x1 + r2 * x2 + r3 * x3)))
         self._all_rays = (dict.fromkeys(range(len(fan.rays)), 1), 1)
 
     def _times(self, cls, divisor):

@@ -24,11 +24,11 @@ Toric Varieties, Thm 6.3.12 and 6.4): a divisor is nef iff it pairs
 nonnegatively with the relation of every wall, one integer test per wall.
 A :class:`Fan` owns every fact about itself: its rays, whether it is fine,
 and for a simplicial fan its skeleton (the star of every face, each
-maximal cone's integer dual basis, the pairings of those bases with rays
-and the wall relations), each built once.  Walls, edges, the nef test and
-the intersection form in :mod:`cytoric.chern` all read it, and every
-divisor audit refuses a divisor off the rays in :meth:`Fan.scaled_coeffs`,
-which also gives its integer coefficients on the ray indices.
+maximal cone's integer dual basis and the wall relations), each built
+once.  Walls, edges, the nef test and the intersection form in
+:mod:`cytoric.chern` all read it, and every divisor audit refuses a
+divisor off the rays in :meth:`Fan.scaled_coeffs`, which also gives its
+integer coefficients on the ray indices.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, repeat
+from itertools import combinations
+from operator import mul
 
 from ._linalg import (
     dot,
@@ -141,7 +142,6 @@ class Fan:
         rays = sorted({r for c in self.maximal_cones for r in c.rays})
         self.rays = tuple(rays)
         self._ray_index = {r: i for i, r in enumerate(rays)}
-        self._pairings = {}
 
     @property
     def dim(self) -> int:
@@ -250,13 +250,6 @@ class Fan:
         if any(len(c) != 2 for c in self.owners.values()):
             raise InputError("fan is not complete: some wall has one incident cone")
 
-    def pairings(self, c, u):
-        """<n_i, u> for cone c's dual basis and the ray of index u off c,
-        computed once per (c, u) for the wall relations and the form."""
-        if (c, u) not in self._pairings:
-            self._pairings[c, u] = tuple(map(dot, self.duals[c], repeat(self.rays[u])))
-        return self._pairings[c, u]
-
     @cached_property
     def relations(self):
         """The wall relations, one per wall in `owners` order, as (ray
@@ -272,12 +265,15 @@ class Fan:
         cone (ibid., Thm 6.3.20).
         """
         self.require_complete()
+        rays, cones, dets, duals = self.rays, self.cones, self.dets, self.duals
         out = []
         for wall, (ci, cj) in self.owners.items():
-            (u,) = [x for x in self.cones[cj] if x not in wall]
-            b = [-x for x in self.pairings(ci, u)] + [self.dets[ci]]
+            (u,) = set(cones[cj]).difference(wall)
+            v = rays[u]
+            b = [-sum(map(mul, n, v)) for n in duals[ci]]
+            b.append(dets[ci])
             g = math.gcd(*b)
-            out.append((self.cones[ci] + (u,), tuple(x // g for x in b)))
+            out.append((cones[ci] + (u,), tuple([x // g for x in b])))
         return tuple(out)
 
     def edges(self):

@@ -130,6 +130,12 @@ def divisor_census(delta: Polytope) -> DivisorCensus:
     length of the dual edge, and a facet point misses the hypersurface.
     The census rank is checked against h11."""
     _require_reflexive_4d(delta, "divisor census")
+    return _divisor_census(delta, h11(delta))
+
+
+def _divisor_census(delta: Polytope, expected: int) -> DivisorCensus:
+    """:func:`divisor_census` with the h11 its rank is checked against,
+    for a caller that has counted it already."""
     dual = delta.dual()
     census = dual.census()
     irreducible = []
@@ -144,7 +150,6 @@ def divisor_census(delta: Polytope) -> DivisorCensus:
         else:
             skipped.append(p)
     out = DivisorCensus(tuple(irreducible), tuple(split), tuple(skipped))
-    expected = h11(delta)
     if out.rank != expected:
         raise InternalInvariantError(f"divisor census rank {out.rank} != h11 {expected}")
     return out
@@ -162,5 +167,5 @@ def report(delta: Polytope) -> HodgeReport:
         n_dual_points=n,
         facet_interior_correction=facet_corr,
         two_face_pairing_term=pair_term,
-        census=divisor_census(delta),
+        census=_divisor_census(delta, value),
     )

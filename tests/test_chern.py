@@ -154,12 +154,12 @@ def test_value_matches_memo_oracle_on_random_supports(forms):
 
 
 def test_form_cones_match_combination_oracle(example_form):
-    # the star-built form against the old subset loop that dotted every
+    # the one-pass form against the old subset loop that dotted every
     # (face, link ray) pair: same host, link and pairings for every face;
     # the empty face has det 1 here, the oracle its host's (the same
     # det * (M / det) = M)
     fans = [example_form.fan, mpcp_triangulate(hull(fixture_points("cross4d")))]
-    fans.append(mpcp_triangulate(ray_simplex((1, 2, 2, 2))))
+    fans += [mpcp_triangulate(ray_simplex(w)) for w in ((1, 2, 2, 2), (1, 1, 1, 4))]
     for fan in fans:
         form = IntersectionForm(fan)
         expected = combination_form_cones(fan)

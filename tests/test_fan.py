@@ -8,7 +8,7 @@ from operator import mul
 
 import pytest
 
-from cytoric import _linalg, chern
+from cytoric import _linalg
 from cytoric import fan as fan_module
 from cytoric.chern import IntersectionForm
 from cytoric.errors import InputError, NotReflexiveError, NotSimplicialError
@@ -389,33 +389,24 @@ def test_star_matches_every_cone_subset(p4_fan, example_mpcp, cross4d_mpcp, wp11
         assert fan.edges() == sorted(pairs)
 
 
-def test_form_and_relations_pair_each_cone_with_a_ray_once(monkeypatch):
-    # the intersection form and the wall relations share one memo of
-    # <n_i, u>: never asked for a ray u of the cone (those values are
-    # det or 0), and each (cone, ray) pair costs d dot products once; the
-    # form's own subset loop and the relations took 13,216 and 34,808
-    assert not hasattr(chern, "dot")  # the form computes no pairing itself
-    dots, asked = [0], []
-    dot, pairings = fan_module.dot, Fan.pairings
-
-    def counted_dot(*args):
-        dots[0] += 1
-        return dot(*args)
-
-    def recorded(fan, c, u):
-        asked.append((fan, c, u))
-        return pairings(fan, c, u)
-
-    for delta, expected in ((fixture_polytope("cross4d"), 5568), (ray_simplex((1, 1, 1, 4)), 14880)):
+def test_form_table_has_one_entry_per_face_and_link_ray():
+    # the form's one pass over the maximal cones gives each face h of the
+    # star len(h) entries, one on each face h - u (on the origin for a
+    # ray), and each maximal cone 4; no face links a ray twice, and the fan
+    # keeps no pairing memo for the form or the wall relations to fill
+    assert not hasattr(Fan, "pairings")
+    for delta in (fixture_polytope("cross4d"), ray_simplex((1, 1, 1, 4))):
         fan = mpcp_triangulate(delta)
-        dots[0], asked[:] = 0, []
-        monkeypatch.setattr(fan_module, "dot", counted_dot)
-        monkeypatch.setattr(Fan, "pairings", recorded)
-        IntersectionForm(fan)
+        form = IntersectionForm(fan)
         assert is_nef(fan, WeilDivisor.anticanonical(fan))
-        monkeypatch.undo()
-        assert all(f is fan and u not in fan.cones[c] for f, c, u in asked)
-        assert dots[0] == fan.dim * len({(c, u) for _, c, u in asked}) == expected
+        assert not hasattr(fan, "_pairings")
+        tables = form._cones.values()
+        assert sum(len(entries) for _, _, entries in tables) == (
+            sum(map(len, fan.star)) + 4 * len(fan.cones)
+        )
+        for _, _, entries in tables:
+            links = [u for u, _, _ in entries]
+            assert len(set(links)) == len(links)
 
 
 def test_mpcp_wall_consistency(example_mpcp, cube_mpcp):

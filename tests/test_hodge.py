@@ -185,6 +185,22 @@ def test_census_matches_h11(example_s3, quintic, cube4, cross4):
         assert census.rank == hodge.h11(p)
 
 
+def test_report_counts_each_side_once(monkeypatch, cross4):
+    # h11 for the terms, h12 from the dual; the census's rank check reads
+    # the h11 the report already has
+    sides = []
+    terms = hodge._h11_terms
+
+    def counted(delta):
+        sides.append(delta)
+        return terms(delta)
+
+    monkeypatch.setattr(hodge, "_h11_terms", counted)
+    rep = hodge.report(cross4)
+    assert rep.census.rank == rep.h11
+    assert sides == [cross4, cross4.dual()]
+
+
 @pytest.mark.parametrize(
     "points",
     [fixture_points("cross4d"), ray_simplex_points((1, 2, 2, 2))],
