@@ -456,11 +456,11 @@ class Polytope:
         each face's relative-interior count; `Face.n_points` is summed from
         the count of points per saturated facet mask when first read.
 
-        Points are enumerated slice by slice, with each coordinate bounded
-        by the facet inequalities (see :func:`_lattice_points`), so the cost
-        scales with the lattice points in the slices the facets allow, not
-        with the bounding box.  Past CENSUS_POINT_BUDGET points it raises
-        InputError.
+        Points are enumerated slice by slice (see :func:`_lattice_points`),
+        the slices bounded exactly through the ridges of the face lattice,
+        so the cost scales with the lattice points and the slices holding
+        real points, not with the bounding box.  Past CENSUS_POINT_BUDGET
+        points it raises InputError.
         """
         if self._census is not None:
             return self._census
@@ -471,7 +471,11 @@ class Polytope:
         face_of = {}
         n_saturating = Counter()  # saturated facet mask -> number of points
         point = self.point_cls._from_ints
-        for raw, sat in _lattice_points(self.vertices, self._planes):
+        ridges = [
+            (m.bit_length() - 1, (m & -m).bit_length() - 1)
+            for m in (f.fmask for f in lattice(self.ambient_dim - 2))
+        ]
+        for raw, sat in _lattice_points(self.vertices, self._planes, ridges):
             if len(points) == CENSUS_POINT_BUDGET:
                 raise InputError(f"more than {CENSUS_POINT_BUDGET} lattice points to count")
             p = point(raw)
@@ -574,105 +578,157 @@ def _transpose(rows, n):
     return columns
 
 
-def _lattice_points(vertices, planes):
+def _lattice_points(vertices, planes, ridges):
     """Yield (coordinates, saturated facet mask) for every lattice point
     of conv(vertices), in lexicographic order; planes[j] is the (normal,
-    offset) of facet j.
+    offset) of facet j, and `ridges` holds the facet pairs (j, i) that meet
+    in a ridge.
 
-    Depth-first over x0 .. x_{d-1}: each facet's partial sum <normal, x>
-    over the coordinates fixed so far is carried down, and x_k takes only
-    the values every facet inequality allows once the coordinates not yet
-    fixed are relaxed to their bounding-box range.  The facets bounding x_k
-    from below and from above are listed apart, once per level.
+    Depth-first over x0 .. x_{d-1}, carrying each facet's slack
+    <normal, x> - offset over the coordinates fixed so far (0 for those
+    not yet fixed).  Above level d - 2, x_k takes only the values every
+    facet inequality allows once the coordinates not yet fixed are relaxed
+    to their bounding-box range.
 
-    The last two levels run as one loop over the slices x_{d-2} = x: the
-    exact range of x_{d-1} on the slice is computed inline, so an empty
-    slice costs no more than that.  On a nonempty slice one pass over the
-    facets gives every point's saturated mask: a facet with last
-    coefficient 0 is saturated on the whole slice or nowhere, one with
-    a != 0 only at x_{d-1} = -slack / a, when that is an integer.
+    Level d - 2 is bounded exactly, by the projection of the polytope
+    along x_{d-1} (Fourier-Motzkin; Ziegler, Lectures on Polytopes,
+    section 1.2).  Its facets come from the facets with no x_{d-1} term
+    and from the silhouette ridges, whose two facets j and i bound x_{d-1}
+    from opposite sides (a_j > 0 > a_i on x_{d-1}): there
+    -a_i * slack_j + a_j * slack_i >= 0 has no x_{d-1} term.  One of these
+    with no x_{d-2} term either that fails empties the prefix.  So every
+    slice x_{d-2} = x walked holds real points, and the range of x_{d-1}
+    on it is computed inline.  In the same pass, a facet with a > 0 on
+    x_{d-1} can be tight only at the slice's first point, one with a < 0
+    only at its last, and one with a = 0 on the whole slice or nowhere.
     """
     d = len(vertices[0])
     if d == 1:  # a segment is the slice x0 = 0 of the same segment in the plane
         lifted = _lattice_points(
-            [(0,) + tuple(v) for v in vertices], [((0,) + tuple(n), b) for n, b in planes]
+            [(0,) + tuple(v) for v in vertices], [((0,) + tuple(n), b) for n, b in planes], ()
         )
         for raw, saturated in lifted:
             yield raw[1:], saturated
         return
-    lo = [min(v[i] for v in vertices) for i in range(d)]
-    hi = [max(v[i] for v in vertices) for i in range(d)]
-    offsets = [b for _, b in planes]
-    columns = [[n[k] for n, _ in planes] for k in range(d)]
-    # limits[k]: (j, a, offset - reach) for the facets j with a positive,
-    # then with a negative coefficient a on x_k, where reach is the most
-    # the coordinates after x_k can add to <normal_j, x>.  Facet j holds
-    # below this level only if a * x_k >= offset - reach - partial sum.  A
-    # facet with a = 0 needs no test: its bound here equals the bound
-    # already met one level up (at level 0, met by every vertex).
-    limits = [None] * d
-    reach = [0] * len(planes)
-    for k in range(d - 1, -1, -1):
-        rows = [(j, a, b - r) for j, (a, b, r) in enumerate(zip(columns[k], offsets, reach))]
-        limits[k] = ([t for t in rows if t[1] > 0], [t for t in rows if t[1] < 0])
-        reach = [r + max(a * lo[k], a * hi[k]) for r, a in zip(reach, columns[k])]
-    flat = [j for j, a in enumerate(columns[-1]) if a == 0]
+    yield from _descend(_Walk(vertices, planes, ridges), 0, (), [-b for _, b in planes])
 
-    def bounds(k, partial):
-        low, high = lo[k], hi[k]
-        above, below = limits[k]
-        for j, a, c in above:
-            x = -((partial[j] - c) // a)
+
+class _Walk:
+    """The facet tables of one `_lattice_points` walk, built once.
+
+    For a level k < d - 2, `limits[k]` holds (j, a, reach) for the facets
+    j with a positive, then a negative coefficient a on x_k, where reach is
+    the most the coordinates after x_k can add to facet j's slack; facet j
+    holds below this level only if a * x_k + slack_j + reach >= 0.  A facet
+    with a = 0 needs no test: its bound here equals the bound already met
+    one level up (at level 0, met by every vertex).
+
+    Level d - 2 tests (c, j, p, i, q): p * slack_j + q * slack_i + c * x >= 0,
+    split by the sign of c into `rising`, `falling` and `level`.  Level
+    d - 1 reads (j, a, a2, bit) for the facets with a > 0 (`above`) and
+    a < 0 (`below`) on x_{d-1} and (j, a2, bit) for those with a = 0
+    (`flat`), a2 being the coefficient on x_{d-2} and bit 1 << j.
+    """
+
+    __slots__ = (
+        "exact", "lo", "hi", "columns", "limits", "rising", "falling", "level", "above",
+        "below", "flat",
+    )
+
+    def __init__(self, vertices, planes, ridges):
+        d = len(vertices[0])
+        self.exact = d - 2
+        self.lo = lo = list(map(min, zip(*vertices)))
+        self.hi = hi = list(map(max, zip(*vertices)))
+        self.columns = columns = list(zip(*(n for n, _ in planes)))
+        self.limits = [None] * (d - 2)
+        reach = [0] * len(planes)
+        for k in range(d - 1, 0, -1):  # reach over x_k .. x_{d-1} bounds level k - 1
+            reach = [r + max(a * lo[k], a * hi[k]) for r, a in zip(reach, columns[k])]
+            if k < d - 1:
+                rows = list(zip(range(len(planes)), columns[k - 1], reach))
+                self.limits[k - 1] = [t for t in rows if t[1] > 0], [t for t in rows if t[1] < 0]
+        a1, a2 = columns[-1], columns[-2]
+        projected = [(a2[j], j, 1, j, 0) for j, a in enumerate(a1) if a == 0 and a2[j]]
+        for j, i in ridges:
+            if a1[j] < 0 < a1[i]:
+                j, i = i, j
+            if a1[j] > 0 > a1[i]:
+                p, q = -a1[i], a1[j]
+                projected.append((p * a2[j] + q * a2[i], j, p, i, q))
+        self.rising = [t for t in projected if t[0] > 0]
+        self.falling = [t for t in projected if t[0] < 0]
+        self.level = [t[1:] for t in projected if t[0] == 0]
+        self.above = [(j, a, a2[j], 1 << j) for j, a in enumerate(a1) if a > 0]
+        self.below = [(j, a, a2[j], 1 << j) for j, a in enumerate(a1) if a < 0]
+        self.flat = [(j, a2[j], 1 << j) for j, a in enumerate(a1) if a == 0]
+
+
+def _descend(walk, k, prefix, slack):
+    """The points of `walk` whose first k coordinates are `prefix`, each
+    facet j having slack[j] over them; a module function, as a recursive
+    closure would be a reference cycle."""
+    low, high = walk.lo[k], walk.hi[k]
+    if k < walk.exact:
+        above, below = walk.limits[k]
+        for j, a, r in above:
+            x = -((slack[j] + r) // a)
             if x > low:
                 low = x
-        for j, a, c in below:
-            x = (c - partial[j]) // a
+        for j, a, r in below:
+            x = (slack[j] + r) // -a
             if x < high:
                 high = x
-        return low, high
-
-    def descend(k, prefix, partial):
-        low, high = bounds(k, partial)
-        column = columns[k]
-        if k < d - 2:
-            for x in range(low, high + 1):
-                yield from descend(
-                    k + 1, prefix + (x,), [s + a * x for s, a in zip(partial, column)]
-                )
-            return
-        # Level d - 2.  On the slice x_{d-2} = x, facet j's slack at
-        # x_{d-1} = y is s + a2 * x + a * y, with s its slack so far, a2 its
-        # coefficient on x_{d-2} and a the one on x_{d-1}; facet j is
-        # carried as its bit 1 << j.
-        above, below = (
-            [(1 << j, a, partial[j] - offsets[j], column[j]) for j, a, _ in rows]
-            for rows in limits[-1]
-        )
-        tilted = above + below
-        flat_slack = [(1 << j, partial[j] - offsets[j], column[j]) for j in flat]
+        column = walk.columns[k]
         for x in range(low, high + 1):
-            first, last = lo[-1], hi[-1]
-            for _, a, s, a2 in above:
-                y = -((s + a2 * x) // a)
-                if y > first:
-                    first = y
-            for _, a, s, a2 in below:
-                y = -(s + a2 * x) // a
-                if y < last:
-                    last = y
-            if first > last:
-                continue
-            base = sum(bit for bit, s, a2 in flat_slack if s + a2 * x == 0)
-            saturated = {}
-            for bit, a, s, a2 in tilted:
-                s += a2 * x
-                if s % a == 0 and first <= -s // a <= last:
-                    saturated[-s // a] = saturated.get(-s // a, base) | bit
-            head = prefix + (x,)
-            for y in range(first, last + 1):
-                yield head + (y,), saturated.get(y, base)
-
-    yield from descend(0, (), [0] * len(planes))
+            inner = [s + a * x for s, a in zip(slack, column)]
+            yield from _descend(walk, k + 1, prefix + (x,), inner)
+        return
+    for j, p, i, q in walk.level:
+        if p * slack[j] + q * slack[i] < 0:
+            return
+    for c, j, p, i, q in walk.rising:
+        x = -((p * slack[j] + q * slack[i]) // c)
+        if x > low:
+            low = x
+    for c, j, p, i, q in walk.falling:
+        x = (p * slack[j] + q * slack[i]) // -c
+        if x < high:
+            high = x
+    above, below, flat = walk.above, walk.below, walk.flat
+    y_lo, y_hi = walk.lo[-1], walk.hi[-1]
+    for x in range(low, high + 1):
+        # Facet j's slack on this slice is t + a * y at x_{d-1} = y, with
+        # t = slack_j + a2 * x; it is tight only at y = -t / a.
+        first, last, head, tail = y_lo, y_hi, 0, 0
+        for j, a, a2, bit in above:
+            t = slack[j] + a2 * x
+            y = -(t // a)
+            if y > first:
+                first, head = y, 0 if t % a else bit
+            elif y == first and not t % a:
+                head |= bit
+        for j, a, a2, bit in below:
+            t = slack[j] + a2 * x
+            y = -t // a
+            if y < last:
+                last, tail = y, 0 if t % a else bit
+            elif y == last and not t % a:
+                tail |= bit
+        if first > last:
+            continue
+        base = 0
+        for j, a2, bit in flat:
+            if slack[j] + a2 * x == 0:
+                base |= bit
+        point = prefix + (x,)
+        if first == last:
+            yield point + (first,), base | head | tail
+            continue
+        yield point + (first,), base | head
+        for y in range(first + 1, last):
+            yield point + (y,), base
+        yield point + (last,), base | tail
 
 
 # -- convex hull ------------------------------------------------------------------
@@ -694,9 +750,9 @@ def hull(points) -> Polytope:
 
     One slack table of every input point against every facet then does
     three jobs: a negative entry means the construction failed; a point
-    whose tight facet mask lies strictly inside another's is no vertex (it
-    is interior to a larger face); and the vertices' rows are the
-    incidence the constructor checks.
+    is a vertex iff no other point lies on every facet through it (read
+    off the table's columns); and the vertices' rows are the incidence
+    the constructor checks.
     """
     pts = sorted(set(points))
     if not pts:
@@ -744,8 +800,9 @@ def hull(points) -> Polytope:
 
     # The one slack table, in the constructor's facet order.
     planes = sorted(facets)
-    tight = []
-    for p in pts:
+    tight = []  # rows: each point's tight facets
+    columns = [0] * len(planes)  # columns: each facet's tight points
+    for i, p in enumerate(pts):
         mask = 0
         for j, (normal, rhs) in enumerate(planes):
             s = dot(normal, p) - rhs
@@ -753,13 +810,15 @@ def hull(points) -> Polytope:
                 if s:
                     raise InputError(f"hull construction failed: {p} outside result")
                 mask |= 1 << j
+                columns[j] |= 1 << i
         tight.append(mask)
-    # A candidate (a point on some facet) is a vertex unless it lies in the
-    # relative interior of a larger face, whose vertices (also candidates)
-    # lie on strictly more of the facets.
-    candidates = _bits(functools.reduce(int.__or__, facets.values()))
-    masks = {tight[i] for i in candidates}
-    vertices = [i for i in candidates if not any(tight[i] & u == tight[i] != u for u in masks)]
+    # A point on some facet is a vertex iff it is the only point on every
+    # facet through it: the AND of those facets' columns is its own bit.
+    vertices = [
+        i
+        for i, mask in enumerate(tight)
+        if mask and functools.reduce(int.__and__, map(columns.__getitem__, _bits(mask))) == 1 << i
+    ]
     saturated = [tight[i] for i in vertices]
     return Polytope(
         [pts[i] for i in vertices],

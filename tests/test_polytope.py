@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import itertools
@@ -566,6 +567,44 @@ def test_census_random_hulls_against_grid_oracle():
         assert_census_matches_grid_oracle(poly)
         checked[d] += 1
     assert sorted(checked) == [1, 2, 3, 4] and min(checked.values()) >= 10, checked
+
+
+def ridge_pairs(poly):
+    """The two facet indices of each ridge, in no particular order."""
+    return [tuple(f.facet_set) for f in poly.faces(poly.dim - 2)]
+
+
+def test_census_ridge_bounds_only_prune():
+    # Without the ridges, x_{d-2} is bounded by the box and the facets with
+    # no x_{d-1} term alone; the walk must yield the same stream.
+    polytopes = []
+    for name in ALL:
+        polytopes += [fixture_polytope(name), fixture_polytope(name).dual()]
+    for weights in THIN_SIMPLICES:
+        polytopes += [ray_simplex(weights), ray_simplex(weights).dual()]
+    for d, pts in random_point_sets(random.Random(31), 60, 1, 4):
+        try:
+            polytopes.append(hull(mpoints(pts)))
+        except NotFullDimensionalError:
+            continue
+    assert {p.dim for p in polytopes} == {1, 2, 3, 4}
+    for poly in polytopes:
+        walk = functools.partial(polytope_module._lattice_points, poly.vertices, poly._planes)
+        assert list(walk(ridge_pairs(poly))) == list(walk(())), poly
+
+
+def test_census_walk_leaves_no_reference_cycle():
+    # the walk's recursion is a module function, freed by reference counting
+    p = fixture_polytope("cross4d")
+    args = p.vertices, p._planes, ridge_pairs(p)
+    n_points = p.n_points
+    gc.collect()
+    gc.disable()
+    try:
+        assert sum(1 for _ in polytope_module._lattice_points(*args)) == n_points
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("name", CORPUS_4D + ("pgon_hexagon", "pgon_triangle_p123"))
