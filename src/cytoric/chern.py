@@ -17,9 +17,9 @@ multiplying by X = -K on the simplicial fan.  With c(V) = prod_u (1 + D_u),
 c_k(V) is the sum of W(g) over the k-cones; c2(X) . L =
 c2(V) . X . L and, by adjunction, chi(X) = (c3(V) - c2(V) . X) . X.
 
-The form reads the fan's star and dual bases; divisors become integer
-coefficients through :meth:`~cytoric.fan.Fan.scaled_coeffs`, and the
-fan's :attr:`~cytoric.fan.Fan.is_fine` shows it is the full crepant
+The form reads the fan's maximal cones and dual bases; divisors become
+integer coefficients through :meth:`~cytoric.fan.Fan.scaled_coeffs`, and
+the fan's :attr:`~cytoric.fan.Fan.is_fine` shows it is the full crepant
 refinement.
 """
 
@@ -42,22 +42,23 @@ class IntersectionForm:
     """The Chow ring of a simplicial complete 4-fan, built once.
 
     Cones are ascending tuples of ray indices.  `_cones[g]` holds the
-    determinant det of g's host in the fan's
-    :attr:`~cytoric.fan.Fan.star`, M / det for the lcm M of all maximal
-    cones' determinants, and per link ray u the entry (u, g + u, c) with
-    <m_i, u> = c_i / det for the host's dual basis m_i.  `_top[g]` is
-    M / mult(g) for the maximal cones.  Classes are integer numerators on
-    the W(g) over one denominator.
+    determinant det of g's host (the first maximal cone containing g),
+    M / det for the lcm M of all maximal cones' determinants, and g's links
+    in two kinds.  A host link (u, g + u) has u a ray of the host, so
+    <m_i, u> = 0 for the host's dual basis m_i, as <n_i, v_j> =
+    det * (i == j): one multiply in the product rule.  A cross link
+    (u, g + u, c) has <m_i, u> = c_i / det.  `_top[g]` is M / mult(g) for
+    the maximal cones.  Classes are integer numerators on the W(g) over one
+    denominator.
 
     The table is one pass over the maximal cones.  Each, with rays
     a < b < e < d and dual basis n_a .. n_d, walks its faces as literal
-    tuples, smallest first, then itself.  A face h is new at its host, the
-    first cone in its star: there it takes the host's det and the n_i at
-    its rays, and for each ray u of h the face g = h - u gets the entry
-    (u, h, c), c the dot products of g's dual vectors with ray u.  So each
-    (face, link ray) pair comes out once, from the larger face.  No product
-    is skipped: a ray u of g's host gives c = 0, as <n_i, v_j> =
-    det * (i == j).
+    tuples, smallest first, then itself.  A face h not yet in the table is
+    new at its host, this cone: it takes the host's det and the n_i at its
+    rays, and for each ray u of h the face g = h - u gets the link (u, h):
+    a host link if g is new at this cone too, else a cross link with c the
+    dot products of g's dual vectors with ray u.  So each (face, link ray)
+    pair comes out once, from the larger face.
     """
 
     def __init__(self, fan: Fan):
@@ -69,51 +70,60 @@ class IntersectionForm:
         self.fan = fan
         self.rays = fan.rays
         vs = list(map(tuple, fan.rays))
-        tops, dets, star = fan.cones, fan.dets, fan.star
+        tops, dets = fan.cones, fan.dets
         m = self._lcm = lcm(*dets)
         self._top = {top: m // det for top, det in zip(tops, dets)}
         # the origin: every ray links it; det 1 and M keep det * M / det = M
         origin = []
-        cones = self._cones = {(): (1, m, origin)}
-        at = {}  # face -> (its entries, its host's dual vectors at its rays)
+        cones = self._cones = {(): (1, m, origin, ())}
+        at = {}  # face -> (its host, its two link lists, the host's n_i at its rays)
         for c, (top, (na, nb, ne, nd), det) in enumerate(zip(tops, fan.duals, dets)):
             a, b, e, d = top
             w = m // det
             for h, n in (((a,), na), ((b,), nb), ((e,), ne), ((d,), nd)):
-                if star[h][0] == c:
-                    entries = []
-                    cones[h] = (det, w, entries)
-                    at[h] = (entries, n)
-                    origin.append((h[0], h, ()))
+                if h not in cones:
+                    host, cross = [], []
+                    cones[h] = (det, w, host, cross)
+                    at[h] = (c, host, cross, n)
+                    origin.append((h[0], h))
             for h, ns in (((a, b), (na, nb)), ((a, e), (na, ne)), ((a, d), (na, nd)),
                           ((b, e), (nb, ne)), ((b, d), (nb, nd)), ((e, d), (ne, nd))):
-                if star[h][0] == c:
-                    entries = []
-                    cones[h] = (det, w, entries)
-                    at[h] = (entries, ns)
+                if h not in cones:
+                    host, cross = [], []
+                    cones[h] = (det, w, host, cross)
+                    at[h] = (c, host, cross, ns)
                     u0, u1 = h
                     for g, u in (((u1,), u0), ((u0,), u1)):
-                        x0, x1, x2, x3 = vs[u]
-                        links, (p0, p1, p2, p3) = at[g]
-                        links.append((u, h, (p0 * x0 + p1 * x1 + p2 * x2 + p3 * x3,)))
+                        gc, host_g, cross_g, (p0, p1, p2, p3) = at[g]
+                        if gc == c:
+                            host_g.append((u, h))
+                        else:
+                            x0, x1, x2, x3 = vs[u]
+                            cross_g.append((u, h, (p0 * x0 + p1 * x1 + p2 * x2 + p3 * x3,)))
             for h, ns in (((a, b, e), (na, nb, ne)), ((a, b, d), (na, nb, nd)),
                           ((a, e, d), (na, ne, nd)), ((b, e, d), (nb, ne, nd))):
-                if star[h][0] == c:
-                    entries = []
-                    cones[h] = (det, w, entries)
-                    at[h] = (entries, ns)
+                if h not in cones:
+                    host, cross = [], []
+                    cones[h] = (det, w, host, cross)
+                    at[h] = (c, host, cross, ns)
                     u0, u1, u2 = h
                     for g, u in (((u1, u2), u0), ((u0, u2), u1), ((u0, u1), u2)):
-                        x0, x1, x2, x3 = vs[u]
-                        links, ((p0, p1, p2, p3), (q0, q1, q2, q3)) = at[g]
-                        links.append((u, h, (p0 * x0 + p1 * x1 + p2 * x2 + p3 * x3,
-                                             q0 * x0 + q1 * x1 + q2 * x2 + q3 * x3)))
+                        gc, host_g, cross_g, ((p0, p1, p2, p3), (q0, q1, q2, q3)) = at[g]
+                        if gc == c:
+                            host_g.append((u, h))
+                        else:
+                            x0, x1, x2, x3 = vs[u]
+                            cross_g.append((u, h, (p0 * x0 + p1 * x1 + p2 * x2 + p3 * x3,
+                                                   q0 * x0 + q1 * x1 + q2 * x2 + q3 * x3)))
             for g, u in (((b, e, d), a), ((a, e, d), b), ((a, b, d), e), ((a, b, e), d)):
-                x0, x1, x2, x3 = vs[u]
-                links, ((p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3)) = at[g]
-                links.append((u, top, (p0 * x0 + p1 * x1 + p2 * x2 + p3 * x3,
-                                       q0 * x0 + q1 * x1 + q2 * x2 + q3 * x3,
-                                       r0 * x0 + r1 * x1 + r2 * x2 + r3 * x3)))
+                gc, host_g, cross_g, ((p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3)) = at[g]
+                if gc == c:
+                    host_g.append((u, top))
+                else:
+                    x0, x1, x2, x3 = vs[u]
+                    cross_g.append((u, top, (p0 * x0 + p1 * x1 + p2 * x2 + p3 * x3,
+                                             q0 * x0 + q1 * x1 + q2 * x2 + q3 * x3,
+                                             r0 * x0 + r1 * x1 + r2 * x2 + r3 * x3)))
         self._all_rays = (dict.fromkeys(range(len(fan.rays)), 1), 1)
 
     def _times(self, cls, divisor):
@@ -122,12 +132,18 @@ class IntersectionForm:
         coeffs, scale = divisor
         out = {}
         for g, x in cls[0].items():
-            det, w, entries = self._cones[g]
+            det, w, host, cross = self._cones[g]
+            xw = x * w
+            xwd = xw * det
+            for u, child in host:
+                a = coeffs.get(u)
+                if a:
+                    out[child] = out.get(child, 0) + xwd * a
             ag = [coeffs.get(i, 0) for i in g]
-            for u, child, c in entries:
+            for u, child, c in cross:
                 y = det * coeffs.get(u, 0) - sum(map(mul, ag, c))
                 if y:
-                    out[child] = out.get(child, 0) + x * w * y
+                    out[child] = out.get(child, 0) + xw * y
         return out, cls[1] * scale * self._lcm
 
     def _degree(self, divisors, cls=({(): 1}, 1)) -> Fraction:
@@ -155,18 +171,21 @@ class IntersectionForm:
 
     @cached_property
     def _c2_rays(self):
-        """c2(V) . X . D_l for every ray l: each wall's term of c2(V) . X
-        times D_l by the product rule, scattered over the rays in one pass."""
+        """c2(V) . X . D_l for every ray l, as integer numerators over one
+        denominator: each wall's term of c2(V) . X times D_l by the product
+        rule, scattered over the rays in one pass."""
         f = [0] * len(self.rays)
         walls, den = self._c2_x
         for wall, x in walls.items():
-            det, w, entries = self._cones[wall]
-            for u, top, c in entries:
+            det, w, host, cross = self._cones[wall]
+            for u, top in host:
+                f[u] += x * w * self._top[top] * det
+            for u, top, c in cross:
                 y = x * w * self._top[top]
                 f[u] += y * det
                 for i, ci in zip(wall, c):
                     f[i] -= y * ci
-        return [Fraction(n, den * self._lcm**2) for n in f]
+        return f, den * self._lcm**2
 
 
 def intersection_number(form, d1, d2, d3, d4) -> Fraction:
@@ -207,9 +226,9 @@ def c2_dot(delta: Polytope, fan_or_form, divisor: WeilDivisor) -> Fraction:
     non-integral on orbifold classes and is reported as is."""
     form = _as_form(fan_or_form)
     _check_is_refinement_of(delta, form.fan)
-    f = form._c2_rays
+    f, den = form._c2_rays
     coeffs, scale = form.fan.scaled_coeffs(divisor)
-    return sum((a * f[i] for i, a in coeffs.items()), Fraction(0)) / scale
+    return Fraction(sum(a * f[i] for i, a in coeffs.items()), den * scale)
 
 
 class CurveClass(enum.Enum):

@@ -23,7 +23,7 @@ The nef test is toric Kleiman on the wall relations (Cox-Little-Schenck,
 Toric Varieties, Thm 6.3.12 and 6.4): a divisor is nef iff it pairs
 nonnegatively with the relation of every wall, one integer test per wall.
 A :class:`Fan` owns every fact about itself: its rays, whether it is fine,
-and for a simplicial fan its skeleton (the star of every face, each
+and for a simplicial fan its skeleton (the cones on each wall, each
 maximal cone's integer dual basis and the wall relations), each built
 once.  Walls, edges, the nef test and the intersection form in
 :mod:`cytoric.chern` all read it, and every divisor audit refuses a
@@ -54,7 +54,7 @@ from .errors import (
     NotReflexiveError,
     NotSimplicialError,
 )
-from .polytope import Polytope, hull  # noqa: F401  bench/spans.py wraps fan.hull
+from .polytope import Polytope, _bits, hull  # noqa: F401  bench/spans.py wraps fan.hull
 
 
 @dataclass(frozen=True)
@@ -122,15 +122,15 @@ class Fan:
 
     A simplicial fan also owns its skeleton, built once and shared by the
     walls, the edges, the nef test and the intersection form.  `cones[c]`
-    holds the ascending ray indices of maximal cone c.  `star` maps each
-    face of dimension 1 .. d-1, as ascending ray indices, to the maximal
-    cones containing it in cone order, the first its host; `owners` is its
-    restriction to the walls, which `walls()` shares, so do not mutate it.
-    For cone c with rays v_0 .. v_{d-1}, `dets[c]` is its multiplicity
-    |det| and `duals[c][i]` the integer vector n_i with <n_i, v_j> =
-    dets[c] * (i == j), one :func:`dual_basis` per cone in any dimension
-    (the determinants that show the fan simplicial; closed-form cofactors
-    in dimension 4).
+    holds the ascending ray indices of maximal cone c.  `owners` maps each
+    wall, as ascending ray indices, to the maximal cones containing it in
+    cone order (two in a complete fan); `walls()` shares it, so do not
+    mutate it.  The walk that builds it also keeps the second cone's ray
+    off the wall, which the wall relations read.  For cone c with rays
+    v_0 .. v_{d-1}, `dets[c]` is its multiplicity |det| and `duals[c][i]`
+    the integer vector n_i with <n_i, v_j> = dets[c] * (i == j), one
+    :func:`dual_basis` per cone in any dimension (the determinants that
+    show the fan simplicial; closed-form cofactors in dimension 4).
     """
 
     def __init__(self, maximal_cones, provenance, base):
@@ -198,8 +198,8 @@ class Fan:
     def walls(self):
         """Each wall (codimension-one face) as ascending ray indices, with
         the maximal cones sharing it: two each in a complete fan.  Read off
-        the star, or for a non-simplicial face fan the ridges of the base's
-        dual."""
+        the maximal cones, or for a non-simplicial face fan the ridges of
+        the base's dual."""
         if self.is_simplicial:
             return self.owners
         dual = self.base.dual()
@@ -233,18 +233,21 @@ class Fan:
         return tuple(tuple(map(self.ray_index, c.rays)) for c in self.maximal_cones)
 
     @cached_property
-    def star(self):
-        self._simplicial_bases()  # a star of a simplicial fan only
-        star = {}
+    def _wall_walk(self):
+        """(owners, off): each wall's maximal cones in cone order, and the
+        last one's ray off the wall, the second cone's on a complete fan; a
+        cone's k-th wall omits top[~k]."""
+        self._simplicial_bases()  # walls of a simplicial fan only
+        owners, off = {}, {}
         for c, top in enumerate(self.cones):
-            for k in range(1, len(top)):
-                for g in combinations(top, k):  # ascending, as top is
-                    star.setdefault(g, []).append(c)
-        return {g: tuple(c) for g, c in star.items()}
+            for k, wall in enumerate(combinations(top, len(top) - 1)):
+                owners[wall] = owners.get(wall, ()) + (c,)
+                off[wall] = top[~k]
+        return owners, off
 
-    @cached_property
+    @property
     def owners(self):
-        return {g: c for g, c in self.star.items() if len(g) == self.dim - 1}
+        return self._wall_walk[0]
 
     def require_complete(self):
         if any(len(c) != 2 for c in self.owners.values()):
@@ -266,9 +269,10 @@ class Fan:
         """
         self.require_complete()
         rays, cones, dets, duals = self.rays, self.cones, self.dets, self.duals
+        owners, off = self._wall_walk
         out = []
-        for wall, (ci, cj) in self.owners.items():
-            (u,) = set(cones[cj]).difference(wall)
+        for wall, (ci, _) in owners.items():
+            u = off[wall]
             v = rays[u]
             b = [-sum(map(mul, n, v)) for n in duals[ci]]
             b.append(dets[ci])
@@ -278,10 +282,10 @@ class Fan:
 
     def edges(self):
         """All 2-element ray sets spanning a 2-cone of a simplicial fan,
-        ascending: the star's 2-faces (the maximal cones of a 2-fan)."""
+        ascending: the 2-subsets of the maximal cones."""
         if not self.is_simplicial:
             raise NotSimplicialError("edge enumeration expects a simplicial fan")
-        pairs = self.cones if self.dim == 2 else [g for g in self.star if len(g) == 2]
+        pairs = {g for top in self.cones for g in combinations(top, 2)}
         return [(self.rays[a], self.rays[b]) for a, b in sorted(pairs)]
 
     def __repr__(self):
@@ -308,9 +312,9 @@ def face_fan(delta: Polytope) -> Fan:
 
 
 class _Cell:
-    """A cell of a pulling triangulation: its rays, its walls as (primitive
-    normal, rays on the wall), and `held`, each later point the cell holds
-    with its values <n, p> on the walls, in wall order."""
+    """A cell of a pulling triangulation: its rays and its walls as (primitive
+    normal, rays on the wall), ray sets as bitmasks over the facet's points,
+    and `held`, each later point it holds with its values <n, p> on the walls."""
 
     __slots__ = ("rays", "walls", "held")
 
@@ -338,7 +342,8 @@ def _pull_triangulate_facet(dual: Polytope, facet, points):
     A cell is a cone in the ambient lattice: its rays, its walls as
     (primitive normal, nonnegative on the cell; rays on the wall), and the
     later points it holds with their values on its walls (a conflict list,
-    Clarkson-Shor).  The first cell has one wall per ridge of the dual in
+    Clarkson-Shor).  Ray sets are int bitmasks over `points`, so a ridge
+    test is one AND.  The first cell has one wall per ridge of the dual in
     the facet: on facet i, where <m_i, x> = -1, the ridge shared with facet
     j is <m_j - m_i, x> = 0; it holds every point, one dot product per wall.
     A map from each point to the cells holding it means pulling q visits
@@ -354,19 +359,20 @@ def _pull_triangulate_facet(dual: Polytope, facet, points):
     """
     i = facet.fmask.bit_length() - 1  # a facet's mask is its own bit
     m_i = dual.facets[i].normal
+    bit = {p: 1 << k for k, p in enumerate(points)}
     walls = []
     for ridge in dual.faces(dual.dim - 2):
         if ridge.fmask & facet.fmask:
             j = (ridge.fmask ^ facet.fmask).bit_length() - 1  # a ridge lies on two facets
             normal = [a - b for a, b in zip(dual.facets[j].normal, m_i)]
-            walls.append((primitive_vector(normal), frozenset(ridge.vertices)))
-    first = _Cell(
-        frozenset(facet.vertices), walls, {p: [dot(n, p) for n, _ in walls] for p in points}
-    )
+            walls.append((primitive_vector(normal), sum(bit[v] for v in ridge.vertices)))
+    rays = sum(bit[v] for v in facet.vertices)
+    first = _Cell(rays, walls, {p: [dot(n, p) for n, _ in walls] for p in points})
     cells = [first]
     cells_of = {p: [first] for p in points}  # split cells are dropped lazily
     d = dual.dim
     for q in points:
+        bit_q = bit[q]
         for cell in cells_of.pop(q):
             held = cell.held
             if held is None:
@@ -376,7 +382,7 @@ def _pull_triangulate_facet(dual: Polytope, facet, points):
                 continue  # the cell is a pyramid with apex q already
             cell.held = None
             walls = cell.walls
-            simplex = len(cell.rays) == d
+            simplex = cell.rays.bit_count() == d
             for a, (n_f, on_f) in enumerate(walls):
                 v_f = values[a]
                 if v_f == 0:
@@ -385,11 +391,11 @@ def _pull_triangulate_facet(dual: Polytope, facet, points):
                 cuts = []
                 for b, (n_g, on_g) in enumerate(walls):
                     ridge = on_f & on_g
-                    if b != a and (simplex or sum(ridge <= on for _, on in walls) == 2):
+                    if b != a and (simplex or sum(ridge & on == ridge for _, on in walls) == 2):
                         v_g = values[b]
                         normal = [v_f * x - v_g * y for x, y in zip(n_g, n_f)]
                         g = math.gcd(*normal)
-                        pyramid.append((tuple(x // g for x in normal), ridge | {q}))
+                        pyramid.append((tuple(x // g for x in normal), ridge | bit_q))
                         cuts.append((b, v_g, g))
                 inside = {}
                 for p, w in held.items():
@@ -402,11 +408,11 @@ def _pull_triangulate_facet(dual: Polytope, facet, points):
                         out.append(x // g)
                     else:
                         inside[p] = out
-                cell_f = _Cell(on_f | {q}, pyramid, inside)
+                cell_f = _Cell(on_f | bit_q, pyramid, inside)
                 cells.append(cell_f)
                 for p in inside:
                     cells_of[p].append(cell_f)
-    return [cell.rays for cell in cells if cell.held is not None]
+    return [frozenset(map(points.__getitem__, _bits(c.rays))) for c in cells if c.held is not None]
 
 
 def mpcp_triangulate(delta: Polytope) -> Fan:
@@ -432,7 +438,7 @@ def mpcp_triangulate(delta: Polytope) -> Fan:
 def _validate_mpcp(fan: Fan):
     """Fine, simplicial (every cone's determinant is nonzero), every wall
     on two cones, and the cones' |det| sum to the base's dual's normalized
-    volume: one dual basis per cone and the star, kept on the fan."""
+    volume: one dual basis per cone and one walk of the walls, on the fan."""
     if not fan.is_fine:
         raise InputError("refinement is not fine: ray set != boundary points")
     if not fan.is_simplicial:
@@ -470,10 +476,8 @@ class WeilDivisor:
 
     @classmethod
     def from_dict(cls, mapping):
-        items = tuple(
-            sorted((r, Fraction(c)) for r, c in mapping.items() if Fraction(c) != 0)
-        )
-        return cls(items)
+        items = ((r, Fraction(c)) for r, c in mapping.items())
+        return cls(tuple(sorted(item for item in items if item[1])))
 
     @classmethod
     def zero(cls):
@@ -481,11 +485,11 @@ class WeilDivisor:
 
     @classmethod
     def ray(cls, ray, coeff=1):
-        return cls.from_dict({ray: Fraction(coeff)})
+        return cls.from_dict({ray: coeff})
 
     @classmethod
     def anticanonical(cls, fan: Fan):
-        return cls.from_dict({r: Fraction(1) for r in fan.rays})
+        return cls.from_dict(dict.fromkeys(fan.rays, 1))
 
     @cached_property
     def _lookup(self):

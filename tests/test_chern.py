@@ -155,21 +155,34 @@ def test_value_matches_memo_oracle_on_random_supports(forms):
 
 def test_form_cones_match_combination_oracle(example_form):
     # the one-pass form against the old subset loop that dotted every
-    # (face, link ray) pair: same host, link and pairings for every face;
+    # (face, link ray) pair: same host, link and pairings for every face.
+    # Host links are exactly the oracle's entries whose link ray is a ray
+    # of the face's host, each with c all zero, and cross links the rest;
     # the empty face has det 1 here, the oracle its host's (the same
-    # det * (M / det) = M)
+    # det * (M / det) = M), and links every ray with an empty c
     fans = [example_form.fan, mpcp_triangulate(hull(fixture_points("cross4d")))]
     fans += [mpcp_triangulate(ray_simplex(w)) for w in ((1, 2, 2, 2), (1, 1, 1, 4))]
     for fan in fans:
         form = IntersectionForm(fan)
         expected = combination_form_cones(fan)
+        host_of = {}
+        for top in fan.cones:
+            for k in range(1, 4):
+                for g in itertools.combinations(top, k):
+                    host_of.setdefault(g, set(top))
         assert form._cones.keys() == expected.keys()
-        for g, (det, w, entries) in form._cones.items():
+        for g, (det, w, host, cross) in form._cones.items():
+            entries = [(u, h, (0,) * len(g)) for u, h in host] + list(cross)
             assert len(set(entries)) == len(entries)
             if g:
                 assert (det, w, set(entries)) == expected[g]
+                on_host = {e for e in expected[g][2] if e[0] in host_of[g]}
+                assert {(u, h) for u, h, _ in on_host} == set(host)
+                assert all(not any(c) for _, _, c in on_host)
+                assert set(cross) == expected[g][2] - on_host
             else:
                 assert det * w == expected[g][0] * expected[g][1] and set(entries) == expected[g][2]
+                assert not cross
 
 
 @pytest.mark.parametrize("name", ["quintic", "cube", "example_s3"])
@@ -393,7 +406,9 @@ def assert_riemann_roch(form):
     Roch), that is 2 D^3 + c2 . D = 0 mod 12.  D^3 . X starts from
     D . V(0) = W(D), the class of D's own ray, so each ray sweeps its star
     only; c2 . D is the form's sweep over all rays at once."""
-    for i, c2 in enumerate(form._c2_rays):
+    numerators, den = form._c2_rays
+    for i, n in enumerate(numerators):
+        c2 = Fraction(n, den)
         ray = ({i: 1}, 1)
         cube = form._degree([ray, ray, form._all_rays], ({(i,): 1}, 1))
         assert cube.denominator == 1 and c2.denominator == 1, form.rays[i]

@@ -372,7 +372,9 @@ def test_dual_bases_of_a_four_dimensional_fan_take_no_elimination(cross4d_mpcp, 
 
 
 def test_star_matches_every_cone_subset(p4_fan, example_mpcp, cross4d_mpcp, wp11222_mpcp):
-    # the star, walls and edges against the subsets of every maximal cone
+    # walls, each wall's ray off it in its second cone, and edges against
+    # the subsets of every maximal cone; the fan keeps no star of its faces
+    assert not hasattr(Fan, "star")
     fans = [p4_fan, example_mpcp, cross4d_mpcp, wp11222_mpcp]
     fans += [face_fan(fixture_polytope(name)) for name in POLYGONS]
     for fan in fans:
@@ -383,29 +385,33 @@ def test_star_matches_every_cone_subset(p4_fan, example_mpcp, cross4d_mpcp, wp11
             for k in range(1, fan.dim):
                 for g in itertools.combinations(top, k):
                     expected.setdefault(g, []).append(c)
-        assert fan.star == {g: tuple(c) for g, c in expected.items()}
         assert fan.walls() == {g: tuple(c) for g, c in expected.items() if len(g) == fan.dim - 1}
+        owners, off = fan._wall_walk
+        for wall, (_, cj) in owners.items():
+            assert {off[wall]} == set(fan.cones[cj]) - set(wall)
         pairs = {(a, b) for cone in fan.maximal_cones for a, b in itertools.combinations(cone.rays, 2)}
         assert fan.edges() == sorted(pairs)
 
 
 def test_form_table_has_one_entry_per_face_and_link_ray():
-    # the form's one pass over the maximal cones gives each face h of the
-    # star len(h) entries, one on each face h - u (on the origin for a
-    # ray), and each maximal cone 4; no face links a ray twice, and the fan
-    # keeps no pairing memo for the form or the wall relations to fill
+    # the form's one pass over the maximal cones gives each proper face h
+    # of a maximal cone len(h) entries, host and cross links together, one
+    # on each face h - u (on the origin for a ray), and each maximal cone
+    # 4; no face links a ray twice, and the fan keeps no pairing memo for
+    # the form or the wall relations to fill
     assert not hasattr(Fan, "pairings")
     for delta in (fixture_polytope("cross4d"), ray_simplex((1, 1, 1, 4))):
         fan = mpcp_triangulate(delta)
         form = IntersectionForm(fan)
         assert is_nef(fan, WeilDivisor.anticanonical(fan))
         assert not hasattr(fan, "_pairings")
+        faces = {g for top in fan.cones for k in range(1, 4) for g in itertools.combinations(top, k)}
         tables = form._cones.values()
-        assert sum(len(entries) for _, _, entries in tables) == (
-            sum(map(len, fan.star)) + 4 * len(fan.cones)
+        assert sum(len(host) + len(cross) for _, _, host, cross in tables) == (
+            sum(map(len, faces)) + 4 * len(fan.cones)
         )
-        for _, _, entries in tables:
-            links = [u for u, _, _ in entries]
+        for _, _, host, cross in tables:
+            links = [u for u, _ in host] + [u for u, _, _ in cross]
             assert len(set(links)) == len(links)
 
 
