@@ -26,6 +26,7 @@ refinement.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -256,10 +257,7 @@ class CurveCensus:
     uncovered: frozenset
 
     def by_kind(self):
-        out = {}
-        for e in self.entries:
-            out[e.kind] = out.get(e.kind, 0) + 1
-        return out
+        return Counter(e.kind for e in self.entries)
 
 
 def curve_census(delta: Polytope, fan: Fan) -> CurveCensus:

@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import json
 import traceback
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from itertools import repeat
 
 import click
 
@@ -33,11 +35,6 @@ from .fan import WeilDivisor
 from .lattice import NPoint
 from .polyfile import dump_polytope, parse_polytope_path
 from .polytope import RationalPolytope, hull
-
-
-def _frac(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def _load(path):
@@ -140,7 +137,7 @@ def report_poly_dual(path, opts):
             "reflexive": False,
             "dual": {
                 "lattice": False,
-                "vertices": [[_frac(c) for c in v] for v in d.vertices],
+                "vertices": [[str(c) for c in v] for v in d.vertices],
             },
         }
     return {
@@ -155,14 +152,10 @@ def report_poly_dual(path, opts):
 def report_poly_points(path, opts):
     p = _load(path)
     census = p.census()
-    by_dim = {}
-    for pt in census.boundary:
-        d = census.face_of[pt].dim
-        by_dim[str(d)] = by_dim.get(str(d), 0) + 1
     return {
         "l": census.n_points,
         "l_star": census.n_interior,
-        "boundary_by_face_dim": by_dim,
+        "boundary_by_face_dim": Counter(str(census.face_of[pt].dim) for pt in census.boundary),
         "points": [
             {
                 "point": list(pt),
@@ -300,13 +293,13 @@ def report_chern_c2(path, opts):
         {
             "divisor": e.label,
             "nef": e.nef,
-            "restricted_degree": _frac(e.restricted_degree),
-            "c2": _frac(e.c2_value),
+            "restricted_degree": str(e.restricted_degree),
+            "c2": str(e.c2_value),
             "positive": e.c2_value > 0,
         }
         for e in audits
     ]
-    values = [{"divisor": label, "value": _frac(v)} for label, v in values]
+    values = [{"divisor": label, "value": str(v)} for label, v in values]
     return {"c2": {"values": values, "audit": audit}}
 
 
@@ -385,18 +378,11 @@ def _scalar(value):
 def _execute(ctx, command, paths, opts):
     as_json = ctx.obj["json"]
     jobs = ctx.obj["jobs"]
-    results = []
     if jobs > 1 and len(paths) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(paths))) as pool:
-            futures = [pool.submit(_run_one, command, p, opts) for p in paths]
-            try:
-                results = [f.result() for f in futures]
-            except BaseException:
-                # A usage error ends the batch: leaving the block must not
-                # wait for the files not yet started.
-                for f in futures:
-                    f.cancel()
-                raise
+            # A usage error ends the batch: map's results cancel the files
+            # not yet started, so leaving the block does not wait for them.
+            results = list(pool.map(_run_one, repeat(command), paths, repeat(opts)))
     else:
         results = [_run_one(command, p, opts) for p in paths]
     status = 0

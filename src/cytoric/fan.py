@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from operator import mul
+from operator import mul, neg
 
 from ._linalg import (
     dot,
@@ -176,7 +176,7 @@ class Fan:
             except ValueError:
                 return None
             if det < 0:
-                det, ns = -det, [tuple(-x for x in n) for n in ns]
+                det, ns = -det, [tuple(map(neg, n)) for n in ns]
             dets.append(det)
             duals.append(ns)
         return tuple(dets), tuple(duals)
@@ -250,7 +250,7 @@ class Fan:
         return self._wall_walk[0]
 
     def require_complete(self):
-        if any(len(c) != 2 for c in self.owners.values()):
+        if not self.wall_consistency():
             raise InputError("fan is not complete: some wall has one incident cone")
 
     @cached_property
@@ -524,22 +524,15 @@ class WeilDivisor:
         return "WeilDivisor(" + " + ".join(parts) + ")"
 
 
-def _cone_support_data(cone: Cone, coeffs):
-    """Local data m with <m, v> = -a_v on every ray v of the cone, as
-    (numerators, denominator), or None; `coeffs` maps rays to a_v."""
-    rows = [tuple(r) for r in cone.rays]
-    rhs = [-coeffs.get(r, 0) for r in cone.rays]
-    return solve_linear(rows, rhs)
-
-
 def is_qcartier(fan: Fan, divisor: WeilDivisor):
-    """Whether per-cone linear support data exists; if so, also the smallest
-    positive integer clearing all denominators (the Cartier index)."""
+    """Whether per-cone linear support data exists, m with <m, v> = -a_v on
+    every ray v of the cone; if so, also the smallest positive integer
+    clearing all denominators (the Cartier index)."""
     fan.scaled_coeffs(divisor)  # refuses a divisor off the rays
     coeffs = divisor._lookup
     index = 1
     for cone in fan.maximal_cones:
-        m = _cone_support_data(cone, coeffs)
+        m = solve_linear([tuple(r) for r in cone.rays], [-coeffs.get(r, 0) for r in cone.rays])
         if m is None:
             return False, None
         index = math.lcm(index, m[1])  # solve_linear gives lowest terms

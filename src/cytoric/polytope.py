@@ -65,18 +65,19 @@ class Face:
     as bitmasks over the owning polytope's sorted vertices and facets (bit
     j of `vmask` is vertex j, bit i of `fmask` facet i), with set views.
 
-    Lattice point counts (total and relative-interior) come from the owning
-    polytope's census, which runs on first access.
+    Lattice point counts (total and relative-interior) are read from the
+    owning polytope's census, its one table of points per saturated facet
+    mask; the census runs on the first count read.
     """
 
-    __slots__ = ("dim", "vmask", "fmask", "_polytope", "_vertices", "_n_points", "_n_interior")
+    __slots__ = ("dim", "vmask", "fmask", "_polytope", "_vertices")
 
     def __init__(self, dim, vmask, fmask, polytope):
         self.dim = dim
         self.vmask = vmask
         self.fmask = fmask
         self._polytope = polytope
-        self._vertices = self._n_points = self._n_interior = None
+        self._vertices = None
 
     @property
     def vertices(self):  # in the owning polytope's (sorted) order, built on first read
@@ -103,21 +104,16 @@ class Face:
     @property
     def n_points(self) -> int:
         """Number of lattice points on the face (l of the face): the points
-        whose saturated facet masks contain the face's, summed from the
-        census on first read."""
-        if self._n_points is None:
-            fm = self.fmask
-            self._n_points = sum(
-                n for sat, n in self._polytope.census().n_saturating.items() if sat & fm == fm
-            )
-        return self._n_points
+        whose saturated facet masks contain the face's."""
+        fm, p = self.fmask, self._polytope
+        return sum(n for sat, n in (p._census or p.census()).n_saturating.items() if sat & fm == fm)
 
     @property
     def n_interior(self) -> int:
-        """Number of lattice points in the relative interior (l* of the face)."""
-        if self._n_interior is None:
-            self._polytope.census()
-        return self._n_interior
+        """Number of lattice points in the relative interior (l* of the
+        face): the points saturating exactly the face's facets."""
+        p = self._polytope
+        return (p._census or p.census()).n_saturating[self.fmask]
 
     @property
     def lattice_length(self) -> int:
@@ -304,9 +300,6 @@ class Polytope:
         except OriginNotInteriorError:
             return False
 
-    def origin(self):
-        return self.point_cls([0] * self.ambient_dim)
-
     def _slacks(self, p):
         """<p, normal> - offset for every facet, in facet order."""
         if type(p) is not self.point_cls or len(p) != self.ambient_dim:
@@ -314,9 +307,6 @@ class Polytope:
                 f"{self.point_cls.__name__} of dimension {self.ambient_dim} expected, got {p!r}"
             )
         return [dot(p, normal) - offset for normal, offset in self._planes]
-
-    def contains(self, p) -> bool:
-        return min(self._slacks(p)) >= 0
 
     def strictly_contains(self, p) -> bool:
         return min(self._slacks(p)) > 0
@@ -452,15 +442,15 @@ class Polytope:
 
     def census(self):
         """Enumerate all lattice points, in lexicographic order, and assign
-        each to the face whose relative interior contains it.  Also fills
-        each face's relative-interior count; `Face.n_points` is summed from
-        the count of points per saturated facet mask when first read.
+        each to the face whose relative interior contains it.  Also counts
+        the points per saturated facet mask, the one table a face's
+        `n_points` and `n_interior` read.
 
         Points are enumerated slice by slice (see :func:`_lattice_points`),
         the slices bounded exactly through the ridges of the face lattice,
         so the cost scales with the lattice points and the slices holding
         real points, not with the bounding box.  Past CENSUS_POINT_BUDGET
-        points it raises InputError.
+        points, or slices walked, it raises InputError.
         """
         if self._census is not None:
             return self._census
@@ -487,8 +477,6 @@ class Polytope:
             else:
                 interior.append(p)
                 face_of[p] = None
-        for face in lattice:
-            face._n_interior = n_saturating[face.fmask]
         self._census = PointCensus(
             tuple(points), tuple(interior), tuple(boundary), face_of, n_saturating
         )
@@ -627,12 +615,14 @@ class _Walk:
     split by the sign of c into `rising`, `falling` and `level`.  Level
     d - 1 reads (j, a, a2, bit) for the facets with a > 0 (`above`) and
     a < 0 (`below`) on x_{d-1} and (j, a2, bit) for those with a = 0
-    (`flat`), a2 being the coefficient on x_{d-2} and bit 1 << j.
+    (`flat`), a2 being the coefficient on x_{d-2} and bit 1 << j.  `left`
+    is what is left of CENSUS_POINT_BUDGET for the slices x_0 .. x_{d-2}
+    walked, so a thin polytope with few points cannot walk without end.
     """
 
     __slots__ = (
         "exact", "lo", "hi", "columns", "limits", "rising", "falling", "level", "above",
-        "below", "flat",
+        "below", "flat", "left",
     )
 
     def __init__(self, vertices, planes, ridges):
@@ -662,6 +652,14 @@ class _Walk:
         self.above = [(j, a, a2[j], 1 << j) for j, a in enumerate(a1) if a > 0]
         self.below = [(j, a, a2[j], 1 << j) for j, a in enumerate(a1) if a < 0]
         self.flat = [(j, a2[j], 1 << j) for j, a in enumerate(a1) if a == 0]
+        self.left = CENSUS_POINT_BUDGET
+
+    def take(self, low, high):
+        """Count the slices low .. high of one level against the budget."""
+        if high >= low:
+            self.left -= high - low + 1
+            if self.left < 0:
+                raise InputError(f"more than {CENSUS_POINT_BUDGET} slices to walk")
 
 
 def _descend(walk, k, prefix, slack):
@@ -679,6 +677,7 @@ def _descend(walk, k, prefix, slack):
             x = (slack[j] + r) // -a
             if x < high:
                 high = x
+        walk.take(low, high)
         column = walk.columns[k]
         for x in range(low, high + 1):
             inner = [s + a * x for s, a in zip(slack, column)]
@@ -695,6 +694,7 @@ def _descend(walk, k, prefix, slack):
         x = (p * slack[j] + q * slack[i]) // -c
         if x < high:
             high = x
+    walk.take(low, high)
     above, below, flat = walk.above, walk.below, walk.flat
     y_lo, y_hi = walk.lo[-1], walk.hi[-1]
     for x in range(low, high + 1):

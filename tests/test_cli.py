@@ -2,10 +2,12 @@ import hashlib
 import json
 import multiprocessing
 import time
-from concurrent.futures import Future
+from concurrent.futures import Executor, Future
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cytoric import cli, fixtures
 from cytoric.cli import main, parse_divisor
@@ -260,6 +262,30 @@ def test_census_past_the_point_budget_is_refused(runner, tmp_path, command):
     assert json.loads(result.output)["error"] == f"more than {CENSUS_POINT_BUDGET} lattice points to count"
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # conv(0, e1, e2, e3, (k, k, k, 2k + 1)) at k = 10^4: about 4,000
+        # points, but some 10^8 slices x0, x1 to walk
+        ["0 0 0 0", "1 0 0 0", "0 1 0 0", "0 0 1 0", "10000 10000 10000 20001"],
+        # a unimodular triangle spread over 10^6 slices x1, times 0 .. 20 in
+        # x0: 63 points, and nearly every slice x1 holds real points but no
+        # lattice point
+        [f"{h} {a} {b}" for h in (0, 20) for a, b in ((0, 0), (10**6, 1), (10**6 + 1, 1))],
+    ],
+    ids=["thin-simplex", "thin-prism"],
+)
+def test_census_walk_past_the_budget_is_refused(runner, tmp_path, rows):
+    f = tmp_path / "thin.poly"
+    f.write_text(f"{len(rows)} {len(rows[0].split())}\n" + "\n".join(rows) + "\n")
+    start = time.perf_counter()
+    result = runner.invoke(main, ["--json", "poly", "check", str(f)])
+    assert time.perf_counter() - start < 5
+    assert result.exit_code == 1
+    assert "Traceback" not in result.output
+    assert json.loads(result.output)["error"] == f"more than {CENSUS_POINT_BUDGET} slices to walk"
+
+
 def test_unknown_command_usage_error(runner):
     assert runner.invoke(main, ["poly", "frobnicate"]).exit_code == 2
     assert runner.invoke(main, ["--jobs", "0", "poly", "check", fixture_file("cube")]).exit_code == 2
@@ -295,7 +321,7 @@ def test_jobs_merge_in_input_order(runner):
 def test_jobs_starts_at_most_one_worker_per_file(runner, monkeypatch):
     sizes = []
 
-    class InlinePool:
+    class InlinePool(Executor):
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
@@ -321,7 +347,7 @@ def test_jobs_starts_at_most_one_worker_per_file(runner, monkeypatch):
 def test_usage_error_in_a_worker_cancels_the_files_not_started(runner, monkeypatch):
     futures = []
 
-    class FirstFileOnlyPool:  # runs the first file inline; the rest wait
+    class FirstFileOnlyPool(Executor):  # runs the first file inline; the rest wait
         def __init__(self, max_workers):
             pass
 
@@ -500,3 +526,62 @@ def test_fan_and_chern_json_is_byte_identical_to_recorded_digests(runner):
         for path in paths:
             stream = stream.replace(path, "<fixture>")
         assert hashlib.sha256(stream.encode()).hexdigest() == digest, (names, args)
+
+
+# -- fuzzing -----------------------------------------------------------------------
+
+FUZZ_COMMANDS = [
+    [group, name, *(["--divisor", "-K"] if name == "nef" else [])]
+    for group, (_, rows) in cli._TABLE.items()
+    for name, *_ in rows
+]
+
+
+@st.composite
+def poly_texts(draw):
+    """Small `.poly` texts: dimensions 1 to 5, duplicate points, flat point
+    sets, coordinates up to +-10^6, and some with a bad token or a wrong
+    header.  Centrally symmetric sets with small coordinates are often
+    reflexive, so the fan and chern commands get past their checks too."""
+    dim = draw(st.integers(1, 5))
+    bound = draw(st.sampled_from([1, 2, 10**6]))
+    coordinate = st.integers(-bound, bound)
+    points = draw(st.lists(st.tuples(*[coordinate] * dim), min_size=1, max_size=8))
+    if draw(st.booleans()):  # the unit vectors: full-dimensional
+        points += [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    if draw(st.booleans()):
+        points += [tuple(-x for x in p) for p in points]
+    if draw(st.booleans()):
+        points.append(draw(st.sampled_from(points)))
+    if draw(st.integers(0, 3)) == 0:  # flat: the last coordinate is fixed
+        points = [p[:-1] + (0,) for p in points]
+    rows = [" ".join(map(str, p)) for p in points]
+    header = f"{len(rows)} {dim}"
+    fault = draw(st.sampled_from(["none"] * 6 + ["token", "header", "count", "dim"]))
+    if fault == "token":
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = rows[i].replace(rows[i].split()[0], draw(st.sampled_from(["x", "1.5", "--1", "1e3"])), 1)
+    elif fault == "header":
+        header = draw(st.sampled_from(["", f"{len(rows)}", f"{len(rows)} {dim} 1", f"a {dim}", f"0 {dim}"]))
+    elif fault == "count":
+        header = f"{len(rows) + draw(st.sampled_from([-1, 1]))} {dim}"
+    elif fault == "dim":
+        header = f"{len(rows)} {dim + draw(st.sampled_from([-1, 1]))}"
+    return "\n".join([header, *rows]) + "\n"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(text=poly_texts())
+def test_every_command_answers_or_refuses_fuzzed_files(tmp_path_factory, text):
+    # a domain refusal (1) or usage error (2) is fine; an internal error (3),
+    # an uncaught exception or a walk without end is not
+    f = tmp_path_factory.mktemp("fuzz") / "fuzz.poly"
+    f.write_text(text)
+    runner = CliRunner()
+    for command in FUZZ_COMMANDS:
+        start = time.perf_counter()
+        result = runner.invoke(main, ["--json", *command, str(f)])
+        assert time.perf_counter() - start < 5, (command, text)
+        assert result.exit_code in (0, 1, 2), (command, text, result.output)
+        assert result.exception is None or isinstance(result.exception, SystemExit), (command, text)
+        assert "Traceback" not in result.output, (command, text)
