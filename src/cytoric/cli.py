@@ -168,11 +168,10 @@ def report_poly_points(path, opts):
 
 def report_poly_faces(path, opts):
     p = _load(path)
-    p.census()
-    counts = {str(d): n for d, n in p.faces().counts().items()}
-    euler = sum((-1) ** d * n for d, n in p.faces().counts().items())
+    counts = p.faces().counts()
+    euler = sum((-1) ** d * n for d, n in counts.items())
     return {
-        "counts": counts,
+        "counts": {str(d): n for d, n in counts.items()},
         "euler_sum": euler,
         "euler_ok": euler == 1 - (-1) ** p.dim,
         "faces": [

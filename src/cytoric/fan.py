@@ -187,10 +187,10 @@ class Fan:
     def scaled_coeffs(self, divisor: WeilDivisor):
         """The divisor sum a_v D_v as (ray index -> integer a_v * scale,
         scale), scale the lcm of the denominators; refused unless every ray
-        it is supported on is a ray of the fan."""
-        index = self._ray_index
+        it is supported on is a ray of the fan, in the fan's lattice."""
+        index, lattice = self._ray_index, type(self.rays[0])
         for r in divisor.support:
-            if r not in index:
+            if r not in index or type(r) is not lattice:
                 raise InputError(f"divisor supported on {tuple(r)} which is not a fan ray")
         scale = math.lcm(*[c.denominator for _, c in divisor.coeffs])
         return {index[r]: c.numerator * (scale // c.denominator) for r, c in divisor.coeffs}, scale

@@ -10,7 +10,8 @@ The count h11 is
 where D is the dual polytope, l counts lattice points and l* counts
 relative-interior lattice points.  h12 is h11 with the roles of the
 polytope and its dual exchanged, and the Euler characteristic is
-2*(h11 - h12).
+2*(h11 - h12).  The same h11 is the rank of the divisor census, and the
+report reads its h11 and its count terms off that census.
 """
 
 from __future__ import annotations
@@ -87,11 +88,11 @@ class HodgeReport:
     census: DivisorCensus
 
 
-def _h11_terms(delta: Polytope):
-    """(h11, l(D), sum l*(F), sum l*(T) * l*(T^)) for the dual D, its facets
-    F and its 2-faces T with their dual edges T^; the counts are checked."""
+def _h11_terms(delta: Polytope) -> int:
+    """h11 = l(D) - 5 - sum l*(F) + sum l*(T) * l*(T^), counted over the
+    dual D's facets F and its 2-faces T with their dual edges T^; the terms
+    are checked non-negative."""
     dual = delta.dual()
-    n_dual_points = dual.n_points
     facet_correction = sum(f.n_interior for f in dual.faces(3))
     pairing_term = 0
     for two_face in dual.faces(2):
@@ -101,14 +102,13 @@ def _h11_terms(delta: Polytope):
         pairing_term += two_face.n_interior * edge.n_interior
     if facet_correction < 0 or pairing_term < 0:
         raise InternalInvariantError("negative Hodge count term")
-    value = n_dual_points - 5 - facet_correction + pairing_term
-    return value, n_dual_points, facet_correction, pairing_term
+    return dual.n_points - 5 - facet_correction + pairing_term
 
 
 def h11(delta: Polytope) -> int:
     """Picard-side Hodge number of the resolved anticanonical hypersurface."""
     _require_reflexive_4d(delta, "h11")
-    return _h11_terms(delta)[0]
+    return _h11_terms(delta)
 
 
 def h12(delta: Polytope) -> int:
@@ -128,14 +128,8 @@ def divisor_census(delta: Polytope) -> DivisorCensus:
     dimension of their face: a vertex or edge point gives one irreducible
     divisor, a 2-face point splits into as many components as the lattice
     length of the dual edge, and a facet point misses the hypersurface.
-    The census rank is checked against h11."""
+    The census rank is checked against h11 from the face counts."""
     _require_reflexive_4d(delta, "divisor census")
-    return _divisor_census(delta, h11(delta))
-
-
-def _divisor_census(delta: Polytope, expected: int) -> DivisorCensus:
-    """:func:`divisor_census` with the h11 its rank is checked against,
-    for a caller that has counted it already."""
     dual = delta.dual()
     census = dual.census()
     irreducible = []
@@ -150,22 +144,27 @@ def _divisor_census(delta: Polytope, expected: int) -> DivisorCensus:
         else:
             skipped.append(p)
     out = DivisorCensus(tuple(irreducible), tuple(split), tuple(skipped))
+    expected = h11(delta)
     if out.rank != expected:
         raise InternalInvariantError(f"divisor census rank {out.rank} != h11 {expected}")
     return out
 
 
 def report(delta: Polytope) -> HodgeReport:
-    """Full Hodge data for one polytope, with the individual count terms."""
+    """Full Hodge data for one polytope, read off its divisor census: h11 is
+    the census rank, and each count term is a census tally (the facet
+    points are the points off the hypersurface, and a 2-face point adds
+    l*(T^) = components - 1 to the pairing term).  h12 is h11 of the dual."""
     _require_reflexive_4d(delta, "hodge report")
-    value, n, facet_corr, pair_term = _h11_terms(delta)
+    census = divisor_census(delta)
+    h11_value = census.rank
     h12_value = h11(delta.dual())
     return HodgeReport(
-        h11=value,
+        h11=h11_value,
         h12=h12_value,
-        euler=2 * (value - h12_value),
-        n_dual_points=n,
-        facet_interior_correction=facet_corr,
-        two_face_pairing_term=pair_term,
-        census=_divisor_census(delta, value),
+        euler=2 * (h11_value - h12_value),
+        n_dual_points=delta.dual().n_points,
+        facet_interior_correction=len(census.off_hypersurface_points),
+        two_face_pairing_term=sum(n - 1 for _, n in census.split_points),
+        census=census,
     )

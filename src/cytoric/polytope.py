@@ -130,10 +130,8 @@ class FaceLattice:
         self.by_dim = {d: tuple(faces) for d, faces in by_dim.items()}
         self.by_fmask = {f.fmask: f for faces in self.by_dim.values() for f in faces}
 
-    def __call__(self, dim=None):
-        if dim is None:
-            return [f for d in sorted(self.by_dim) for f in self.by_dim[d]]
-        return list(self.by_dim.get(dim, ()))
+    def __call__(self, dim):
+        return self.by_dim.get(dim, ())
 
     def __iter__(self):
         for d in sorted(self.by_dim):
@@ -376,7 +374,8 @@ class Polytope:
     # -- face lattice --------------------------------------------------------
 
     def faces(self, dim=None):
-        """The lattice of proper faces (dimensions 0 .. d-1).  For half of a
+        """The lattice of proper faces (dimensions 0 .. d-1), or with `dim`
+        its stored tuple of the faces of that dimension.  For half of a
         reflexive dual pair whose other half has its lattice, that lattice
         turned upside down."""
         if self._faces is None:

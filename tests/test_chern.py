@@ -18,7 +18,7 @@ from cytoric.chern import (
 from cytoric.errors import InputError
 from cytoric.fan import WeilDivisor, face_fan, is_nef, is_qcartier, mpcp_triangulate, picard_rank_q
 from cytoric.fixtures import fixture_points
-from cytoric.lattice import NPoint
+from cytoric.lattice import MPoint, NPoint
 from cytoric.polytope import Polytope, hull
 from conftest import mpoints, ray_simplex, shear, transvection, weighted_ray_simplices
 from oracles import (
@@ -320,6 +320,25 @@ def test_divisor_off_the_fan_is_refused(quintic, p4_form):
     ]
     for refusal in refusals:
         with pytest.raises(InputError):
+            refusal()
+
+
+def test_divisor_from_the_other_lattice_is_refused():
+    # an M point with a fan ray's coordinates compares and hashes like that
+    # ray, yet names no divisor of the fan
+    delta = hull(fixture_points("cross4d"))
+    form = IntersectionForm(mpcp_triangulate(delta))
+    fan = form.fan
+    wrong = WeilDivisor.ray(MPoint(tuple(fan.rays[0])))
+    mk = WeilDivisor.anticanonical(fan)
+    refusals = [
+        lambda: is_nef(fan, wrong),
+        lambda: is_qcartier(fan, wrong),
+        lambda: c2_dot(delta, form, wrong),
+        lambda: intersection_number(form, wrong, mk, mk, mk),
+    ]
+    for refusal in refusals:
+        with pytest.raises(InputError, match="which is not a fan ray"):
             refusal()
 
 

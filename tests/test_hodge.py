@@ -186,8 +186,8 @@ def test_census_matches_h11(example_s3, quintic, cube4, cross4):
 
 
 def test_report_counts_each_side_once(monkeypatch, cross4):
-    # h11 for the terms, h12 from the dual; the census's rank check reads
-    # the h11 the report already has
+    # h11 once, for the divisor census's rank check, whose census gives the
+    # report its h11 and terms; h12 from the dual
     sides = []
     terms = hodge._h11_terms
 

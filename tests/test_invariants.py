@@ -1,6 +1,8 @@
-"""Internal consistency checks are exceptions, so they survive `python -O`."""
+"""Internal consistency checks are exceptions, so they survive `python -O`,
+and refusals of bad input are typed."""
 
 import ast
+import functools
 import os
 import subprocess
 import sys
@@ -10,8 +12,19 @@ import pytest
 
 import cytoric
 from cytoric import hodge
-from cytoric.errors import CytoricError, InternalInvariantError
+from cytoric.chern import IntersectionForm, curve_census
+from cytoric.errors import (
+    CytoricError,
+    InputError,
+    InternalInvariantError,
+    NotReflexiveError,
+    NotSimplicialError,
+)
+from cytoric.fan import Cone, face_fan, mpcp_triangulate
+from cytoric.fixtures import fixture_polytope
 from cytoric.hodge import divisor_census
+from cytoric.lattice import MPoint, NPoint, RationalHyperplane
+from cytoric.polytope import hull
 
 PACKAGE = Path(cytoric.__file__).parent
 
@@ -148,3 +161,82 @@ def test_census_rank_check_raises(quintic, monkeypatch):
     monkeypatch.setattr(hodge, "h11", lambda delta: 2)
     with pytest.raises(InternalInvariantError, match="rank 1 != h11 2"):
         divisor_census(quintic)
+
+
+@functools.cache
+def _polytope(name):
+    return fixture_polytope(name)
+
+
+@functools.cache
+def _quintic_form():
+    return IntersectionForm(mpcp_triangulate(_polytope("quintic")))
+
+
+def _cross4d_face_fan():
+    return face_fan(_polytope("cross4d"))
+
+
+@functools.cache
+def _wide_square():
+    # facets at lattice distance 2 from the origin
+    return hull([MPoint(p) for p in ((2, 2), (2, -2), (-2, 2), (-2, -2))])
+
+
+def _e(i):
+    return NPoint(tuple(int(i == j) for j in range(4)))
+
+
+@pytest.mark.parametrize(
+    "error, refusal",
+    [
+        (InputError, lambda: _polytope("cross4d").faces(2)[0].lattice_length),
+        (NotReflexiveError, lambda: _wide_square().dual_face(_wide_square().faces(1)[0])),
+        (InputError, lambda: hull([])),
+        (InputError, lambda: hull([(0, 0), (1, 0), (0, 1)])),
+        (InputError, lambda: hull([MPoint((0, 0)), NPoint((1, 0)), MPoint((0, 1))])),
+        (InputError, lambda: hull([MPoint((0, 0)), MPoint((1, 0)), MPoint((0, 1, 0))])),
+        (InputError, lambda: Cone(())),
+        (InputError, lambda: Cone((_e(0), _e(1), _e(0)))),
+        (InputError, lambda: Cone((_e(0), NPoint((0, 2, 0, 0))))),
+        (NotSimplicialError, lambda: Cone((_e(0), _e(1))).multiplicity),
+        (NotSimplicialError, lambda: _cross4d_face_fan().edges()),
+        (NotSimplicialError, lambda: _cross4d_face_fan().dets),
+        (NotSimplicialError, lambda: IntersectionForm(_cross4d_face_fan())),
+        (NotSimplicialError, lambda: curve_census(_polytope("cross4d"), _cross4d_face_fan())),
+        (InputError, lambda: _quintic_form().value(_quintic_form().rays[:3])),
+        (InputError, lambda: MPoint((1, 0)) + MPoint((1, 0, 0))),
+        (InputError, lambda: MPoint((1, 0)) * 1.5),
+        (InputError, lambda: RationalHyperplane(NPoint((0, 0)), 1)),
+    ],
+    ids=[
+        "lattice_length-of-a-2-face",
+        "dual_face-on-a-non-reflexive-square",
+        "hull-of-no-points",
+        "hull-of-plain-tuples",
+        "hull-of-mixed-lattices",
+        "hull-of-mixed-dimensions",
+        "cone-with-no-rays",
+        "cone-with-a-repeated-ray",
+        "cone-with-a-non-primitive-ray",
+        "multiplicity-of-a-2-ray-cone-in-Z4",
+        "edges-of-a-non-simplicial-fan",
+        "dets-of-a-non-simplicial-fan",
+        "form-of-a-non-simplicial-fan",
+        "curve_census-of-a-non-simplicial-fan",
+        "form-value-of-three-rays",
+        "addition-across-dimensions",
+        "scaling-by-a-float",
+        "zero-hyperplane-normal",
+    ],
+)
+def test_typed_refusals(error, refusal):
+    # each is a CytoricError, so the CLI reports it with exit 1
+    with pytest.raises(CytoricError) as info:
+        refusal()
+    assert type(info.value) is error
+
+
+def test_form_value_of_a_ray_off_the_fan_is_zero():
+    form = _quintic_form()
+    assert form.value((NPoint((1, 1, 0, 0)),) + form.rays[:3]) == 0
