@@ -288,12 +288,12 @@ def curve_census(delta: Polytope, fan: Fan) -> CurveCensus:
     for a, b in fan.edges():
         ka = kinds[a]
         kb = kinds[b]
-        face = dual.faces().by_fmask[census.face_of[a].fmask & census.face_of[b].fmask]
+        face = dual.faces().by_fmask[census.face_of[a] & census.face_of[b]]
         if ka is PointType.IN_3FACE or kb is PointType.IN_3FACE or face.dim == 3:
             entries.append(CurveEntry((a, b), CurveClass.EMPTY, 0, face.dim))
             continue
         if face.dim == 2:
-            n = dual.dual_face(face).lattice_length
+            n = delta.census().n_saturating[dual.dual_face(face).fmask] + 1  # l* + 1
             entries.append(CurveEntry((a, b), CurveClass.RATIONAL_FAMILY, n, 2))
         elif ka is PointType.VERTEX and kb is PointType.VERTEX:
             entries.append(CurveEntry((a, b), CurveClass.SMOOTH_SECTION, 1, face.dim))

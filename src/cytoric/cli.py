@@ -152,22 +152,19 @@ def report_poly_dual(path, opts):
 def report_poly_points(path, opts):
     p = _load(path)
     census = p.census()
+    face_dim = {0: -1} | {f.fmask: f.dim for f in p.faces()}  # by saturated mask
+    dims = [face_dim[census.face_of[pt]] for pt in census.points]
     return {
         "l": census.n_points,
         "l_star": census.n_interior,
-        "boundary_by_face_dim": Counter(str(census.face_of[pt].dim) for pt in census.boundary),
-        "points": [
-            {
-                "point": list(pt),
-                "face_dim": -1 if census.face_of[pt] is None else census.face_of[pt].dim,
-            }
-            for pt in census.points
-        ],
+        "boundary_by_face_dim": Counter(str(k) for k in dims if k >= 0),
+        "points": [{"point": list(pt), "face_dim": k} for pt, k in zip(census.points, dims)],
     }
 
 
 def report_poly_faces(path, opts):
     p = _load(path)
+    census = p.census()
     counts = p.faces().counts()
     euler = sum((-1) ** d * n for d, n in counts.items())
     return {
@@ -178,8 +175,8 @@ def report_poly_faces(path, opts):
             {
                 "dim": f.dim,
                 "vertices": len(f.vertices),
-                "l": f.n_points,
-                "l_star": f.n_interior,
+                "l": census.n_on(f.fmask),
+                "l_star": census.n_saturating[f.fmask],
             }
             for f in p.faces()
         ],

@@ -102,10 +102,6 @@ class Cone:
             raise NotSimplicialError("multiplicity needs a full-dimensional cone")
         return abs(int_det([tuple(r) for r in self.rays]))
 
-    @property
-    def is_smooth(self) -> bool:
-        return self.multiplicity == 1
-
     def __repr__(self):
         return f"Cone({', '.join(str(tuple(r)) for r in self.rays)})"
 
@@ -329,10 +325,10 @@ def _facet_points(dual: Polytope):
     points on fewer facets first, ties lexicographic."""
     census = dual.census()
     face_of = census.face_of
-    order = sorted(census.boundary, key=lambda p: (face_of[p].fmask.bit_count(), tuple(p)))
+    order = sorted(census.boundary, key=lambda p: (face_of[p].bit_count(), tuple(p)))
     for facet in dual.faces(dual.dim - 1):
         # a facet's mask is its one bit, so sharing it is lying on the facet
-        yield facet, [p for p in order if face_of[p].fmask & facet.fmask]
+        yield facet, [p for p in order if face_of[p] & facet.fmask]
 
 
 def _pull_triangulate_facet(dual: Polytope, facet, points):

@@ -50,8 +50,8 @@ def classify_boundary(dstar: Polytope) -> dict:
     4-polytope, in lexicographic order: the dimension of the unique face
     whose relative interior contains it, read from the census."""
     _require_reflexive_4d(dstar, "boundary classification")
-    census = dstar.census()
-    return {p: _TYPE_BY_DIM[census.face_of[p].dim] for p in census.boundary}
+    census, faces = dstar.census(), dstar.faces().by_fmask
+    return {p: _TYPE_BY_DIM[faces[census.face_of[p]].dim] for p in census.boundary}
 
 
 @dataclass(frozen=True)
@@ -93,13 +93,14 @@ def _h11_terms(delta: Polytope) -> int:
     dual D's facets F and its 2-faces T with their dual edges T^; the terms
     are checked non-negative."""
     dual = delta.dual()
-    facet_correction = sum(f.n_interior for f in dual.faces(3))
+    l_star = dual.census().n_saturating
+    facet_correction = sum(l_star[f.fmask] for f in dual.faces(3))
     pairing_term = 0
     for two_face in dual.faces(2):
-        if two_face.n_interior == 0:
+        if l_star[two_face.fmask] == 0:
             continue
         edge = dual.dual_face(two_face)
-        pairing_term += two_face.n_interior * edge.n_interior
+        pairing_term += l_star[two_face.fmask] * delta.census().n_saturating[edge.fmask]
     if facet_correction < 0 or pairing_term < 0:
         raise InternalInvariantError("negative Hodge count term")
     return dual.n_points - 5 - facet_correction + pairing_term
@@ -131,16 +132,17 @@ def divisor_census(delta: Polytope) -> DivisorCensus:
     The census rank is checked against h11 from the face counts."""
     _require_reflexive_4d(delta, "divisor census")
     dual = delta.dual()
-    census = dual.census()
+    census, faces = dual.census(), dual.faces().by_fmask
     irreducible = []
     split = []
     skipped = []
     for p in census.boundary:
-        face = census.face_of[p]
+        face = faces[census.face_of[p]]
         if face.dim < 2:
             irreducible.append(p)
-        elif face.dim == 2:
-            split.append((p, dual.dual_face(face).lattice_length))
+        elif face.dim == 2:  # the dual edge's lattice length, l* + 1
+            edge = dual.dual_face(face)
+            split.append((p, delta.census().n_saturating[edge.fmask] + 1))
         else:
             skipped.append(p)
     out = DivisorCensus(tuple(irreducible), tuple(split), tuple(skipped))

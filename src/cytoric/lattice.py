@@ -142,9 +142,6 @@ class RationalHyperplane:
         if gcd(*self.normal) != 1:
             raise InputError(f"hyperplane normal {self.normal} is not primitive")
 
-    def evaluate(self, p: LatticeVector) -> int:
-        return pairing(p, self.normal) - self.offset
-
 
 def integral_distance(h: RationalHyperplane, p: LatticeVector) -> int:
     """Lattice distance |offset - <p, normal>| between a hyperplane and a point."""

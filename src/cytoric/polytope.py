@@ -19,17 +19,24 @@ there.  The face lattice is read from the incidence alone: inside a
 other (k+1)-faces (the diamond property; Kaibel and Pfetsch 2002), so no
 rank is taken and nothing assumes general position.
 
+A face is a plain value: its dimension and those two masks.  Point counts
+are not stored on faces but read from the census, which holds the number
+of lattice points per saturated facet mask: l*(F) is the entry at F's
+facet mask and l(F) the sum over the masks containing it.
+
 The polar dual of a reflexive polytope is written down, not hulled: its
 vertices are the facet normals and its facets are cut out by the vertices,
 so its incidence table is the transpose, and its face lattice is the same
 one turned upside down (Batyrev 1994; Ziegler, Lectures on Polytopes,
 section 2.3).  Each dual pair evaluates one slack table and builds one
-face lattice.
+face lattice.  The side that made the dual holds it, and the dual holds
+that side only weakly, so no polytope is part of a reference cycle.
 """
 
 from __future__ import annotations
 
 import functools
+import weakref
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -61,32 +68,30 @@ CENSUS_POINT_BUDGET = 100_000  # the largest reflexive 4-polytope has 680 points
 
 
 class Face:
-    """A proper face: dimension, vertex set, and the facets that cut it out,
-    as bitmasks over the owning polytope's sorted vertices and facets (bit
-    j of `vmask` is vertex j, bit i of `fmask` facet i), with set views.
+    """A proper face as a plain value: dimension, vertex set, and the facets
+    that cut it out, as bitmasks over the owning polytope's sorted vertices
+    and facets (bit j of `vmask` is vertex j, bit i of `fmask` facet i).
 
-    Lattice point counts (total and relative-interior) are read from the
-    owning polytope's census, its one table of points per saturated facet
-    mask; the census runs on the first count read.
+    It keeps the owning polytope's vertex tuple, not the polytope, to
+    resolve `vertices`, and counts no points: l*(face) is the census's
+    `n_saturating[fmask]`, l(face) is `census.n_on(fmask)`, and an edge's
+    lattice length is l* + 1.
     """
 
-    __slots__ = ("dim", "vmask", "fmask", "_polytope", "_vertices")
+    __slots__ = ("dim", "vmask", "fmask", "_pool", "_vertices")
 
-    def __init__(self, dim, vmask, fmask, polytope):
+    def __init__(self, dim, vmask, fmask, pool):
         self.dim = dim
         self.vmask = vmask
         self.fmask = fmask
-        self._polytope = polytope
+        self._pool = pool
         self._vertices = None
 
     @property
     def vertices(self):  # in the owning polytope's (sorted) order, built on first read
         if self._vertices is None:
-            self._vertices = tuple(map(self._polytope.vertices.__getitem__, _bits(self.vmask)))
+            self._vertices = tuple(map(self._pool.__getitem__, _bits(self.vmask)))
         return self._vertices
-
-    vertex_indices = property(lambda self: frozenset(_bits(self.vmask)))
-    facet_set = property(lambda self: frozenset(_bits(self.fmask)))
 
     @property
     def key(self):
@@ -100,27 +105,6 @@ class Face:
 
     def __repr__(self):
         return f"Face(dim={self.dim}, vertices={len(self.vertices)})"
-
-    @property
-    def n_points(self) -> int:
-        """Number of lattice points on the face (l of the face): the points
-        whose saturated facet masks contain the face's."""
-        fm, p = self.fmask, self._polytope
-        return sum(n for sat, n in (p._census or p.census()).n_saturating.items() if sat & fm == fm)
-
-    @property
-    def n_interior(self) -> int:
-        """Number of lattice points in the relative interior (l* of the
-        face): the points saturating exactly the face's facets."""
-        p = self._polytope
-        return (p._census or p.census()).n_saturating[self.fmask]
-
-    @property
-    def lattice_length(self) -> int:
-        """Lattice length of an edge: interior point count plus one."""
-        if self.dim != 1:
-            raise InputError("lattice length is defined for 1-dimensional faces")
-        return self.n_interior + 1
 
 
 class FaceLattice:
@@ -140,9 +124,6 @@ class FaceLattice:
     def counts(self):
         return {d: len(fs) for d, fs in sorted(self.by_dim.items())}
 
-    def by_facet_set(self, facet_set):
-        return self.by_fmask[sum(1 << i for i in frozenset(facet_set))]
-
     def children(self, face):
         """The faces one dimension down inside `face`: those whose facet
         masks contain face.fmask."""
@@ -157,10 +138,11 @@ class FaceLattice:
 
 
 class PointCensus:
-    """Every lattice point of a polytope, tagged by the face whose relative
-    interior contains it (None for points interior to the polytope itself),
-    and the number of points on each saturated facet mask (bit i for facet
-    i, 0 for the interior)."""
+    """Every lattice point of a polytope, with `face_of` mapping each to its
+    saturated facet mask (bit i for facet i): the facet mask of the face
+    whose relative interior contains it, 0 for a point interior to the
+    polytope itself.  `n_saturating` counts the points per mask, so l* of
+    a face is `n_saturating[face.fmask]`."""
 
     def __init__(self, points, interior, boundary, face_of, n_saturating):
         self.points = points
@@ -177,6 +159,11 @@ class PointCensus:
     def n_interior(self):
         return len(self.interior)
 
+    def n_on(self, fmask):
+        """l of the face with facet mask `fmask`: the points whose saturated
+        masks contain it."""
+        return sum(n for sat, n in self.n_saturating.items() if sat & fmask == fmask)
+
 
 class RationalPolytope:
     """Vertex presentation of a dual polytope with non-integral vertices.
@@ -189,9 +176,6 @@ class RationalPolytope:
     def __init__(self, vertices, point_cls):
         self.vertices = tuple(sorted(vertices))
         self.point_cls = point_cls
-
-    def is_lattice(self) -> bool:
-        return all(x.denominator == 1 for v in self.vertices for x in v)
 
     def __repr__(self):
         return f"RationalPolytope({len(self.vertices)} vertices)"
@@ -306,9 +290,6 @@ class Polytope:
             )
         return [dot(p, normal) - offset for normal, offset in self._planes]
 
-    def strictly_contains(self, p) -> bool:
-        return min(self._slacks(p)) > 0
-
     def _origin_interior(self):
         """0 is strictly inside: its slack -offset is positive on every facet."""
         return all(offset < 0 for _, offset in self._planes)
@@ -348,13 +329,16 @@ class Polytope:
         on dual facet j is ours of vertex j on facet i, <n_i, v_j> + 1.  So
         the dual's incidence is ours transposed, handed over without
         evaluating any slack; the constructor's span check on each dual
-        facet checks that our vertex j is a vertex.  The two are
-        back-linked, so dualising twice is free and exact.  A non-reflexive
+        facet checks that our vertex j is a vertex.  We hold the dual, and
+        the dual holds us through a weak reference, so dualising twice
+        gives us back while we are alive; once we are freed, the dual
+        builds (and then holds) a primal equal to us.  A non-reflexive
         polytope gets a RationalPolytope carrying the exact fractional
         vertices.
         """
-        if self._dual is not None:
-            return self._dual
+        other = self._other_side()
+        if other is not None:
+            return other
         if not self._origin_interior():
             raise OriginNotInteriorError("dual is unbounded unless 0 is interior")
         if not self.is_reflexive():
@@ -368,8 +352,14 @@ class Polytope:
             incidence=(self._facet_vertices, self._saturated),
         )
         self._dual = d
-        d._dual = self
+        d._dual = weakref.ref(self)
         return d
+
+    def _other_side(self):
+        """The other half of our reflexive dual pair, if it exists: the dual
+        we made, or, while it is alive, the polytope that made us."""
+        other = self._dual
+        return other() if isinstance(other, weakref.ref) else other
 
     # -- face lattice --------------------------------------------------------
 
@@ -379,7 +369,7 @@ class Polytope:
         reflexive dual pair whose other half has its lattice, that lattice
         turned upside down."""
         if self._faces is None:
-            other = self._dual
+            other = self._other_side()
             if other is not None and other._faces is not None:
                 self._faces = self._transposed_faces(other._faces)
             else:
@@ -395,13 +385,13 @@ class Polytope:
         k <= 2 every such cut is maximal, as a face of dimension below k has
         at most k vertices.  A face's facet mask is the AND of its vertices'.
         Sorting a level on vertex indices sorts it on vertex tuples."""
-        d = self.ambient_dim
+        d, pool = self.ambient_dim, self.vertices
         sat = self._saturated
         level = self._facet_vertices
         by_dim = {d - 1: level}
         for k in range(d - 2, 0, -1):
             members = list(map(_bits, level))
-            through = [[] for _ in self.vertices]  # vertex -> faces of level
+            through = [[] for _ in pool]  # vertex -> faces of level
             for a, on in enumerate(members):
                 for j in on:
                     through[j].append(a)
@@ -417,7 +407,7 @@ class Polytope:
         by_dim[0] = [1 << j for j in range(len(sat))]
         return FaceLattice({
             k: [
-                Face(k, vmask, functools.reduce(int.__and__, map(sat.__getitem__, on)), self)
+                Face(k, vmask, functools.reduce(int.__and__, map(sat.__getitem__, on)), pool)
                 for on, vmask in sorted((_bits(vmask), vmask) for vmask in level)
             ]
             for k, level in by_dim.items()
@@ -431,7 +421,7 @@ class Polytope:
         top = self.ambient_dim - 1
         return FaceLattice({
             top - k: [
-                Face(top - k, f.fmask, f.vmask, self)
+                Face(top - k, f.fmask, f.vmask, self.vertices)
                 for f in sorted(level, key=lambda f: _bits(f.fmask))
             ]
             for k, level in lattice.by_dim.items()
@@ -440,10 +430,10 @@ class Polytope:
     # -- lattice points ------------------------------------------------------
 
     def census(self):
-        """Enumerate all lattice points, in lexicographic order, and assign
-        each to the face whose relative interior contains it.  Also counts
-        the points per saturated facet mask, the one table a face's
-        `n_points` and `n_interior` read.
+        """Enumerate all lattice points, in lexicographic order, each with
+        its saturated facet mask (the facet mask of the face whose relative
+        interior contains it, 0 inside), and count the points per mask: the
+        one table that l and l* of every face are read from.
 
         Points are enumerated slice by slice (see :func:`_lattice_points`),
         the slices bounded exactly through the ridges of the face lattice,
@@ -453,7 +443,6 @@ class Polytope:
         """
         if self._census is not None:
             return self._census
-        lattice = self.faces()
         points = []
         interior = []
         boundary = []
@@ -462,20 +451,16 @@ class Polytope:
         point = self.point_cls._from_ints
         ridges = [
             (m.bit_length() - 1, (m & -m).bit_length() - 1)
-            for m in (f.fmask for f in lattice(self.ambient_dim - 2))
+            for m in (f.fmask for f in self.faces(self.ambient_dim - 2))
         ]
         for raw, sat in _lattice_points(self.vertices, self._planes, ridges):
             if len(points) == CENSUS_POINT_BUDGET:
                 raise InputError(f"more than {CENSUS_POINT_BUDGET} lattice points to count")
             p = point(raw)
             points.append(p)
+            face_of[p] = sat
             n_saturating[sat] += 1
-            if sat:
-                boundary.append(p)
-                face_of[p] = lattice.by_fmask[sat]
-            else:
-                interior.append(p)
-                face_of[p] = None
+            (boundary if sat else interior).append(p)
         self._census = PointCensus(
             tuple(points), tuple(interior), tuple(boundary), face_of, n_saturating
         )

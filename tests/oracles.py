@@ -274,12 +274,15 @@ def pull_every_cell(dual, facet, points):
         g = vec_gcd(v)
         return tuple(x // g for x in v)
 
-    (i,) = facet.facet_set
+    def indices(mask):
+        return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+    (i,) = indices(facet.fmask)
     m_i = dual.facets[i].normal
     walls = []
     for ridge in dual.faces(dual.dim - 2):
-        if i in ridge.facet_set:
-            (j,) = ridge.facet_set - facet.facet_set
+        if i in indices(ridge.fmask):
+            (j,) = indices(ridge.fmask & ~facet.fmask)
             walls.append((primitive([a - b for a, b in zip(dual.facets[j].normal, m_i)]), frozenset(ridge.vertices)))
     cells = [(frozenset(facet.vertices), walls)]
     for q in points:

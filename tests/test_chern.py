@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -521,3 +522,18 @@ def test_chern_report_smoke(quintic):
     assert values["-K"] == 250
     audit = rep.positivity[0]
     assert audit.nef and audit.c2_value > 0 and audit.restricted_degree == 625
+
+
+def test_refinement_form_and_curve_census_leave_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        for name in ("cross4d", "quintic"):
+            delta = hull(fixture_points(name))
+            refined = mpcp_triangulate(delta)
+            IntersectionForm(refined)
+            curve_census(delta, refined)
+        del delta, refined
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

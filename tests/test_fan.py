@@ -88,13 +88,13 @@ def test_face_fan_cube_is_cross_fan(cube4):
     f = face_fan(cube4)
     assert len(f.maximal_cones) == 16
     assert f.is_simplicial
-    assert all(c.is_smooth for c in f.maximal_cones)
+    assert all(c.multiplicity == 1 for c in f.maximal_cones)
 
 
 def test_face_fan_quintic(p4_fan):
     assert len(p4_fan.maximal_cones) == 5
     assert p4_fan.is_simplicial
-    assert all(c.is_smooth for c in p4_fan.maximal_cones)
+    assert all(c.multiplicity == 1 for c in p4_fan.maximal_cones)
 
 
 def test_face_fan_rejects_non_reflexive():
@@ -114,7 +114,6 @@ def test_face_fan_wall_consistency(example_face_fan, p4_fan):
 def test_cone_mult_identity():
     cone = Cone((npt(1, 0, 0, 0), npt(0, 1, 0, 0), npt(0, 0, 1, 0), npt(0, 0, 0, 1)))
     assert cone_mult(cone) == 1
-    assert cone.is_smooth
 
 
 def test_cone_mult_example_singular_chart():
@@ -198,7 +197,7 @@ def test_mpcp_refines_face_fan(example_s3):
     f = mpcp_triangulate(example_s3)
     census = example_s3.dual().census()
     for cone in f.maximal_cones:
-        assert functools.reduce(int.__and__, (census.face_of[r].fmask for r in cone.rays))
+        assert functools.reduce(int.__and__, (census.face_of[r] for r in cone.rays))
 
 
 def test_mpcp_volume_conservation(example_s3, cube4, quintic, square):

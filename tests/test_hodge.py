@@ -1,10 +1,12 @@
+import gc
+
 import pytest
 
 from cytoric import cli, fan, hodge
 from cytoric import polytope as polytope_module
 from cytoric.errors import InputError, NotReflexiveError
 from cytoric.hodge import PointType
-from cytoric.fixtures import fixture_points
+from cytoric.fixtures import CORPUS_4D, fixture_points
 from cytoric.polytope import Polytope, hull
 from conftest import mpoints, ray_simplex, ray_simplex_points
 from oracles import grid_points, saturation_census
@@ -228,3 +230,16 @@ def test_report_hulls_once_and_builds_one_face_lattice(monkeypatch, points):
     # both sides hold a face lattice by now
     assert delta.faces() is not None and delta.dual().faces() is not None
     assert calls == {"hull": 1, "_build_faces": 1}
+
+
+def test_report_leaves_no_reference_cycle():
+    # a polytope, its faces, its census and its dual are freed by reference
+    # counting: faces hold no polytope and the dual holds its primal weakly
+    gc.collect()
+    gc.disable()
+    try:
+        for name in CORPUS_4D:
+            hodge.report(hull(fixture_points(name)))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -190,7 +190,6 @@ def _e(i):
 @pytest.mark.parametrize(
     "error, refusal",
     [
-        (InputError, lambda: _polytope("cross4d").faces(2)[0].lattice_length),
         (NotReflexiveError, lambda: _wide_square().dual_face(_wide_square().faces(1)[0])),
         (InputError, lambda: hull([])),
         (InputError, lambda: hull([(0, 0), (1, 0), (0, 1)])),
@@ -210,7 +209,6 @@ def _e(i):
         (InputError, lambda: RationalHyperplane(NPoint((0, 0)), 1)),
     ],
     ids=[
-        "lattice_length-of-a-2-face",
         "dual_face-on-a-non-reflexive-square",
         "hull-of-no-points",
         "hull-of-plain-tuples",

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import itertools
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -11,7 +12,7 @@ from cytoric.errors import NotFullDimensionalError, OriginNotInteriorError
 from cytoric.lattice import MPoint, NPoint, pairing
 from cytoric.fixtures import ALL, CORPUS_4D, POLYGONS, fixture_points, fixture_polytope
 from cytoric import polytope as polytope_module
-from cytoric.polytope import Polytope, RationalPolytope, hull
+from cytoric.polytope import Polytope, RationalPolytope, _bits, hull
 from conftest import (
     example_s3_vertices,
     mpoints,
@@ -55,7 +56,7 @@ def test_hull_cube_merges_coplanar_facets(cube4):
     assert len(cube4.facets) == 8
     assert as_plane_set(cube4) == brute_facets([tuple(v) for v in cube4.vertices])
     for f in cube4.facets:
-        assert sum(1 for v in cube4.vertices if f.evaluate(v) == 0) == 8
+        assert sum(1 for v in cube4.vertices if pairing(v, f.normal) == f.offset) == 8
 
 
 def test_hull_example_s3_has_15_vertices(example_s3):
@@ -300,6 +301,11 @@ def test_hull_is_unimodular_equivariant_on_degenerate_clouds():
 # -- faces -------------------------------------------------------------------
 
 
+def facet_set(face):
+    """The indices of the facets that cut `face` out, as a set."""
+    return frozenset(_bits(face.fmask))
+
+
 def test_faces_square(square):
     counts = square.faces().counts()
     assert counts == {0: 4, 1: 4}
@@ -357,7 +363,7 @@ def test_face_lattice_random_hulls_against_diamond_oracle():
         expected = diamond_faces(p)
         assert sorted(p.faces().by_dim) == sorted(expected) == list(range(d))
         for k, level in expected.items():
-            assert [(f.vertices, f.facet_set) for f in p.faces(k)] == level, (pts, k)
+            assert [(f.vertices, facet_set(f)) for f in p.faces(k)] == level, (pts, k)
         built[d] += 1
     assert sorted(built) == [2, 3, 4, 5] and min(built.values()) >= 10, built
 
@@ -375,12 +381,10 @@ def test_face_views_read_the_incidence_as_sets(name):
                 for i, f in enumerate(p.facets)
                 if all(sum(a * b for a, b in zip(v, f.normal)) == f.offset for v in face.vertices)
             )
-            assert type(face.vertex_indices) is frozenset and face.vertex_indices == on
-            assert type(face.facet_set) is frozenset and face.facet_set == cut
-            for facet_set in (cut, set(cut), tuple(sorted(cut)), list(cut)):
-                assert lattice.by_facet_set(facet_set) is face
+            assert set(_bits(face.vmask)) == on and facet_set(face) == cut
+            assert lattice.by_fmask[face.fmask] is face
             # equality and hashing go by dimension and vertex set, across builds
-            other = twin.faces().by_facet_set(cut)
+            other = twin.faces().by_fmask[face.fmask]
             assert other is not face and other == face and hash(other) == hash(face)
             assert hash(face) == hash((face.dim, frozenset(face.vertices)))
             assert face != face.vertices and all(g != face for g in lattice.parents(face))
@@ -411,9 +415,8 @@ def test_census_square(square):
     assert census.n_points == 9
     assert census.n_interior == 1
     for f in square.faces(1):
-        assert f.n_points == 3
-        assert f.n_interior == 1
-        assert f.lattice_length == 2
+        assert census.n_on(f.fmask) == 3
+        assert census.n_saturating[f.fmask] == 1
 
 
 def test_census_cube_partition(cube4):
@@ -423,7 +426,7 @@ def test_census_cube_partition(cube4):
     assert {tuple(p) for p in census.points} == set(oracle)
     by_dim = {}
     for p in census.boundary:
-        face = census.face_of[p]
+        face = cube4.faces().by_fmask[census.face_of[p]]
         by_dim[face.dim] = by_dim.get(face.dim, 0) + 1
     assert by_dim == {3: 8, 2: 24, 1: 32, 0: 16}
 
@@ -431,13 +434,14 @@ def test_census_cube_partition(cube4):
 def test_census_partition_identity(square, cube4, cross4, example_s3, quintic):
     for p in (square, cube4, cross4, example_s3, quintic):
         census = p.census()
-        total = census.n_interior + sum(f.n_interior for f in p.faces())
+        total = census.n_interior + sum(census.n_saturating[f.fmask] for f in p.faces())
         assert total == census.n_points
 
 
 def test_edge_point_relation(cube4):
+    census = cube4.census()
     for edge in cube4.faces(1):
-        assert edge.n_points == edge.n_interior + 2
+        assert census.n_on(edge.fmask) == census.n_saturating[edge.fmask] + 2
 
 
 def assert_census_matches_grid_oracle(poly):
@@ -447,16 +451,15 @@ def assert_census_matches_grid_oracle(poly):
     assert [(tuple(f.normal), f.offset) for f in poly.facets] == sorted(brute_facets(rows))
     census = poly.census()
     assert [tuple(p) for p in census.points] == list(oracle)
-    saturated = {
-        p: frozenset() if census.face_of[p] is None else census.face_of[p].facet_set
-        for p in census.points
-    }
+    saturated = {p: frozenset(_bits(census.face_of[p])) for p in census.points}
     assert [saturated[p] for p in census.points] == list(oracle.values())
     assert list(census.interior) == [p for p in census.points if not saturated[p]]
     assert list(census.boundary) == [p for p in census.points if saturated[p]]
     for face in poly.faces():
-        assert face.n_points == sum(1 for s in oracle.values() if face.facet_set <= s)
-        assert face.n_interior == sum(1 for s in oracle.values() if s == face.facet_set)
+        assert census.n_on(face.fmask) == sum(1 for s in oracle.values() if facet_set(face) <= s)
+        assert census.n_saturating[face.fmask] == sum(
+            1 for s in oracle.values() if s == facet_set(face)
+        )
 
 
 THIN_SIMPLICES = ((6, 7, 14, 14), (2, 9, 24, 36), (4, 15, 20, 20))
@@ -474,11 +477,11 @@ def census_digest(poly):
     """sha256 of the points in census order with their carrier facet sets,
     and of every face's (n_points, n_interior), faces in lattice order."""
     census = poly.census()
-    points = [
-        (tuple(p), sorted(() if census.face_of[p] is None else census.face_of[p].facet_set))
-        for p in census.points
+    points = [(tuple(p), _bits(census.face_of[p])) for p in census.points]
+    faces = [
+        (f.dim, [tuple(v) for v in f.vertices], census.n_on(f.fmask), census.n_saturating[f.fmask])
+        for f in poly.faces()
     ]
-    faces = [(f.dim, [tuple(v) for v in f.vertices], f.n_points, f.n_interior) for f in poly.faces()]
     return hashlib.sha256(repr((points, faces)).encode()).hexdigest()
 
 
@@ -561,9 +564,6 @@ def test_census_random_hulls_against_grid_oracle():
             poly = hull(mpoints(pts))
         except NotFullDimensionalError:
             continue
-        if checked[d] % 2:
-            # every face's n_points read first, so the census runs on demand
-            assert all(f.n_points >= len(f.vertices) for f in poly.faces())
         assert_census_matches_grid_oracle(poly)
         checked[d] += 1
     assert sorted(checked) == [1, 2, 3, 4] and min(checked.values()) >= 10, checked
@@ -571,7 +571,7 @@ def test_census_random_hulls_against_grid_oracle():
 
 def ridge_pairs(poly):
     """The two facet indices of each ridge, in no particular order."""
-    return [tuple(f.facet_set) for f in poly.faces(poly.dim - 2)]
+    return [tuple(_bits(f.fmask)) for f in poly.faces(poly.dim - 2)]
 
 
 def test_census_ridge_bounds_only_prune():
@@ -624,8 +624,9 @@ def test_census_invariant_under_unimodular_shears():
     from hypothesis import strategies as st
 
     def signature(poly):
+        census = poly.census()
         per_dim = {
-            d: sorted((f.n_points, f.n_interior) for f in poly.faces(d))
+            d: sorted((census.n_on(f.fmask), census.n_saturating[f.fmask]) for f in poly.faces(d))
             for d in range(poly.dim)
         }
         return poly.n_points, poly.n_interior, per_dim, poly.normalized_volume()
@@ -677,6 +678,34 @@ def test_dual_involution_fresh_hull(example_s3, cube4, quintic):
         assert back.vertex_set == p.vertex_set
 
 
+def test_dual_holds_its_primal_weakly(monkeypatch):
+    builds = Counter()
+    build = Polytope._build_faces
+
+    def counted_build(self):
+        builds[self.point_cls] += 1
+        return build(self)
+
+    monkeypatch.setattr(Polytope, "_build_faces", counted_build)
+    p = hull(fixture_points("example_s3"))
+    d = p.dual()
+    assert p.dual() is d and d.dual() is p
+    # the dual reads its face lattice off the live primal's
+    faces = [(f.dim, f.vmask, f.fmask) for f in p.faces()]
+    d.faces()
+    assert builds == {MPoint: 1}
+    # freed by reference counting, the primal is rebuilt equal, then kept
+    old = weakref.ref(p)
+    vertices, facets, saturated = p.vertices, p.facets, p._saturated
+    del p
+    assert old() is None
+    again = d.dual()
+    assert (again.vertices, again.facets, again._saturated) == (vertices, facets, saturated)
+    assert d.dual() is again and again.dual() is d
+    assert [(f.dim, f.vmask, f.fmask) for f in again.faces()] == faces
+    assert builds == {MPoint: 1}
+
+
 def test_dual_requires_interior_origin():
     shifted = hull(mpoints([(0, 0), (0, 1), (1, 0), (1, 1)]))
     with pytest.raises(OriginNotInteriorError):
@@ -687,7 +716,7 @@ def test_dual_non_reflexive_is_rational():
     double = hull(mpoints([(2, 2), (2, -2), (-2, 2), (-2, -2)]))
     d = double.dual()
     assert isinstance(d, RationalPolytope)
-    assert not d.is_lattice()
+    assert any(x.denominator != 1 for v in d.vertices for x in v)
 
 
 # -- reflexivity -----------------------------------------------------------------
@@ -773,7 +802,7 @@ def test_transposed_dual_matches_hull_oracle(group, primal_first):
         for side, expected in ((p, diamond_faces(p)), (d, oracle_faces)):
             assert sorted(side.faces().by_dim) == sorted(expected) == list(range(p.dim))
             for k, level in expected.items():
-                assert [(f.vertices, f.facet_set) for f in side.faces(k)] == level, (p, k)
+                assert [(f.vertices, facet_set(f)) for f in side.faces(k)] == level, (p, k)
         # the oracle's dual face: the face whose vertices are the normals of
         # the facets containing the face
         by_vertices = {
@@ -781,8 +810,8 @@ def test_transposed_dual_matches_hull_oracle(group, primal_first):
         }
         for f in p.faces():
             g = p.dual_face(f)
-            normals = frozenset(p.facets[i].normal for i in f.facet_set)
-            assert (g.vertices, g.facet_set) == by_vertices[top - f.dim, normals]
+            normals = frozenset(p.facets[i].normal for i in _bits(f.fmask))
+            assert (g.vertices, facet_set(g)) == by_vertices[top - f.dim, normals]
             assert d.dual_face(g) is f
         for g in d.faces():
             assert p.dual_face(d.dual_face(g)) is g
@@ -882,13 +911,14 @@ def test_random_reflexive_polygons_duality_properties():
             p = hull(mpoints(sorted(subset)))
         except NotFullDimensionalError:
             return
-        if not p.strictly_contains(MPoint((0, 0))):
+        if not all(f.offset < 0 for f in p.facets):  # 0 strictly inside
             return
         assert p.is_reflexive()  # every facet of a 3x3-grid hull is at distance 1
         d = p.dual()
         assert hull(list(d.vertices)).dual().vertex_set == p.vertex_set
         census = p.census()
-        assert census.n_interior + sum(f.n_interior for f in p.faces()) == census.n_points
+        l_star = sum(census.n_saturating[f.fmask] for f in p.faces())
+        assert census.n_interior + l_star == census.n_points
 
     run()
 
