@@ -228,7 +228,11 @@ class Polytope:
                 raise InputError("facet normals must live in the dual lattice")
             if f.normal.dim != d:
                 raise InputError(f"dimension mismatch: {d} vs {f.normal.dim}")
-        self._planes = tuple((f.normal, f.offset) for f in self.facets)
+        # Built from a list, as in `_Walk`: a tuple built from a generator is
+        # resized to its length, and on release CPython keeps it on that
+        # length's free list until a full collection, which is rare without
+        # reference cycles, so those free lists filled and raised peak memory.
+        self._planes = tuple([(f.normal, f.offset) for f in self.facets])
         if incidence is None:
             saturated = []
             for v in self.vertices:
@@ -614,7 +618,7 @@ class _Walk:
         self.exact = d - 2
         self.lo = lo = list(map(min, zip(*vertices)))
         self.hi = hi = list(map(max, zip(*vertices)))
-        self.columns = columns = list(zip(*(n for n, _ in planes)))
+        self.columns = columns = list(zip(*[n for n, _ in planes]))
         self.limits = [None] * (d - 2)
         reach = [0] * len(planes)
         for k in range(d - 1, 0, -1):  # reach over x_k .. x_{d-1} bounds level k - 1
