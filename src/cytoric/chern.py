@@ -278,7 +278,8 @@ def curve_census(delta: Polytope, fan: Fan) -> CurveCensus:
         raise NotSimplicialError("curve census expects the refined fan")
     _check_is_refinement_of(delta, fan)
     dual = delta.dual()
-    census = dual.census()
+    census, faces = dual.census(), dual.faces().by_fmask
+    l_star = delta.census().n_saturating
     kinds = classify_boundary(dual)
     divisors = divisor_census(delta)
     irreducible = set(divisors.irreducible_points)
@@ -288,12 +289,12 @@ def curve_census(delta: Polytope, fan: Fan) -> CurveCensus:
     for a, b in fan.edges():
         ka = kinds[a]
         kb = kinds[b]
-        face = dual.faces().by_fmask[census.face_of[a] & census.face_of[b]]
+        face = faces[census.face_of[a] & census.face_of[b]]
         if ka is PointType.IN_3FACE or kb is PointType.IN_3FACE or face.dim == 3:
             entries.append(CurveEntry((a, b), CurveClass.EMPTY, 0, face.dim))
             continue
         if face.dim == 2:
-            n = delta.census().n_saturating[dual.dual_face(face).fmask] + 1  # l* + 1
+            n = l_star[dual.dual_face(face).fmask] + 1  # the dual edge's lattice length
             entries.append(CurveEntry((a, b), CurveClass.RATIONAL_FAMILY, n, 2))
         elif ka is PointType.VERTEX and kb is PointType.VERTEX:
             entries.append(CurveEntry((a, b), CurveClass.SMOOTH_SECTION, 1, face.dim))

@@ -93,14 +93,14 @@ def _h11_terms(delta: Polytope) -> int:
     dual D's facets F and its 2-faces T with their dual edges T^; the terms
     are checked non-negative."""
     dual = delta.dual()
-    l_star = dual.census().n_saturating
-    facet_correction = sum(l_star[f.fmask] for f in dual.faces(3))
+    l_star, dual_l_star = delta.census().n_saturating, dual.census().n_saturating
+    facet_correction = sum(dual_l_star[f.fmask] for f in dual.faces(3))
     pairing_term = 0
     for two_face in dual.faces(2):
-        if l_star[two_face.fmask] == 0:
+        if dual_l_star[two_face.fmask] == 0:
             continue
         edge = dual.dual_face(two_face)
-        pairing_term += l_star[two_face.fmask] * delta.census().n_saturating[edge.fmask]
+        pairing_term += dual_l_star[two_face.fmask] * l_star[edge.fmask]
     if facet_correction < 0 or pairing_term < 0:
         raise InternalInvariantError("negative Hodge count term")
     return dual.n_points - 5 - facet_correction + pairing_term
@@ -133,6 +133,7 @@ def divisor_census(delta: Polytope) -> DivisorCensus:
     _require_reflexive_4d(delta, "divisor census")
     dual = delta.dual()
     census, faces = dual.census(), dual.faces().by_fmask
+    l_star = delta.census().n_saturating
     irreducible = []
     split = []
     skipped = []
@@ -142,7 +143,7 @@ def divisor_census(delta: Polytope) -> DivisorCensus:
             irreducible.append(p)
         elif face.dim == 2:  # the dual edge's lattice length, l* + 1
             edge = dual.dual_face(face)
-            split.append((p, delta.census().n_saturating[edge.fmask] + 1))
+            split.append((p, l_star[edge.fmask] + 1))
         else:
             skipped.append(p)
     out = DivisorCensus(tuple(irreducible), tuple(split), tuple(skipped))
