@@ -475,7 +475,7 @@ def test_census_thin_ray_simplex_against_grid_oracle(weights):
 
 def census_digest(poly):
     """sha256 of the points in census order with their carrier facet sets,
-    and of every face's (n_points, n_interior), faces in lattice order."""
+    and of every face's (l, l*) read off the census, faces in lattice order."""
     census = poly.census()
     points = [(tuple(p), _bits(census.face_of[p])) for p in census.points]
     faces = [
