@@ -9,17 +9,18 @@ and Williams, SIGSAM Bull. 31(3), 1997).  Every reduced pivot ends equal
 to the last one, so solutions are integer numerators over that one
 denominator.
 
-The one exception is the 4 x 4 determinant and adjugate, the size of every
-cone, cell and initial hull simplex in dimension 4: :func:`int_det` and
-:func:`dual_basis` expand those in closed form along the 2 x 2 minors of
-rows (0, 1) and (2, 3) (:func:`_laplace4`), with no elimination.  Every
-other size, and every rank, solution and nullspace, reads the Bareiss
-kernel.
+The one exception is dimension 4, the dimension of every cone, cell,
+initial hull simplex and facet normal there: :func:`int_det` and
+:func:`dual_basis` expand a 4 x 4 determinant and adjugate in closed form
+along the 2 x 2 minors of rows (0, 1) and (2, 3) (:func:`_laplace4`), and
+:func:`spans_hyperplane` certifies that a facet's vertices span its plane
+with one such determinant, with no elimination.  Every other size, and
+every rank, solution and nullspace, reads the Bareiss kernel.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import mul, sub
 
 
 def primitive_vector(v):
@@ -190,6 +191,55 @@ def row_reduce(rows, reduced=True):
 
 def matrix_rank(rows):
     return len(row_reduce(rows, reduced=False)[1])
+
+
+def spans_hyperplane(points, normal, offset):
+    """Whether the int points lie on the hyperplane {x : <x, normal> =
+    offset} and affinely span it; `normal` is nonzero.
+
+    The rows are the differences from the first point.  In dimension 4 the
+    verdict is certified in closed form: every point is on the plane, and
+    greedy rows witness rank 3.  r1 is the first nonzero row, r2 the first
+    with a nonzero 2 x 2 minor against r1, and r3 the first with det(r1,
+    r2, r3, normal) != 0.  That determinant is <w, r3>, where w holds the
+    cofactors of the expansion along the minors of (r1, r2), as in
+    :func:`dual_basis`.  The search is complete: rows of rank 3 orthogonal
+    to `normal` leave span(r1, r2) at some row, and `normal` lies outside
+    their span since <normal, normal> > 0, so some determinant is nonzero.
+    Other dimensions take :func:`matrix_rank` of the rows.
+    """
+    if not points:
+        return False
+    if len(normal) != 4:
+        first = points[0]
+        rows = [list(map(sub, p, first)) for p in points[1:]]
+        return all(dot(p, normal) == offset for p in points) and matrix_rank(rows) == len(normal) - 1
+    n0, n1, n2, n3 = normal
+    for x0, x1, x2, x3 in points:
+        if x0 * n0 + x1 * n1 + x2 * n2 + x3 * n3 != offset:
+            return False
+    points = iter(points)
+    f0, f1, f2, f3 = next(points)
+    for a0, a1, a2, a3 in points:
+        a0, a1, a2, a3 = a0 - f0, a1 - f1, a2 - f2, a3 - f3
+        if a0 or a1 or a2 or a3:
+            break
+    else:
+        return False
+    for b0, b1, b2, b3 in points:
+        b0, b1, b2, b3 = b0 - f0, b1 - f1, b2 - f2, b3 - f3
+        s01, s02, s03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
+        s12, s13, s23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
+        if s01 or s02 or s03 or s12 or s13 or s23:
+            break
+    else:
+        return False
+    w0, w1, w2, w3 = (n1 * s23 - n2 * s13 + n3 * s12, n2 * s03 - n0 * s23 - n3 * s02,
+                      n0 * s13 - n1 * s03 + n3 * s01, n1 * s02 - n0 * s12 - n2 * s01)
+    for c0, c1, c2, c3 in points:
+        if w0 * (c0 - f0) + w1 * (c1 - f1) + w2 * (c2 - f2) + w3 * (c3 - f3):
+            return True
+    return False
 
 
 def solve_linear(a_rows, b):

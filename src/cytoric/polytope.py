@@ -40,15 +40,14 @@ import weakref
 from collections import Counter
 from fractions import Fraction
 from math import gcd
-from operator import sub
 
 from ._linalg import (
     dot,
     dual_basis,
     int_det,
-    matrix_rank,
     primitive_vector,
     row_reduce,
+    spans_hyperplane,
 )
 from .errors import (
     InputError,
@@ -189,8 +188,10 @@ class Polytope:
     vertex's saturated facet mask, each facet's vertex mask) for vertices
     and facets already in sorted order, as `hull` and `dual` hand it over;
     without it the constructor evaluates the slack table itself.  Either
-    way every vertex lies on at least d facets, and every facet holds at
-    least d vertices that span it.
+    way no vertex or facet is listed twice, every vertex lies on at least
+    d facets, and every facet holds at least d vertices that lie on its
+    plane and span it, as :func:`~cytoric._linalg.spans_hyperplane`
+    certifies: in closed form in dimension 4, by a rank elsewhere.
     """
 
     def __init__(self, vertices, facets, *, incidence=None):
@@ -233,6 +234,12 @@ class Polytope:
         # length's free list until a full collection, which is rare without
         # reference cycles, so those free lists filled and raised peak memory.
         self._planes = tuple([(f.normal, f.offset) for f in self.facets])
+        if len(set(self.vertices)) < len(self.vertices):
+            twice = next(v for v, w in zip(self.vertices, self.vertices[1:]) if v == w)
+            raise InputError(f"vertex {twice} is listed twice")
+        if len(set(self._planes)) < len(self._planes):
+            twice = next(f for f, g in zip(self.facets, self.facets[1:]) if f == g)
+            raise InputError(f"facet {twice} is listed twice")
         if incidence is None:
             saturated = []
             for v in self.vertices:
@@ -245,12 +252,14 @@ class Polytope:
         for v, tight in zip(self.vertices, self._saturated):
             if tight.bit_count() < d:
                 raise InputError(f"vertex {v} saturates fewer than {d} facets")
-        for i, on in enumerate(map(_bits, self._facet_vertices)):
+        for i, ((normal, offset), on) in enumerate(zip(self._planes, map(_bits, self._facet_vertices))):
             if len(on) < d:
                 raise InputError(f"facet {i} holds fewer than {d} vertices")
-            first = self.vertices[on[0]]
-            diffs = [list(map(sub, self.vertices[j], first)) for j in on[1:]]
-            if matrix_rank(diffs) != d - 1:
+            points = [self.vertices[j] for j in on]
+            if not spans_hyperplane(points, normal, offset):
+                off = [p for p in points if dot(p, normal) != offset]
+                if off:
+                    raise InputError(f"facet {i} lists vertex {off[0]} off its plane")
                 raise InputError(f"facet {i} vertices do not span it")
 
     # -- basic queries -----------------------------------------------------

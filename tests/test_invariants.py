@@ -105,6 +105,7 @@ def test_every_linalg_kernel_has_a_caller():
 
 
 OPTIMISED_POLYTOPE_CHECKS = """
+import itertools
 import sys
 from cytoric.errors import InputError, NotFullDimensionalError
 from cytoric.lattice import MPoint, NPoint, RationalHyperplane
@@ -129,6 +130,13 @@ try:
     hull([MPoint(p) for p in [(0, 0, 0), (1, 1, 0), (2, 2, 0), (0, 1, 0), (3, 1, 0)]])
 except NotFullDimensionalError as exc:
     print("flat", type(exc).__name__, exc.affine_dim, exc.ambient_dim)
+cube = hull([MPoint(p) for p in itertools.product((-1, 1), repeat=4)])
+narrowed = list(cube._facet_vertices)
+narrowed[0] &= narrowed[1]  # the square both facets share: on the plane, rank 2
+try:
+    Polytope(list(cube.vertices), list(cube.facets), incidence=(cube._saturated, narrowed))
+except InputError as exc:
+    print("narrowed facet InputError", exc)
 """
 
 
@@ -148,6 +156,7 @@ def test_polytope_checks_survive_python_optimise():
         "short facet InputError facet 4 holds fewer than 2 vertices",
         "one facet short InputError vertex MPoint(1, -1) saturates fewer than 2 facets",
         "flat NotFullDimensionalError 2 3",
+        "narrowed facet InputError facet 0 vertices do not span it",
     ]
 
 

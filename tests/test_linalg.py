@@ -1,5 +1,7 @@
 import math
+import operator
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from cytoric._linalg import (
     primitive_vector,
     row_reduce,
     solve_linear,
+    spans_hyperplane,
 )
 from oracles import fraction_nullspace, fraction_rref, fraction_solve, naive_det
 
@@ -133,6 +136,90 @@ def test_closed_form_4x4_matches_bareiss_and_cofactor_expansion(m, singular, ord
             int_det(shape)
         with pytest.raises(ValueError, match="not square"):
             dual_basis(shape)
+
+
+def orthogonal_part(u, normal):
+    """(n . n) u - (n . u) n: an int vector orthogonal to the normal n."""
+    nn, nu = sum(x * x for x in normal), sum(x * y for x, y in zip(normal, u))
+    return [nn * x - nu * y for x, y in zip(u, normal)]
+
+
+def plane_points(normal, base, directions, coeffs, moves=(), repeats=()):
+    """Points base + sum c_k o_k, one per coefficient list, where o_k is the
+    part of directions[k] orthogonal to the normal; then each (i, v) of
+    `moves` adds v to point i, and each index of `repeats` lists that point
+    again."""
+    basis = [orthogonal_part(u, normal) for u in directions]
+    points = [
+        tuple(b + sum(c * o[j] for c, o in zip(cs, basis)) for j, b in enumerate(base)) for cs in coeffs
+    ]
+    for i, v in moves:
+        points[i % len(points)] = tuple(map(operator.add, points[i % len(points)], v))
+    return points + [points[i % len(points)] for i in repeats]
+
+
+def span_reference(points, normal, offset):
+    """Every point on the plane, and the differences from the first of rank
+    d - 1, by the Bareiss rank."""
+    diffs = [[x - y for x, y in zip(p, points[0])] for p in points[1:]]
+    on = all(sum(x * y for x, y in zip(p, normal)) == offset for p in points)
+    return on and matrix_rank(diffs) == len(normal) - 1
+
+
+def test_spans_hyperplane_matches_the_rank_seeded():
+    # zero and repeated rows, ranks 0 to d - 1, points off the plane, and
+    # off-plane points whose rows still have rank d - 1
+    rng = random.Random(31)
+    seen = Counter()
+    for _ in range(3000):
+        d = rng.choice((4, 4, 4, 2, 3, 5))
+        bound = rng.choice((1, 3, 9))
+        normal = [0] * d
+        while not any(normal):
+            normal = [rng.randint(-bound, bound) for _ in range(d)]
+        base = [rng.randint(-bound, bound) for _ in range(d)]
+        directions = random_matrix(rng, rng.randint(0, d - 1), d, bound)
+        coeffs = random_matrix(rng, rng.randint(1, 8), len(directions), rng.choice((0, 1, 2)))
+        moves = [(rng.randrange(8), [rng.randint(-1, 1) for _ in range(d)]) for _ in range(rng.randint(0, 1))]
+        repeats = [rng.randrange(8) for _ in range(rng.randint(0, 2))]
+        points = plane_points(normal, base, directions, coeffs, moves, repeats)
+        rng.shuffle(points)
+        offset = sum(x * y for x, y in zip(base, normal))
+        verdict = spans_hyperplane(points, normal, offset)
+        assert verdict == span_reference(points, normal, offset), (points, normal, offset)
+        diffs = [[x - y for x, y in zip(p, points[0])] for p in points[1:]]
+        on = all(sum(x * y for x, y in zip(p, normal)) == offset for p in points)
+        seen[d, verdict, on, matrix_rank(diffs) == d - 1] += 1
+    for d in (2, 3, 4, 5):
+        assert {key[1:] for key in seen if key[0] == d} == {
+            (True, True, True), (False, True, False), (False, False, True), (False, False, False)
+        }, seen
+    assert not spans_hyperplane([], (0, 0, 0, 1), 0)
+
+
+huge_or_small = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6), st.integers(2**64, 2**70))
+vectors4 = st.lists(huge_or_small, min_size=4, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    vectors4.filter(any),
+    vectors4,
+    st.lists(vectors4, max_size=3).flatmap(
+        lambda dirs: st.tuples(
+            st.just(dirs),
+            st.lists(st.lists(st.integers(-2, 2), min_size=len(dirs), max_size=len(dirs)), min_size=1, max_size=8),
+        )
+    ),
+    st.lists(st.tuples(st.integers(0, 7), st.lists(st.integers(-2, 2), min_size=4, max_size=4)), max_size=2),
+    st.lists(st.integers(0, 7), max_size=3),
+    st.data(),
+)
+def test_spans_hyperplane_matches_the_rank_hypothesis(normal, base, basis, moves, repeats, data):
+    directions, coeffs = basis
+    points = data.draw(st.permutations(plane_points(normal, base, directions, coeffs, moves, repeats)))
+    offset = sum(x * y for x, y in zip(base, normal))
+    assert spans_hyperplane(points, normal, offset) == span_reference(points, normal, offset)
 
 
 def test_matrix_rank():

@@ -3,14 +3,16 @@ import gc
 import hashlib
 import itertools
 import random
+import re
 import weakref
 from collections import Counter
 
 import pytest
 
-from cytoric.errors import NotFullDimensionalError, OriginNotInteriorError
+from cytoric.errors import InputError, NotFullDimensionalError, OriginNotInteriorError
 from cytoric.lattice import MPoint, NPoint, pairing
 from cytoric.fixtures import ALL, CORPUS_4D, POLYGONS, fixture_points, fixture_polytope
+from cytoric import _linalg as linalg_module
 from cytoric import polytope as polytope_module
 from cytoric.polytope import Polytope, RationalPolytope, _bits, hull
 from conftest import (
@@ -831,7 +833,9 @@ def test_handed_incidence_matches_the_constructors_slack_table(group):
 
 def test_hull_and_dual_evaluate_no_slack_and_keep_every_span_check(monkeypatch):
     calls = Counter()
-    rank, reduce, slacks = polytope_module.matrix_rank, polytope_module.row_reduce, Polytope._slacks
+    rank, reduce, span, slacks = (
+        linalg_module.matrix_rank, polytope_module.row_reduce, polytope_module.spans_hyperplane, Polytope._slacks
+    )
 
     def counted_rank(rows):
         calls["matrix_rank"] += 1
@@ -841,23 +845,89 @@ def test_hull_and_dual_evaluate_no_slack_and_keep_every_span_check(monkeypatch):
         calls["row_reduce"] += 1
         return reduce(rows, reduced)
 
+    def counted_span(points, normal, offset):
+        calls["spans_hyperplane"] += 1
+        return span(points, normal, offset)
+
     def counted_slacks(self, p):
         calls["_slacks"] += 1
         return slacks(self, p)
 
-    monkeypatch.setattr(polytope_module, "matrix_rank", counted_rank)
+    monkeypatch.setattr(linalg_module, "matrix_rank", counted_rank)
     monkeypatch.setattr(polytope_module, "row_reduce", counted_reduce)
+    monkeypatch.setattr(polytope_module, "spans_hyperplane", counted_span)
     monkeypatch.setattr(Polytope, "_slacks", counted_slacks)
     hexagon, triangle = (
         [tuple(v) for v in fixture_points(name)] for name in ("pgon_hexagon", "pgon_triangle_p123")
     )
     product = mpoints(shear([a + b for a in hexagon for b in triangle], MOVES[4]))
-    # one echelon pass picks the initial simplex, then one rank per facet
-    # checks its span on each side (cross4d 16 + 8, the product 9 + 18)
-    for points, ranks in ((fixture_points("cross4d"), 24), (product, 27)):
+    # one echelon pass picks the initial simplex, then one closed-form span
+    # certificate per facet on each side (cross4d 16 + 8, the product 9 + 18),
+    # with no rank taken
+    for points, spans in ((fixture_points("cross4d"), 24), (product, 27)):
         calls.clear()
         hull(points).dual()
-        assert calls == {"row_reduce": 1, "matrix_rank": ranks}
+        assert calls == {"row_reduce": 1, "spans_hyperplane": spans}
+        assert calls["matrix_rank"] == 0
+
+
+def cube_parts(d):
+    """The d-cube [-1, 1]^d as constructor arguments: its sorted vertices and
+    facets, and its incidence as lists."""
+    cube = hull(mpoints(itertools.product((-1, 1), repeat=d)))
+    return list(cube.vertices), list(cube.facets), list(cube._saturated), list(cube._facet_vertices)
+
+
+@pytest.mark.parametrize(
+    "d, message",
+    [
+        (3, "facet 0 holds fewer than 3 vertices"),  # a 3-cube's ridge is an edge
+        (4, "facet 0 vertices do not span it"),  # the closed form
+        (5, "facet 0 vertices do not span it"),  # the rank
+    ],
+)
+def test_facet_narrowed_to_a_ridge_is_refused(d, message):
+    # facet 0 lists only the vertices of its ridge with facet 1: on its
+    # plane, but of affine rank d - 2
+    vertices, facets, saturated, on = cube_parts(d)
+    Polytope(vertices, facets, incidence=(saturated, on))
+    on[0] &= on[1]
+    assert on[0].bit_count() == 2 ** (d - 2)
+    with pytest.raises(InputError, match=f"^{message}$"):
+        Polytope(vertices, facets, incidence=(saturated, on))
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_facet_listing_a_vertex_off_its_plane_is_refused(d):
+    # facet i holds vertex 0 and also lists the last vertex k, its antipode:
+    # the rows from vertex 0 span the plane before they reach k, so only
+    # the plane test refuses it
+    vertices, facets, saturated, on = cube_parts(d)
+    i = next(i for i, mask in enumerate(on) if mask & 1)
+    k = len(vertices) - 1
+    on[i] |= 1 << k
+    saturated[k] |= 1 << i
+    off = rf"^facet {i} lists vertex {re.escape(repr(vertices[k]))} off its plane$"
+    with pytest.raises(InputError, match=off):
+        Polytope(vertices, facets, incidence=(saturated, on))
+
+
+@pytest.mark.parametrize(
+    "twice, message",
+    [
+        ("vertex", r"^vertex MPoint\(-1, 1\) is listed twice$"),
+        ("facet", r"^facet RationalHyperplane\(normal=NPoint\(0, 1\), offset=-1\) is listed twice$"),
+    ],
+)
+def test_vertex_or_facet_listed_twice_is_refused(square, twice, message):
+    # accepted before, as a square with 5 vertices or 5 edges
+    vertices, facets = list(square.vertices), list(square.facets)
+    if twice == "vertex":
+        vertices.append(vertices[1])
+    else:
+        facets.insert(0, facets[2])
+    with pytest.raises(InputError, match=message):
+        Polytope(vertices, facets)
 
 
 # -- dual faces ---------------------------------------------------------------------
