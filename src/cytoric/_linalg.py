@@ -1,13 +1,15 @@
-"""Exact integer and rational linear algebra on plain Python numbers.
+"""Exact linear algebra on plain Python ints.
 
-Everything works on ``int`` tuples/lists, never on floats; the geometric
-predicates elsewhere rely on that exactness.  Ranks, determinants,
-adjugates, solutions and kernels all read one fraction-free Gauss-Jordan
-elimination, :func:`_eliminate`, whose steps divide exactly by the previous
-pivot (Bareiss, Math. Comp. 22, 1968; for any m x n matrix, Nakos, Turner
-and Williams, SIGSAM Bull. 31(3), 1997).  Every reduced pivot ends equal
+Everything takes and returns ``int`` tuples/lists, never floats or
+Fractions; the geometric predicates elsewhere rely on that exactness, and
+a caller with rational data clears its denominators first, as the divisor
+audits do.  Ranks, determinants, adjugates, solutions and kernels all
+read one fraction-free Gauss-Jordan elimination, :func:`_eliminate`,
+whose steps divide exactly by the previous pivot (Bareiss, Math. Comp. 22,
+1968; for any m x n matrix, Nakos, Turner and Williams, SIGSAM Bull.
+31(3), 1997).  Every reduced pivot ends equal
 to the last one, so solutions are integer numerators over that one
-denominator.
+denominator, and a kernel basis is primitive integer vectors.
 
 The one exception is dimension 4, the dimension of every cone, cell,
 initial hull simplex and facet normal there: :func:`int_det` and
@@ -18,8 +20,7 @@ with one such determinant, with no elimination.  Every other size, and
 every rank, solution and nullspace, reads the Bareiss kernel.
 """
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul, sub
 
 
@@ -158,39 +159,14 @@ def dual_basis(rows):
     return sign * last, [tuple(sign * row[i] for row in a) for i in range(n)]
 
 
-def _integer_rows(rows):
-    """The rows as new int lists.  A row holding a Fraction is scaled by the
-    lcm of its denominators, which changes neither row space nor pivots."""
-    if all(type(x) is int for row in rows for x in row):
-        return [list(row) for row in rows]
-    out = []
-    for row in rows:
-        den = lcm(*[x.denominator for x in row])
-        out.append([x.numerator * (den // x.denominator) for x in row])
-    return out
-
-
-def row_reduce(rows, reduced=True):
-    """Fraction-free Gauss-Jordan elimination over the integers.
-
-    Returns (rows, pivot_columns), pivots chosen left to right, first
-    nonzero row wins; row k over its entry in column pivots[k] is row k of
-    the reduced row echelon form, and that entry is the last pivot for
-    every k.  ``reduced=False`` leaves the rows above a pivot alone: an
-    echelon form, all a rank needs.
-    """
-    a = _integer_rows(rows)
-    pivots, _, last = _eliminate(a, reduced)
-    del a[len(pivots):]
-    if reduced:  # the pivot columns held the row operations
-        for k, row in enumerate(a):
-            for j, c in enumerate(pivots):
-                row[c] = last if j == k else 0
-    return a, pivots
+def pivot_columns(rows):
+    """The pivot columns of an echelon form of the int rows, left to right:
+    the columns where the rank of the columns so far grows."""
+    return _eliminate(list(rows), reduced=False)[0]
 
 
 def matrix_rank(rows):
-    return len(row_reduce(rows, reduced=False)[1])
+    return len(pivot_columns(rows))
 
 
 def spans_hyperplane(points, normal, offset):
@@ -253,7 +229,7 @@ def solve_linear(a_rows, b):
     if not a_rows:
         return (), 1
     ncols = len(a_rows[0])
-    a = _integer_rows([list(row) + [bi] for row, bi in zip(a_rows, b, strict=True)])
+    a = [list(row) + [bi] for row, bi in zip(a_rows, b, strict=True)]
     pivots, _, den = _eliminate(a)
     if pivots and pivots[-1] == ncols:
         return None
@@ -267,19 +243,25 @@ def solve_linear(a_rows, b):
 
 
 def nullspace(a_rows):
-    """Basis of {x : A x = 0}: a Fraction tuple per free column, 1 there."""
+    """Basis of {x : A x = 0}: a primitive int tuple per free column,
+    positive there.  It is the reduced echelon form's vector, 1 at the free
+    column, times the last pivot and over the gcd; that pivot can be
+    negative, so the gcd takes its sign."""
     if not a_rows:
         return []
     ncols = len(a_rows[0])
-    a = _integer_rows(a_rows)
+    a = [list(row) for row in a_rows]
     pivots, _, den = _eliminate(a)
     basis = []
     for f in (c for c in range(ncols) if c not in pivots):
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
+        vec = [0] * ncols
+        vec[f] = den
         for row, c in zip(a, pivots):
-            vec[c] = Fraction(-row[f], den)
-        basis.append(tuple(vec))
+            vec[c] = -row[f]
+        g = gcd(*vec)
+        if den < 0:
+            g = -g
+        basis.append(tuple([x // g for x in vec]))
     return basis
 
 

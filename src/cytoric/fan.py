@@ -523,15 +523,20 @@ class WeilDivisor:
 def is_qcartier(fan: Fan, divisor: WeilDivisor):
     """Whether per-cone linear support data exists, m with <m, v> = -a_v on
     every ray v of the cone; if so, also the smallest positive integer
-    clearing all denominators (the Cartier index)."""
-    fan.scaled_coeffs(divisor)  # refuses a divisor off the rays
-    coeffs = divisor._lookup
+    clearing all denominators (the Cartier index).
+
+    Each cone is solved on the integer coefficients a_v * scale of
+    :meth:`Fan.scaled_coeffs`, which give scale * m as num / den in lowest
+    terms, so m's denominator is den * scale over its gcd with num."""
+    scaled, scale = fan.scaled_coeffs(divisor)  # refuses a divisor off the rays
     index = 1
-    for cone in fan.maximal_cones:
-        m = solve_linear([tuple(r) for r in cone.rays], [-coeffs.get(r, 0) for r in cone.rays])
+    for cone, top in zip(fan.maximal_cones, fan.cones):
+        m = solve_linear([tuple(r) for r in cone.rays], [-scaled.get(i, 0) for i in top])
         if m is None:
             return False, None
-        index = math.lcm(index, m[1])  # solve_linear gives lowest terms
+        num, den = m
+        den *= scale
+        index = math.lcm(index, den // math.gcd(den, *num))
     return True, index
 
 
@@ -546,15 +551,14 @@ def picard_rank_q(fan: Fan) -> int:
     if fan.is_simplicial:
         return n - fan.dim  # no cone imposes a condition
     constraints = []
-    for cone in fan.maximal_cones:
+    for cone, top in zip(fan.maximal_cones, fan.cones):
         if cone.is_simplicial:
             continue
-        rows = [tuple(r) for r in cone.rays]
-        for w in left_nullspace(rows):
-            full = [Fraction(0)] * n
-            for coeff, ray in zip(w, cone.rays):
-                full[fan.ray_index(ray)] += coeff
-            constraints.append(tuple(full))
+        for w in left_nullspace([tuple(r) for r in cone.rays]):
+            full = [0] * n
+            for coeff, i in zip(w, top):
+                full[i] = coeff
+            constraints.append(full)
     rank = matrix_rank(constraints) if constraints else 0
     return n - rank - fan.dim
 

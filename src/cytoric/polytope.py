@@ -8,16 +8,17 @@ facet through a horizon ridge and the new point is the nonnegative
 combination of the two facets sharing that ridge that vanishes at the
 point (Barber, Dobkin and Huhdanpaa, 1996).  One slack table of every
 input point against every facet then checks the result, picks the
-vertices and gives the incidence.
+vertices and gives each vertex's saturated facets.
 
 A polytope keeps each vertex's saturated facets as an int bitmask (bit i
 is facet i) and each facet's vertices as one too (bit j is vertex j).
-`hull` and `Polytope.dual` hand that incidence to the constructor, which
-checks it; only a hand-assembled polytope has its slack table evaluated
-there.  The face lattice is read from the incidence alone: inside a
-(k+1)-face the k-faces are the inclusion-maximal intersections with the
-other (k+1)-faces (the diamond property; Kaibel and Pfetsch 2002), so no
-rank is taken and nothing assumes general position.
+`hull` and `Polytope.dual` hand the vertices' masks to the constructor,
+which derives the facets' masks as their transpose and checks both; only
+a hand-assembled polytope has its slack table evaluated there.  The face
+lattice is read from the incidence alone: inside a (k+1)-face the k-faces
+are the inclusion-maximal intersections with the other (k+1)-faces (the
+diamond property; Kaibel and Pfetsch 2002), so no rank is taken and
+nothing assumes general position.
 
 A face is a plain value: its dimension and those two masks.  Point counts
 are not stored on faces but read from the census, which holds the number
@@ -45,8 +46,8 @@ from ._linalg import (
     dot,
     dual_basis,
     int_det,
+    pivot_columns,
     primitive_vector,
-    row_reduce,
     spans_hyperplane,
 )
 from .errors import (
@@ -184,17 +185,17 @@ class Polytope:
     """Full-dimensional lattice polytope with exact V- and H-representations.
 
     Build instances with :func:`hull`; the constructor cross-validates the
-    two representations.  `incidence`, when given, is the pair (each
-    vertex's saturated facet mask, each facet's vertex mask) for vertices
-    and facets already in sorted order, as `hull` and `dual` hand it over;
-    without it the constructor evaluates the slack table itself.  Either
-    way no vertex or facet is listed twice, every vertex lies on at least
-    d facets, and every facet holds at least d vertices that lie on its
-    plane and span it, as :func:`~cytoric._linalg.spans_hyperplane`
+    two representations.  `saturated`, when given, is each vertex's
+    saturated facet mask for vertices and facets already in sorted order,
+    as `hull` and `dual` hand it over; without it the constructor evaluates
+    the slack table itself.  Each facet's vertex mask is the transpose.
+    Either way no vertex or facet is listed twice, every vertex lies on at
+    least d facets, and every facet holds at least d vertices that lie on
+    its plane and span it, as :func:`~cytoric._linalg.spans_hyperplane`
     certifies: in closed form in dimension 4, by a rank elsewhere.
     """
 
-    def __init__(self, vertices, facets, *, incidence=None):
+    def __init__(self, vertices, facets, *, saturated=None):
         if not vertices:
             raise InputError("polytope needs vertices")
         self.point_cls = type(vertices[0])
@@ -203,11 +204,11 @@ class Polytope:
         self.ambient_dim = vertices[0].dim
         self.vertices = tuple(sorted(vertices))
         self.facets = tuple(sorted(facets, key=lambda f: (tuple(f.normal), f.offset)))
-        if incidence is not None and (
+        if saturated is not None and (
             self.vertices != tuple(vertices) or self.facets != tuple(facets)
         ):
-            raise InternalInvariantError("incidence given for unsorted vertices or facets")
-        self._validate(incidence)
+            raise InternalInvariantError("saturated masks given for unsorted vertices or facets")
+        self._validate(saturated)
         self._faces = None
         self._census = None
         self._dual = None
@@ -216,7 +217,7 @@ class Polytope:
 
     # -- construction-time consistency ------------------------------------
 
-    def _validate(self, incidence):
+    def _validate(self, saturated):
         d = self.ambient_dim
         for v in self.vertices:
             if v.dim != d:
@@ -240,15 +241,15 @@ class Polytope:
         if len(set(self._planes)) < len(self._planes):
             twice = next(f for f, g in zip(self.facets, self.facets[1:]) if f == g)
             raise InputError(f"facet {twice} is listed twice")
-        if incidence is None:
+        if saturated is None:
             saturated = []
             for v in self.vertices:
                 slacks = self._slacks(v)
                 if min(slacks, default=0) < 0:
                     raise InputError(f"vertex {v} violates a facet inequality")
                 saturated.append(sum(1 << i for i, s in enumerate(slacks) if s == 0))
-            incidence = (saturated, _transpose(saturated, len(self.facets)))
-        self._saturated, self._facet_vertices = map(tuple, incidence)
+        self._saturated = tuple(saturated)
+        self._facet_vertices = tuple(_transpose(saturated, len(self.facets)))
         for v, tight in zip(self.vertices, self._saturated):
             if tight.bit_count() < d:
                 raise InputError(f"vertex {v} saturates fewer than {d} facets")
@@ -340,9 +341,9 @@ class Polytope:
         sides sort alike (every offset is -1), so dual vertex i is our facet
         i and dual facet j is our vertex j, and the slack of dual vertex i
         on dual facet j is ours of vertex j on facet i, <n_i, v_j> + 1.  So
-        the dual's incidence is ours transposed, handed over without
-        evaluating any slack; the constructor's span check on each dual
-        facet checks that our vertex j is a vertex.  We hold the dual, and
+        the dual's saturated masks are our facets' vertex masks, handed
+        over without evaluating any slack; the constructor's span check on
+        each dual facet checks that our vertex j is a vertex.  We hold the dual, and
         the dual holds us through a weak reference, so dualising twice
         gives us back while we are alive; once we are freed, the dual
         builds (and then holds) a primal equal to us.  A non-reflexive
@@ -362,7 +363,7 @@ class Polytope:
         d = Polytope(
             [f.normal for f in self.facets],
             [RationalHyperplane(v, -1) for v in self.vertices],
-            incidence=(self._facet_vertices, self._saturated),
+            saturated=self._facet_vertices,
         )
         self._dual = d
         d._dual = weakref.ref(self)
@@ -748,8 +749,8 @@ def hull(points) -> Polytope:
     One slack table of every input point against every facet then does
     three jobs: a negative entry means the construction failed; a point
     is a vertex iff no other point lies on every facet through it (read
-    off the table's columns); and the vertices' rows are the incidence
-    the constructor checks.
+    off the table's columns); and the vertices' rows are the saturated
+    masks the constructor checks.
     """
     pts = sorted(set(points))
     if not pts:
@@ -820,7 +821,7 @@ def hull(points) -> Polytope:
     return Polytope(
         [pts[i] for i in vertices],
         [RationalHyperplane(dual_cls(normal), rhs) for normal, rhs in planes],
-        incidence=(saturated, _transpose(saturated, len(planes))),
+        saturated=saturated,
     )
 
 
@@ -829,7 +830,7 @@ def _initial_simplex(pts, d):
     then each point that raises the rank of the differences so far: the
     pivot columns of one echelon form of the differences as columns."""
     base = pts[0]
-    pivots = row_reduce([[p[k] - base[k] for p in pts[1:]] for k in range(d)], reduced=False)[1]
+    pivots = pivot_columns([[p[k] - base[k] for p in pts[1:]] for k in range(d)])
     if len(pivots) < d:
         raise NotFullDimensionalError(len(pivots), d)
     return [0] + [c + 1 for c in pivots]

@@ -609,7 +609,6 @@ def simplicial_hull(points):
         _bits,
         _initial_simplex,
         _simplex_facets,
-        _transpose,
     )
 
     pts = sorted(set(points))
@@ -685,5 +684,5 @@ def simplicial_hull(points):
     return Polytope(
         [pts[i] for i in vertices],
         [RationalHyperplane(dual_cls(normal), rhs) for normal, rhs in planes],
-        incidence=(saturated, _transpose(saturated, len(planes))),
+        saturated=saturated,
     )

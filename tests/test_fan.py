@@ -1,16 +1,20 @@
 import functools
 import hashlib
+import importlib.resources as resources
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
 from operator import mul
 
 import pytest
+from click.testing import CliRunner
 
 from cytoric import _linalg
 from cytoric import fan as fan_module
 from cytoric.chern import IntersectionForm
+from cytoric.cli import main
 from cytoric.errors import InputError, NotReflexiveError, NotSimplicialError
 from cytoric.fan import (
     Cone,
@@ -494,6 +498,48 @@ def test_qcartier_index_matches_fraction_reference(example_face_fan, quintic):
         for d in divisors:
             index = fraction_cartier_index(fan, d)
             assert is_qcartier(fan, d) == (index is not None, index)
+
+
+def _ints_only(fn):
+    """fn, asserting that every number in its matrix and vector arguments,
+    before and after the call (`_eliminate` works in place), and in its
+    result is an int."""
+
+    def check(x):
+        if isinstance(x, (list, tuple)):
+            for y in x:
+                check(y)
+        else:
+            assert x is None or type(x) is int, f"{fn.__name__} saw {x!r}"
+
+    @functools.wraps(fn)
+    def wrapped(*args, **kwargs):
+        arrays = [a for a in args if isinstance(a, (list, tuple))]
+        check(arrays)
+        out = fn(*args, **kwargs)
+        check(arrays)
+        check(out)
+        return out
+
+    return wrapped
+
+
+def test_divisor_audits_hand_the_kernel_ints_only(monkeypatch, example_face_fan, quintic):
+    # the Bareiss kernel, and the kernel calls fan makes and reads back:
+    # rational divisor coefficients are cleared before they reach either
+    monkeypatch.setattr(_linalg, "_eliminate", _ints_only(_linalg._eliminate))
+    for name in ("solve_linear", "matrix_rank", "left_nullspace"):
+        monkeypatch.setattr(fan_module, name, _ints_only(getattr(fan_module, name)))
+    fans = [example_face_fan, face_fan(quintic.dual()), face_fan(fixture_polytope("cross4d"))]
+    fans += [face_fan(fixture_polytope(name)) for name in POLYGONS]
+    for fan in fans:
+        picard_rank_q(fan)
+        for d in seeded_divisors(fan, 41, 8):
+            is_qcartier(fan, d)
+    path = str(resources.files("cytoric.fixtures").joinpath("quintic.poly"))
+    result = CliRunner().invoke(main, ["--json", "fan", "nef", "--divisor", "0=1/2", path])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["cartier_index"] == 2
 
 
 # -- Picard ranks ----------------------------------------------------------------------

@@ -130,11 +130,13 @@ try:
     hull([MPoint(p) for p in [(0, 0, 0), (1, 1, 0), (2, 2, 0), (0, 1, 0), (3, 1, 0)]])
 except NotFullDimensionalError as exc:
     print("flat", type(exc).__name__, exc.affine_dim, exc.ambient_dim)
-cube = hull([MPoint(p) for p in itertools.product((-1, 1), repeat=4)])
-narrowed = list(cube._facet_vertices)
-narrowed[0] &= narrowed[1]  # the square both facets share: on the plane, rank 2
+base = [p + (0,) for p in itertools.product((-1, 1), repeat=3)]
+bipyramid = hull([MPoint(p) for p in base + [(0, 0, 0, -1), (0, 0, 0, 1)]])
+narrowed = list(bipyramid._saturated)
+apex = next(j for j, v in enumerate(bipyramid.vertices) if v[3] and narrowed[j] & 1)
+narrowed[apex] &= ~1  # facet 0 keeps the square under its apex: on the plane, rank 2
 try:
-    Polytope(list(cube.vertices), list(cube.facets), incidence=(cube._saturated, narrowed))
+    Polytope(list(bipyramid.vertices), list(bipyramid.facets), saturated=narrowed)
 except InputError as exc:
     print("narrowed facet InputError", exc)
 """

@@ -833,17 +833,17 @@ def test_handed_incidence_matches_the_constructors_slack_table(group):
 
 def test_hull_and_dual_evaluate_no_slack_and_keep_every_span_check(monkeypatch):
     calls = Counter()
-    rank, reduce, span, slacks = (
-        linalg_module.matrix_rank, polytope_module.row_reduce, polytope_module.spans_hyperplane, Polytope._slacks
+    rank, pivots, span, slacks = (
+        linalg_module.matrix_rank, polytope_module.pivot_columns, polytope_module.spans_hyperplane, Polytope._slacks
     )
 
     def counted_rank(rows):
         calls["matrix_rank"] += 1
         return rank(rows)
 
-    def counted_reduce(rows, reduced=True):
-        calls["row_reduce"] += 1
-        return reduce(rows, reduced)
+    def counted_pivots(rows):
+        calls["pivot_columns"] += 1
+        return pivots(rows)
 
     def counted_span(points, normal, offset):
         calls["spans_hyperplane"] += 1
@@ -854,7 +854,7 @@ def test_hull_and_dual_evaluate_no_slack_and_keep_every_span_check(monkeypatch):
         return slacks(self, p)
 
     monkeypatch.setattr(linalg_module, "matrix_rank", counted_rank)
-    monkeypatch.setattr(polytope_module, "row_reduce", counted_reduce)
+    monkeypatch.setattr(polytope_module, "pivot_columns", counted_pivots)
     monkeypatch.setattr(polytope_module, "spans_hyperplane", counted_span)
     monkeypatch.setattr(Polytope, "_slacks", counted_slacks)
     hexagon, triangle = (
@@ -867,15 +867,15 @@ def test_hull_and_dual_evaluate_no_slack_and_keep_every_span_check(monkeypatch):
     for points, spans in ((fixture_points("cross4d"), 24), (product, 27)):
         calls.clear()
         hull(points).dual()
-        assert calls == {"row_reduce": 1, "spans_hyperplane": spans}
+        assert calls == {"pivot_columns": 1, "spans_hyperplane": spans}
         assert calls["matrix_rank"] == 0
 
 
-def cube_parts(d):
-    """The d-cube [-1, 1]^d as constructor arguments: its sorted vertices and
-    facets, and its incidence as lists."""
-    cube = hull(mpoints(itertools.product((-1, 1), repeat=d)))
-    return list(cube.vertices), list(cube.facets), list(cube._saturated), list(cube._facet_vertices)
+def constructor_parts(points):
+    """The hull of the points as constructor arguments: its sorted vertices
+    and facets, and each vertex's saturated facet mask, as lists."""
+    p = hull(mpoints(points))
+    return list(p.vertices), list(p.facets), list(p._saturated)
 
 
 @pytest.mark.parametrize(
@@ -887,14 +887,19 @@ def cube_parts(d):
     ],
 )
 def test_facet_narrowed_to_a_ridge_is_refused(d, message):
-    # facet 0 lists only the vertices of its ridge with facet 1: on its
-    # plane, but of affine rank d - 2
-    vertices, facets, saturated, on = cube_parts(d)
-    Polytope(vertices, facets, incidence=(saturated, on))
-    on[0] &= on[1]
-    assert on[0].bit_count() == 2 ** (d - 2)
+    # facet 0 of the bipyramid over the (d-1)-cube is a pyramid over a
+    # (d-2)-cube; dropping its apex leaves that cube, on the plane but of
+    # affine rank d - 2, and the apex still on 2d - 3 >= d facets (a cube's
+    # vertices lie on exactly d, so narrowing a cube's facet would trip the
+    # vertex check first)
+    base = [p + (0,) for p in itertools.product((-1, 1), repeat=d - 1)]
+    apexes = [(0,) * (d - 1) + (t,) for t in (-1, 1)]
+    vertices, facets, saturated = constructor_parts(base + apexes)
+    Polytope(vertices, facets, saturated=saturated)
+    apex = next(j for j, v in enumerate(vertices) if v[-1] and saturated[j] & 1)
+    saturated[apex] &= ~1
     with pytest.raises(InputError, match=f"^{message}$"):
-        Polytope(vertices, facets, incidence=(saturated, on))
+        Polytope(vertices, facets, saturated=saturated)
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
@@ -902,14 +907,24 @@ def test_facet_listing_a_vertex_off_its_plane_is_refused(d):
     # facet i holds vertex 0 and also lists the last vertex k, its antipode:
     # the rows from vertex 0 span the plane before they reach k, so only
     # the plane test refuses it
-    vertices, facets, saturated, on = cube_parts(d)
-    i = next(i for i, mask in enumerate(on) if mask & 1)
+    vertices, facets, saturated = constructor_parts(itertools.product((-1, 1), repeat=d))
+    i = _bits(saturated[0])[0]
     k = len(vertices) - 1
-    on[i] |= 1 << k
     saturated[k] |= 1 << i
     off = rf"^facet {i} lists vertex {re.escape(repr(vertices[k]))} off its plane$"
     with pytest.raises(InputError, match=off):
-        Polytope(vertices, facets, incidence=(saturated, on))
+        Polytope(vertices, facets, saturated=saturated)
+
+
+def test_saturated_mask_naming_a_facet_off_the_vertex_is_refused():
+    # vertex 0 of the 4-cube, (-1, -1, -1, -1), handed facet 0, the plane
+    # x0 = 1: each facet's vertices are the transpose of the saturated masks,
+    # so facet 0 lists the vertex and the plane test sees it
+    vertices, facets, saturated = constructor_parts(itertools.product((-1, 1), repeat=4))
+    assert (tuple(facets[0].normal), facets[0].offset) == ((-1, 0, 0, 0), -1)
+    saturated[0] |= 1
+    with pytest.raises(InputError, match=r"^facet 0 lists vertex MPoint\(-1, -1, -1, -1\) off its plane$"):
+        Polytope(vertices, facets, saturated=saturated)
 
 
 @pytest.mark.parametrize(
