@@ -268,7 +268,8 @@ def curve_census(delta: Polytope, fan: Fan) -> CurveCensus:
     dual polytope containing the edge: an endpoint interior to a facet, or
     an edge interior to a facet, gives an empty intersection; an edge
     interior to a 2-face gives a family of rational curves counted by the
-    lattice length of the dual edge; an edge inside a 1-face with a
+    lattice length of the dual edge (the face of the polytope whose facet
+    mask is the 2-face's vertex mask); an edge inside a 1-face with a
     non-vertex endpoint lies over a singular curve and gives the
     intersection of two exceptional branches; an edge of the 1-skeleton
     between two vertices gives a smooth curve.  The points reported as
@@ -294,7 +295,7 @@ def curve_census(delta: Polytope, fan: Fan) -> CurveCensus:
             entries.append(CurveEntry((a, b), CurveClass.EMPTY, 0, face.dim))
             continue
         if face.dim == 2:
-            n = l_star[dual.dual_face(face).fmask] + 1  # the dual edge's lattice length
+            n = l_star[face.vmask] + 1  # the dual edge's lattice length
             entries.append(CurveEntry((a, b), CurveClass.RATIONAL_FAMILY, n, 2))
         elif ka is PointType.VERTEX and kb is PointType.VERTEX:
             entries.append(CurveEntry((a, b), CurveClass.SMOOTH_SECTION, 1, face.dim))

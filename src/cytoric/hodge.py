@@ -2,16 +2,18 @@
 4-polytope, the boundary-point typology of its dual, and the census of
 hypersurface divisors coming from toric boundary divisors.
 
-The count h11 is
+The count h11 is the rank of the divisor census: the boundary points of
+the dual polytope D off its facets' interiors, a point interior to a
+2-face T counted l*(dual edge of T) + 1 times, minus the 4 principal
+divisors.  With the origin D's one interior point, that is Batyrev's
 
     l(D) - 5 - sum over facets F of D of l*(F)
              + sum over 2-faces T of D of l*(T) * l*(dual edge of T)
 
-where D is the dual polytope, l counts lattice points and l* counts
-relative-interior lattice points.  h12 is h11 with the roles of the
-polytope and its dual exchanged, and the Euler characteristic is
-2*(h11 - h12).  The same h11 is the rank of the divisor census, and the
-report reads its h11 and its count terms off that census.
+where l counts lattice points and l* counts relative-interior lattice
+points.  h12 is h11 with the roles of the polytope and its dual
+exchanged, and the Euler characteristic is 2*(h11 - h12).  The report
+reads its h11 and its count terms off the census.
 """
 
 from __future__ import annotations
@@ -88,28 +90,11 @@ class HodgeReport:
     census: DivisorCensus
 
 
-def _h11_terms(delta: Polytope) -> int:
-    """h11 = l(D) - 5 - sum l*(F) + sum l*(T) * l*(T^), counted over the
-    dual D's facets F and its 2-faces T with their dual edges T^; the terms
-    are checked non-negative."""
-    dual = delta.dual()
-    l_star, dual_l_star = delta.census().n_saturating, dual.census().n_saturating
-    facet_correction = sum(dual_l_star[f.fmask] for f in dual.faces(3))
-    pairing_term = 0
-    for two_face in dual.faces(2):
-        if dual_l_star[two_face.fmask] == 0:
-            continue
-        edge = dual.dual_face(two_face)
-        pairing_term += dual_l_star[two_face.fmask] * l_star[edge.fmask]
-    if facet_correction < 0 or pairing_term < 0:
-        raise InternalInvariantError("negative Hodge count term")
-    return dual.n_points - 5 - facet_correction + pairing_term
-
-
 def h11(delta: Polytope) -> int:
-    """Picard-side Hodge number of the resolved anticanonical hypersurface."""
+    """Picard-side Hodge number of the resolved anticanonical hypersurface:
+    the rank of the divisor census."""
     _require_reflexive_4d(delta, "h11")
-    return _h11_terms(delta)
+    return divisor_census(delta).rank
 
 
 def h12(delta: Polytope) -> int:
@@ -129,10 +114,12 @@ def divisor_census(delta: Polytope) -> DivisorCensus:
     dimension of their face: a vertex or edge point gives one irreducible
     divisor, a 2-face point splits into as many components as the lattice
     length of the dual edge, and a facet point misses the hypersurface.
-    The census rank is checked against h11 from the face counts."""
+    The census of the dual must hold one interior point, the origin."""
     _require_reflexive_4d(delta, "divisor census")
     dual = delta.dual()
     census, faces = dual.census(), dual.faces().by_fmask
+    if census.n_interior != 1:
+        raise InternalInvariantError(f"dual census holds {census.n_interior} interior points")
     l_star = delta.census().n_saturating
     irreducible = []
     split = []
@@ -141,16 +128,11 @@ def divisor_census(delta: Polytope) -> DivisorCensus:
         face = faces[census.face_of[p]]
         if face.dim < 2:
             irreducible.append(p)
-        elif face.dim == 2:  # the dual edge's lattice length, l* + 1
-            edge = dual.dual_face(face)
-            split.append((p, l_star[edge.fmask] + 1))
+        elif face.dim == 2:  # the dual edge, facet mask face.vmask: lattice length l* + 1
+            split.append((p, l_star[face.vmask] + 1))
         else:
             skipped.append(p)
-    out = DivisorCensus(tuple(irreducible), tuple(split), tuple(skipped))
-    expected = h11(delta)
-    if out.rank != expected:
-        raise InternalInvariantError(f"divisor census rank {out.rank} != h11 {expected}")
-    return out
+    return DivisorCensus(tuple(irreducible), tuple(split), tuple(skipped))
 
 
 def report(delta: Polytope) -> HodgeReport:

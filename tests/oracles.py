@@ -7,7 +7,8 @@ determinants and adjugates instead of Bareiss, Fraction row reduction
 instead of the integer elimination, grid partitions instead of the
 face-lattice census, the memoised elimination of repeated rays instead of
 the Chow-ring sweep, lattice-point counts of dilates instead of a
-triangulated volume.
+triangulated volume, Batyrev's volume formula for the Euler
+characteristic instead of the divisor census rank.
 """
 
 import functools
@@ -685,4 +686,26 @@ def simplicial_hull(points):
         [pts[i] for i in vertices],
         [RationalHyperplane(dual_cls(normal), rhs) for normal, rhs in planes],
         saturated=saturated,
+    )
+
+
+def euler_by_volume(delta):
+    """Euler characteristic of the hypersurface of a reflexive 4-polytope by
+    Batyrev's volume formula (alg-geom/9310003): the sum over edges e of
+    v(e) v(e*) minus the sum over 2-faces T of v(T) v(T*), v the normalized
+    volume in the face's own lattice.  An edge has v(e) = l*(e) + 1 and, by
+    Pick, a 2-face has v(T) = 2 l*(T) + b(T) - 2, b(T) the sum of v over its
+    edges.  The dual face of F is the dual's face at facet mask F.vmask."""
+
+    def volumes(p):
+        l_star, faces = p.census().n_saturating, p.faces()
+        v = {e.fmask: l_star[e.fmask] + 1 for e in faces(1)}
+        for t in faces(2):
+            v[t.fmask] = 2 * l_star[t.fmask] + sum(v[e.fmask] for e in faces.children(t)) - 2
+        return v
+
+    v, v_dual = volumes(delta), volumes(delta.dual())
+    faces = delta.faces()
+    return sum(v[e.fmask] * v_dual[e.vmask] for e in faces(1)) - sum(
+        v[t.fmask] * v_dual[t.vmask] for t in faces(2)
     )

@@ -1,4 +1,5 @@
 import gc
+import itertools
 
 import pytest
 
@@ -6,10 +7,10 @@ from cytoric import cli, fan, hodge
 from cytoric import polytope as polytope_module
 from cytoric.errors import InputError, NotReflexiveError
 from cytoric.hodge import PointType
-from cytoric.fixtures import CORPUS_4D, fixture_points
+from cytoric.fixtures import CORPUS_4D, POLYGONS, fixture_points, fixture_polytope
 from cytoric.polytope import Polytope, hull
-from conftest import mpoints, ray_simplex, ray_simplex_points
-from oracles import grid_points, saturation_census
+from conftest import mpoints, ray_simplex, ray_simplex_points, weighted_ray_simplices
+from oracles import euler_by_volume, grid_points, saturation_census
 
 
 # -- boundary classification -----------------------------------------------------
@@ -146,6 +147,34 @@ def test_weighted_p4_mirror_hodge_pairs(weights, h11, h12):
     assert rep.euler == 2 * (h11 - h12)
 
 
+def unsheared_polygon_products():
+    """The 136 products of two bundled polygons, unsheared."""
+    rows = [[tuple(v) for v in fixture_points(name)] for name in POLYGONS]
+    return [
+        hull(mpoints([a + b for a in p for b in q]))
+        for p, q in itertools.combinations_with_replacement(rows, 2)
+    ]
+
+
+EULER_CASES = {
+    "fixtures": (4, lambda: [fixture_polytope(name) for name in CORPUS_4D]),
+    "ray-simplices": (69, weighted_ray_simplices),
+    "products": (136, unsheared_polygon_products),
+}
+
+
+@pytest.mark.parametrize("group", sorted(EULER_CASES))
+def test_euler_by_volume_matches_the_report(group):
+    # Batyrev's volume formula reads the edges' and 2-faces' interior counts
+    # on both sides, which the divisor census rank does not
+    size, make = EULER_CASES[group]
+    polytopes = make()
+    assert len(polytopes) == size
+    for delta in polytopes:
+        for side in (delta, delta.dual()):
+            assert euler_by_volume(side) == hodge.report(side).euler, side
+
+
 def test_thinnest_ray_simplex_point_count():
     # 35 lattice points in a bounding box of 779,688
     assert ray_simplex((15, 24, 40, 40)).n_points == 35
@@ -188,16 +217,16 @@ def test_census_matches_h11(example_s3, quintic, cube4, cross4):
 
 
 def test_report_counts_each_side_once(monkeypatch, cross4):
-    # h11 once, for the divisor census's rank check, whose census gives the
-    # report its h11 and terms; h12 from the dual
+    # one divisor census gives the report its h11 and terms; h12 is the
+    # rank of the dual's
     sides = []
-    terms = hodge._h11_terms
+    census = hodge.divisor_census
 
     def counted(delta):
         sides.append(delta)
-        return terms(delta)
+        return census(delta)
 
-    monkeypatch.setattr(hodge, "_h11_terms", counted)
+    monkeypatch.setattr(hodge, "divisor_census", counted)
     rep = hodge.report(cross4)
     assert rep.census.rank == rep.h11
     assert sides == [cross4, cross4.dual()]

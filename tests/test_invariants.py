@@ -3,6 +3,7 @@ and refusals of bad input are typed."""
 
 import ast
 import functools
+import inspect
 import os
 import subprocess
 import sys
@@ -22,9 +23,8 @@ from cytoric.errors import (
 )
 from cytoric.fan import Cone, face_fan, mpcp_triangulate
 from cytoric.fixtures import fixture_polytope
-from cytoric.hodge import divisor_census
 from cytoric.lattice import MPoint, NPoint, RationalHyperplane
-from cytoric.polytope import hull
+from cytoric.polytope import PointCensus, Polytope, hull
 
 PACKAGE = Path(cytoric.__file__).parent
 
@@ -104,12 +104,30 @@ def test_every_linalg_kernel_has_a_caller():
     assert sorted(set(defined) - live) == []
 
 
+def _mark_a_boundary_point_interior(p):
+    """Give p a census whose first boundary point is interior, its face
+    mask and per-mask count moved with it."""
+    census = p.census()
+    moved, *boundary = census.boundary
+    face_of = dict(census.face_of)
+    face_of[moved] = 0
+    n_saturating = census.n_saturating.copy()
+    n_saturating[census.face_of[moved]] -= 1
+    n_saturating[0] += 1
+    p._census = PointCensus(
+        census.points, census.interior + (moved,), tuple(boundary), face_of, n_saturating
+    )
+
+
+# run after the source of _mark_a_boundary_point_interior
 OPTIMISED_POLYTOPE_CHECKS = """
 import itertools
 import sys
-from cytoric.errors import InputError, NotFullDimensionalError
+from cytoric import hodge
+from cytoric.errors import InputError, InternalInvariantError, NotFullDimensionalError
+from cytoric.fixtures import fixture_polytope
 from cytoric.lattice import MPoint, NPoint, RationalHyperplane
-from cytoric.polytope import Polytope, hull
+from cytoric.polytope import PointCensus, Polytope, hull
 
 assert False, "not optimised"
 print(sys.flags.optimize)
@@ -139,15 +157,23 @@ try:
     Polytope(list(bipyramid.vertices), list(bipyramid.facets), saturated=narrowed)
 except InputError as exc:
     print("narrowed facet InputError", exc)
+quintic = fixture_polytope("quintic")
+_mark_a_boundary_point_interior(quintic.dual())
+try:
+    hodge.report(quintic)
+except InternalInvariantError as exc:
+    print("dual census InternalInvariantError", exc)
 """
 
 
 def test_polytope_checks_survive_python_optimise():
-    # the constructor's incidence checks and hull's rank test raise, so they
-    # still hold under -O, which strips assert statements
+    # the constructor's incidence checks, hull's rank test and the divisor
+    # census's interior-point check raise, so they still hold under -O,
+    # which strips assert statements
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    script = inspect.getsource(_mark_a_boundary_point_interior) + OPTIMISED_POLYTOPE_CHECKS
     run = subprocess.run(
-        [sys.executable, "-O", "-c", OPTIMISED_POLYTOPE_CHECKS],
+        [sys.executable, "-O", "-c", script],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert run.returncode == 0, run.stderr
@@ -159,6 +185,7 @@ def test_polytope_checks_survive_python_optimise():
         "one facet short InputError vertex MPoint(1, -1) saturates fewer than 2 facets",
         "flat NotFullDimensionalError 2 3",
         "narrowed facet InputError facet 0 vertices do not span it",
+        "dual census InternalInvariantError dual census holds 2 interior points",
     ]
 
 
@@ -167,11 +194,16 @@ def test_internal_invariant_error_is_not_an_input_error():
     assert not issubclass(InternalInvariantError, CytoricError)
 
 
-def test_census_rank_check_raises(quintic, monkeypatch):
-    assert divisor_census(quintic).rank == 1
-    monkeypatch.setattr(hodge, "h11", lambda delta: 2)
-    with pytest.raises(InternalInvariantError, match="rank 1 != h11 2"):
-        divisor_census(quintic)
+@pytest.mark.parametrize("side", ["dual", "primal"])
+def test_census_with_a_boundary_point_marked_interior_is_refused(side):
+    # the divisor census of each side reads the other side's census, so the
+    # report reaches both: a miscounted primal census is refused as well
+    quintic = fixture_polytope("quintic")
+    rep = hodge.report(quintic)
+    assert (rep.h11, rep.h12) == (1, 101)
+    _mark_a_boundary_point_interior(quintic.dual() if side == "dual" else quintic)
+    with pytest.raises(InternalInvariantError, match="census holds 2 interior points"):
+        hodge.report(quintic)
 
 
 @functools.cache
@@ -218,6 +250,13 @@ def _e(i):
         (InputError, lambda: MPoint((1, 0)) + MPoint((1, 0, 0))),
         (InputError, lambda: MPoint((1, 0)) * 1.5),
         (InputError, lambda: RationalHyperplane(NPoint((0, 0)), 1)),
+        (InputError, lambda: MPoint((1, 0)) - NPoint((1, 0))),
+        (InputError, lambda: Polytope([], [])),
+        (InputError, lambda: Polytope([(0, 0), (1, 0)], [])),
+        (InputError, lambda: Polytope([MPoint((0, 0)), MPoint((1, 0, 0))], [])),
+        (InputError, lambda: Polytope([MPoint((0, 0)), NPoint((1, 0))], [])),
+        (InputError, lambda: Polytope([MPoint((0, 0))], [RationalHyperplane(MPoint((1, 0)), 0)])),
+        (InputError, lambda: Polytope([MPoint((0, 0))], [RationalHyperplane(NPoint((1, 0, 0)), 0)])),
     ],
     ids=[
         "dual_face-on-a-non-reflexive-square",
@@ -237,6 +276,13 @@ def _e(i):
         "addition-across-dimensions",
         "scaling-by-a-float",
         "zero-hyperplane-normal",
+        "subtraction-across-lattices",
+        "polytope-of-no-vertices",
+        "polytope-of-plain-tuples",
+        "polytope-of-mixed-dimensions",
+        "polytope-of-mixed-lattices",
+        "facet-normal-in-the-primal-lattice",
+        "facet-normal-of-another-dimension",
     ],
 )
 def test_typed_refusals(error, refusal):

@@ -959,6 +959,19 @@ def test_dual_face_cross_cube(cross4, cube4):
         assert df.dim == 0
 
 
+def test_dual_face_is_the_duals_face_at_the_vertex_mask(example_s3, quintic, cube4, cross4):
+    # the Hodge counts read a dual edge's l* at n_saturating[T.vmask]
+    pairs = [example_s3, quintic, cube4, cross4] + [
+        ray_simplex(w) for w in ((1, 1, 1, 4), (1, 2, 2, 2), (1, 1, 6, 9))
+    ]
+    for delta in pairs:
+        for p in (delta, delta.dual()):
+            by_fmask = p.dual().faces().by_fmask
+            for face in p.faces():
+                assert p.dual_face(face).fmask == face.vmask
+                assert face.vmask in by_fmask
+
+
 def test_dual_face_dimension_sum_and_involution(example_s3):
     d = example_s3.dual()
     for dim in range(4):
