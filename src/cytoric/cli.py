@@ -153,12 +153,12 @@ def report_poly_points(path, opts):
     p = _load(path)
     census = p.census()
     face_dim = {0: -1} | {f.fmask: f.dim for f in p.faces()}  # by saturated mask
-    dims = [face_dim[census.face_of[pt]] for pt in census.points]
+    dims = [face_dim[sat] for sat in census.face_of.values()]
     return {
-        "l": census.n_points,
-        "l_star": census.n_interior,
+        "l": len(census.face_of),
+        "l_star": census.n_saturating[0],
         "boundary_by_face_dim": Counter(str(k) for k in dims if k >= 0),
-        "points": [{"point": list(pt), "face_dim": k} for pt, k in zip(census.points, dims)],
+        "points": [{"point": list(pt), "face_dim": k} for pt, k in zip(census.face_of, dims)],
     }
 
 

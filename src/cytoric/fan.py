@@ -54,6 +54,7 @@ from .errors import (
     NotReflexiveError,
     NotSimplicialError,
 )
+from .lattice import MPoint, NPoint
 from .polytope import Polytope, _bits, hull  # noqa: F401  bench/spans.py wraps fan.hull
 
 
@@ -66,6 +67,9 @@ class Cone:
     def __post_init__(self):
         if not self.rays:
             raise InputError("cone needs at least one ray")
+        kind = type(self.rays[0])
+        if kind not in (MPoint, NPoint) or any(type(r) is not kind for r in self.rays):
+            raise InputError("cone rays must be MPoint or NPoint, all of one lattice")
         rays = tuple(sorted(self.rays))
         if len(set(rays)) != len(rays):
             raise InputError("cone has a repeated ray generator")
@@ -133,6 +137,8 @@ class Fan:
         self.maximal_cones = tuple(
             sorted(maximal_cones, key=lambda c: c.rays)
         )
+        if not self.maximal_cones:
+            raise InputError("fan needs at least one cone")
         self.provenance = provenance
         self.base = base
         rays = sorted({r for c in self.maximal_cones for r in c.rays})
@@ -323,9 +329,8 @@ class _Cell:
 def _facet_points(dual: Polytope):
     """Each facet of `dual` with its lattice points in the global pull order:
     points on fewer facets first, ties lexicographic."""
-    census = dual.census()
-    face_of = census.face_of
-    order = sorted(census.boundary, key=lambda p: (face_of[p].bit_count(), tuple(p)))
+    face_of = dual.census().face_of
+    order = sorted(dual.boundary_points(), key=lambda p: (face_of[p].bit_count(), tuple(p)))
     for facet in dual.faces(dual.dim - 1):
         # a facet's mask is its one bit, so sharing it is lying on the facet
         yield facet, [p for p in order if face_of[p] & facet.fmask]
@@ -463,6 +468,14 @@ def singularity_census(fan: Fan):
 _ZERO = Fraction(0)
 
 
+def _exact(c):
+    """c as a Fraction, refused unless it is an int or a Fraction: no float
+    (or bool) enters a divisor."""
+    if not isinstance(c, (int, Fraction)) or isinstance(c, bool):
+        raise InputError(f"divisor coefficients must be int or Fraction, got {c!r}")
+    return Fraction(c)
+
+
 @dataclass(frozen=True)
 class WeilDivisor:
     """Formal rational combination of the toric boundary divisors, keyed by
@@ -472,7 +485,7 @@ class WeilDivisor:
 
     @classmethod
     def from_dict(cls, mapping):
-        items = ((r, Fraction(c)) for r, c in mapping.items())
+        items = ((r, _exact(c)) for r, c in mapping.items())
         return cls(tuple(sorted(item for item in items if item[1])))
 
     @classmethod
@@ -508,7 +521,8 @@ class WeilDivisor:
         return WeilDivisor.from_dict(out)
 
     def __rmul__(self, k):
-        return WeilDivisor.from_dict({r: Fraction(k) * c for r, c in self.coeffs})
+        k = _exact(k)
+        return WeilDivisor.from_dict({r: k * c for r, c in self.coeffs})
 
     def __neg__(self):
         return WeilDivisor.from_dict({r: -c for r, c in self.coeffs})

@@ -53,7 +53,7 @@ def classify_boundary(dstar: Polytope) -> dict:
     whose relative interior contains it, read from the census."""
     _require_reflexive_4d(dstar, "boundary classification")
     census, faces = dstar.census(), dstar.faces().by_fmask
-    return {p: _TYPE_BY_DIM[faces[census.face_of[p]].dim] for p in census.boundary}
+    return {p: _TYPE_BY_DIM[faces[sat].dim] for p, sat in census.face_of.items() if sat}
 
 
 @dataclass(frozen=True)
@@ -118,14 +118,16 @@ def divisor_census(delta: Polytope) -> DivisorCensus:
     _require_reflexive_4d(delta, "divisor census")
     dual = delta.dual()
     census, faces = dual.census(), dual.faces().by_fmask
-    if census.n_interior != 1:
-        raise InternalInvariantError(f"dual census holds {census.n_interior} interior points")
+    if census.n_saturating[0] != 1:
+        raise InternalInvariantError(f"dual census holds {census.n_saturating[0]} interior points")
     l_star = delta.census().n_saturating
     irreducible = []
     split = []
     skipped = []
-    for p in census.boundary:
-        face = faces[census.face_of[p]]
+    for p, sat in census.face_of.items():
+        if not sat:
+            continue
+        face = faces[sat]
         if face.dim < 2:
             irreducible.append(p)
         elif face.dim == 2:  # the dual edge, facet mask face.vmask: lattice length l* + 1

@@ -4,10 +4,13 @@ Points of M and points of N are deliberately distinct types even though
 both are integer tuples: the polytope/dual-polytope structure lives across
 the M/N boundary and mixing the two silently is the single most damaging
 bug class in this kind of code.  The types are enforced where points are
-made and where a polytope is assembled: a point gets its lattice when a
-:class:`LatticeVector` is constructed, arithmetic refuses to combine points
-of different lattices, and ``Polytope._validate`` refuses facet normals
-that do not live in the lattice dual to the vertices.  :func:`pairing` is
+made and where a polytope or a cone is assembled: a point gets its lattice
+when a :class:`LatticeVector` is constructed, arithmetic refuses to combine
+points of different lattices, ``Polytope._validate`` refuses facet normals
+that do not live in the lattice dual to the vertices, and a ``Cone``
+refuses rays of two lattices.  A :class:`RationalHyperplane` is the pair
+(normal, offset), a primitive lattice normal and an int, checked where it
+is made, so a polytope's facets are its plane table.  :func:`pairing` is
 the checked way across the boundary; the hot loops (``Polytope._slacks``,
 ``hull`` and the refinement's pulling cells) pair M with N through the
 unchecked ``_linalg.dot``, on points whose types those checks fixed.
@@ -15,8 +18,8 @@ unchecked ``_linalg.dot``, on points whose types those checks fixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
 
 from ._linalg import primitive_vector
 from .errors import InputError
@@ -123,28 +126,40 @@ def primitive(v: LatticeVector) -> LatticeVector:
     return type(v)(primitive_vector(v))
 
 
-@dataclass(frozen=True)
-class RationalHyperplane:
-    """Affine hyperplane {x : <x, normal> = offset} generated by its lattice points.
+class RationalHyperplane(tuple):
+    """Affine hyperplane {x : <x, normal> = offset} generated by its lattice
+    points, as the pair (normal, offset): it unpacks, sorts and hashes as
+    that pair, so a polytope's facets are its plane table.
 
-    The normal is required to be primitive so the hyperplane really is the
-    affine hull of its integral points and integral distance is well defined.
-    When used as a polytope facet the polytope lies on the side
-    <x, normal> >= offset.
+    The normal is required to be a primitive lattice vector so the
+    hyperplane really is the affine hull of its integral points and
+    integral distance is well defined, and the offset an int.  When used
+    as a polytope facet the polytope lies on the side <x, normal> >= offset.
     """
 
-    normal: LatticeVector
-    offset: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.normal.is_zero():
+    def __new__(cls, normal, offset):
+        if not isinstance(normal, LatticeVector):
+            raise InputError(f"hyperplane normal must be a lattice vector, got {normal!r}")
+        if not isinstance(offset, int) or isinstance(offset, bool):
+            raise InputError(f"hyperplane offset must be int, got {offset!r}")
+        if normal.is_zero():
             raise InputError("hyperplane normal must be nonzero")
-        if gcd(*self.normal) != 1:
-            raise InputError(f"hyperplane normal {self.normal} is not primitive")
+        if gcd(*normal) != 1:
+            raise InputError(f"hyperplane normal {normal} is not primitive")
+        return super().__new__(cls, (normal, offset))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    normal = property(itemgetter(0))
+    offset = property(itemgetter(1))
+
+    def __repr__(self):
+        return f"RationalHyperplane(normal={self[0]!r}, offset={self[1]!r})"
 
 
 def integral_distance(h: RationalHyperplane, p: LatticeVector) -> int:
     """Lattice distance |offset - <p, normal>| between a hyperplane and a point."""
-    if gcd(*h.normal) != 1:
-        raise InputError("integral distance needs a primitive hyperplane normal")
     return abs(h.offset - pairing(p, h.normal))

@@ -10,7 +10,9 @@ point (Barber, Dobkin and Huhdanpaa, 1996).  One slack table of every
 input point against every facet then checks the result, picks the
 vertices and gives each vertex's saturated facets.
 
-A polytope keeps each vertex's saturated facets as an int bitmask (bit i
+A facet is its plane, the pair (primitive inner normal, offset), so the
+sorted facets are the one plane table that slacks are read from.  A
+polytope keeps each vertex's saturated facets as an int bitmask (bit i
 is facet i) and each facet's vertices as one too (bit j is vertex j).
 `hull` and `Polytope.dual` hand the vertices' masks to the constructor,
 which derives the facets' masks as their transpose and checks both; only
@@ -21,9 +23,10 @@ diamond property; Kaibel and Pfetsch 2002), so no rank is taken and
 nothing assumes general position.
 
 A face is a plain value: its dimension and those two masks.  Point counts
-are not stored on faces but read from the census, which holds the number
-of lattice points per saturated facet mask: l*(F) is the entry at F's
-facet mask and l(F) the sum over the masks containing it.
+are not stored on faces but read from the census, one table mapping each
+lattice point to its saturated facet mask, and the number of points per
+mask counted from it: l*(F) is the count at F's facet mask, l(F) the sum
+over the masks containing it, and the interior points are those at 0.
 
 The polar dual of a reflexive polytope is written down, not hulled: its
 vertices are the facet normals and its facets are cut out by the vertices,
@@ -138,26 +141,21 @@ class FaceLattice:
 
 
 class PointCensus:
-    """Every lattice point of a polytope, with `face_of` mapping each to its
-    saturated facet mask (bit i for facet i): the facet mask of the face
-    whose relative interior contains it, 0 for a point interior to the
-    polytope itself.  `n_saturating` counts the points per mask, so l* of
-    a face is `n_saturating[face.fmask]`."""
+    """Every lattice point of a polytope, in lexicographic order, as the keys
+    of `face_of`, which maps each to its saturated facet mask (bit i for
+    facet i): the facet mask of the face whose relative interior contains
+    it, 0 for a point interior to the polytope itself.  `n_saturating`
+    counts the points per mask, derived here, so l* of a face is
+    `n_saturating[face.fmask]` and the interior points number
+    `n_saturating[0]`."""
 
-    def __init__(self, points, interior, boundary, face_of, n_saturating):
-        self.points = points
-        self.interior = interior
-        self.boundary = boundary
+    def __init__(self, face_of):
         self.face_of = face_of
-        self.n_saturating = n_saturating
+        self.n_saturating = Counter(face_of.values())
 
     @property
-    def n_points(self):
-        return len(self.points)
-
-    @property
-    def n_interior(self):
-        return len(self.interior)
+    def points(self):
+        return tuple(self.face_of)
 
     def n_on(self, fmask):
         """l of the face with facet mask `fmask`: the points whose saturated
@@ -199,11 +197,14 @@ class Polytope:
         if not vertices:
             raise InputError("polytope needs vertices")
         self.point_cls = type(vertices[0])
-        if self.point_cls not in (MPoint, NPoint):
-            raise InputError("vertices must be MPoint or NPoint")
+        if self.point_cls not in (MPoint, NPoint) or any(type(v) is not self.point_cls for v in vertices):
+            raise InputError("vertices must be MPoint or NPoint, all of one lattice")
         self.ambient_dim = vertices[0].dim
+        for f in facets:
+            if type(f) is not RationalHyperplane:
+                raise InputError(f"facets must be RationalHyperplanes, got {f!r}")
         self.vertices = tuple(sorted(vertices))
-        self.facets = tuple(sorted(facets, key=lambda f: (tuple(f.normal), f.offset)))
+        self.facets = tuple(sorted(facets))
         if saturated is not None and (
             self.vertices != tuple(vertices) or self.facets != tuple(facets)
         ):
@@ -222,23 +223,16 @@ class Polytope:
         for v in self.vertices:
             if v.dim != d:
                 raise InputError("mixed vertex dimensions")
-            if type(v) is not self.point_cls:
-                raise InputError("mixed vertex lattice types")
         dual_cls = DUAL_LATTICE[self.point_cls]
-        for f in self.facets:
-            if type(f.normal) is not dual_cls:
+        for normal, _ in self.facets:
+            if type(normal) is not dual_cls:
                 raise InputError("facet normals must live in the dual lattice")
-            if f.normal.dim != d:
-                raise InputError(f"dimension mismatch: {d} vs {f.normal.dim}")
-        # Built from a list, as in `_Walk`: a tuple built from a generator is
-        # resized to its length, and on release CPython keeps it on that
-        # length's free list until a full collection, which is rare without
-        # reference cycles, so those free lists filled and raised peak memory.
-        self._planes = tuple([(f.normal, f.offset) for f in self.facets])
+            if normal.dim != d:
+                raise InputError(f"dimension mismatch: {d} vs {normal.dim}")
         if len(set(self.vertices)) < len(self.vertices):
             twice = next(v for v, w in zip(self.vertices, self.vertices[1:]) if v == w)
             raise InputError(f"vertex {twice} is listed twice")
-        if len(set(self._planes)) < len(self._planes):
+        if len(set(self.facets)) < len(self.facets):
             twice = next(f for f, g in zip(self.facets, self.facets[1:]) if f == g)
             raise InputError(f"facet {twice} is listed twice")
         if saturated is None:
@@ -253,7 +247,7 @@ class Polytope:
         for v, tight in zip(self.vertices, self._saturated):
             if tight.bit_count() < d:
                 raise InputError(f"vertex {v} saturates fewer than {d} facets")
-        for i, ((normal, offset), on) in enumerate(zip(self._planes, map(_bits, self._facet_vertices))):
+        for i, ((normal, offset), on) in enumerate(zip(self.facets, map(_bits, self._facet_vertices))):
             if len(on) < d:
                 raise InputError(f"facet {i} holds fewer than {d} vertices")
             points = [self.vertices[j] for j in on]
@@ -302,11 +296,11 @@ class Polytope:
             raise InputError(
                 f"{self.point_cls.__name__} of dimension {self.ambient_dim} expected, got {p!r}"
             )
-        return [dot(p, normal) - offset for normal, offset in self._planes]
+        return [dot(p, normal) - offset for normal, offset in self.facets]
 
     def _origin_interior(self):
         """0 is strictly inside: its slack -offset is positive on every facet."""
-        return all(offset < 0 for _, offset in self._planes)
+        return all(offset < 0 for _, offset in self.facets)
 
     # -- duality and reflexivity -------------------------------------------
 
@@ -444,10 +438,10 @@ class Polytope:
     # -- lattice points ------------------------------------------------------
 
     def census(self):
-        """Enumerate all lattice points, in lexicographic order, each with
-        its saturated facet mask (the facet mask of the face whose relative
-        interior contains it, 0 inside), and count the points per mask: the
-        one table that l and l* of every face are read from.
+        """Map every lattice point, in lexicographic order, to its saturated
+        facet mask (the facet mask of the face whose relative interior
+        contains it, 0 inside): the one table that the points per mask, and
+        so l and l* of every face, are counted from.
 
         Points are enumerated slice by slice (see :func:`_lattice_points`),
         the slices bounded exactly through the ridges of the face lattice,
@@ -457,39 +451,30 @@ class Polytope:
         """
         if self._census is not None:
             return self._census
-        points = []
-        interior = []
-        boundary = []
         face_of = {}
-        n_saturating = Counter()  # saturated facet mask -> number of points
         point = self.point_cls._from_ints
         ridges = [
             (m.bit_length() - 1, (m & -m).bit_length() - 1)
             for m in (f.fmask for f in self.faces(self.ambient_dim - 2))
         ]
-        for raw, sat in _lattice_points(self.vertices, self._planes, ridges):
-            if len(points) == CENSUS_POINT_BUDGET:
+        for raw, sat in _lattice_points(self.vertices, self.facets, ridges):
+            if len(face_of) == CENSUS_POINT_BUDGET:
                 raise InputError(f"more than {CENSUS_POINT_BUDGET} lattice points to count")
-            p = point(raw)
-            points.append(p)
-            face_of[p] = sat
-            n_saturating[sat] += 1
-            (boundary if sat else interior).append(p)
-        self._census = PointCensus(
-            tuple(points), tuple(interior), tuple(boundary), face_of, n_saturating
-        )
+            face_of[point(raw)] = sat
+        self._census = PointCensus(face_of)
         return self._census
 
     def boundary_points(self):
-        return self.census().boundary
+        """The lattice points off the interior, in lexicographic order."""
+        return [p for p, sat in self.census().face_of.items() if sat]
 
     @property
     def n_points(self):
-        return self.census().n_points
+        return len(self.census().face_of)
 
     @property
     def n_interior(self):
-        return self.census().n_interior
+        return self.census().n_saturating[0]
 
     # -- dual faces ------------------------------------------------------------
 

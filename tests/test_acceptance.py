@@ -156,8 +156,8 @@ def test_criterion_4_properties(corpus_4d, corpus_fans, polygons):
     # point-census partition identity
     for name, p in everything.items():
         census = p.census()
-        total = census.n_interior + sum(census.n_saturating[f.fmask] for f in p.faces())
-        assert total == census.n_points, name
+        total = census.n_saturating[0] + sum(census.n_saturating[f.fmask] for f in p.faces())
+        assert total == len(census.face_of), name
 
     # volume conservation for every refined fan
     for name, p in everything.items():

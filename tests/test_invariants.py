@@ -21,7 +21,7 @@ from cytoric.errors import (
     NotReflexiveError,
     NotSimplicialError,
 )
-from cytoric.fan import Cone, face_fan, mpcp_triangulate
+from cytoric.fan import Cone, Fan, WeilDivisor, face_fan, mpcp_triangulate
 from cytoric.fixtures import fixture_polytope
 from cytoric.lattice import MPoint, NPoint, RationalHyperplane
 from cytoric.polytope import PointCensus, Polytope, hull
@@ -69,6 +69,57 @@ def test_every_import_in_the_package_is_read():
     assert unread == sorted(UNREAD_IMPORTS)
 
 
+# the math functions that stay on integers
+EXACT_MATH = {"gcd", "lcm"}
+
+
+def _float_entries(tree):
+    """The nodes of a module through which a float can enter: a float
+    literal, a call to float() or round(), true division, and a math
+    function other than gcd and lcm, named or imported."""
+    math_names = {
+        a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for a in node.names if a.name == "math"
+    }
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("float", "round")
+            or isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+            or isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in math_names and node.attr not in EXACT_MATH
+            or isinstance(node, ast.ImportFrom) and node.module == "math"
+            and {a.name for a in node.names} - EXACT_MATH
+        ):
+            yield node
+
+
+def test_no_floating_point_in_the_package():
+    # all arithmetic is exact: ints and Fractions, with no float anywhere
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        module = path.relative_to(PACKAGE).as_posix()
+        found += [f"{module}:{node.lineno}" for node in _float_entries(tree)]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["x = 0.5", "x = 1e3", "y = float(x)", "y = round(x)", "y = x / 2", "x /= 2",
+     "import math\ny = math.sqrt(x)", "import math as m\ny = m.floor(x)",
+     "from math import gcd, isqrt"],
+)
+def test_float_guard_sees_each_entry(source):
+    assert len(list(_float_entries(ast.parse(source)))) == 1
+
+
+def test_float_guard_passes_exact_arithmetic():
+    source = "import math\nfrom math import gcd, lcm\ny = math.gcd(x // 2, lcm(x, 3)) % 2 ** 3"
+    assert list(_float_entries(ast.parse(source))) == []
+
+
 def _names(nodes):
     """Every name, attribute and imported name under the given ast nodes."""
     out = set()
@@ -105,18 +156,12 @@ def test_every_linalg_kernel_has_a_caller():
 
 
 def _mark_a_boundary_point_interior(p):
-    """Give p a census whose first boundary point is interior, its face
-    mask and per-mask count moved with it."""
-    census = p.census()
-    moved, *boundary = census.boundary
-    face_of = dict(census.face_of)
+    """Give p a census whose first boundary point is interior: its face
+    mask set to 0, and the per-mask counts derived from the masks."""
+    face_of = dict(p.census().face_of)
+    moved = next(q for q, sat in face_of.items() if sat)
     face_of[moved] = 0
-    n_saturating = census.n_saturating.copy()
-    n_saturating[census.face_of[moved]] -= 1
-    n_saturating[0] += 1
-    p._census = PointCensus(
-        census.points, census.interior + (moved,), tuple(boundary), face_of, n_saturating
-    )
+    p._census = PointCensus(face_of)
 
 
 # run after the source of _mark_a_boundary_point_interior
@@ -230,6 +275,9 @@ def _e(i):
     return NPoint(tuple(int(i == j) for j in range(4)))
 
 
+SQUARE = [MPoint(p) for p in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+
+
 @pytest.mark.parametrize(
     "error, refusal",
     [
@@ -257,6 +305,18 @@ def _e(i):
         (InputError, lambda: Polytope([MPoint((0, 0)), NPoint((1, 0))], [])),
         (InputError, lambda: Polytope([MPoint((0, 0))], [RationalHyperplane(MPoint((1, 0)), 0)])),
         (InputError, lambda: Polytope([MPoint((0, 0))], [RationalHyperplane(NPoint((1, 0, 0)), 0)])),
+        (InputError, lambda: RationalHyperplane((1, 0), 1)),
+        (InputError, lambda: RationalHyperplane(NPoint((1, 0)), 0.5)),
+        (InputError, lambda: RationalHyperplane(NPoint((1, 0)), True)),
+        (InputError, lambda: Polytope(SQUARE, [((1, 0), -1)])),
+        (InputError, lambda: Polytope(SQUARE, [None])),
+        (InputError, lambda: Polytope(SQUARE + [None], [])),
+        (InputError, lambda: Cone(((1, 0), (0, 1)))),
+        (InputError, lambda: Cone((MPoint((1, 0)), NPoint((0, 1))))),
+        (InputError, lambda: Fan([], "face", None).dim),
+        (InputError, lambda: WeilDivisor.ray(_e(0), 0.5)),
+        (InputError, lambda: WeilDivisor.ray(_e(0), True)),
+        (InputError, lambda: 0.1 * WeilDivisor.ray(_e(0))),
     ],
     ids=[
         "dual_face-on-a-non-reflexive-square",
@@ -283,6 +343,18 @@ def _e(i):
         "polytope-of-mixed-lattices",
         "facet-normal-in-the-primal-lattice",
         "facet-normal-of-another-dimension",
+        "hyperplane-of-a-plain-tuple",
+        "hyperplane-at-a-float-offset",
+        "hyperplane-at-a-bool-offset",
+        "polytope-with-a-plain-tuple-facet",
+        "polytope-with-a-None-facet",
+        "polytope-with-a-None-vertex",
+        "cone-of-plain-tuples",
+        "cone-of-mixed-lattices",
+        "fan-of-no-cones",
+        "divisor-with-a-float-coefficient",
+        "divisor-with-a-bool-coefficient",
+        "divisor-scaled-by-a-float",
     ],
 )
 def test_typed_refusals(error, refusal):

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -88,6 +90,21 @@ def test_integral_distance_zero_iff_on_hyperplane():
     off = MPoint((1, 0, 0))
     assert integral_distance(h, on) == 0
     assert integral_distance(h, off) != 0
+
+
+def test_hyperplane_is_its_normal_offset_pair():
+    # a polytope's facets are its plane table: each facet unpacks, sorts,
+    # hashes and compares as (normal, offset), and survives a pickle
+    h = RationalHyperplane(NPoint((0, 1)), -1)
+    g = RationalHyperplane(NPoint((-1, 0)), -1)
+    normal, offset = h
+    assert (normal, offset) == (h.normal, h.offset) == (NPoint((0, 1)), -1)
+    assert type(normal) is NPoint and h == (NPoint((0, 1)), -1)
+    assert hash(h) == hash((NPoint((0, 1)), -1))
+    assert sorted([h, g]) == [g, h] == sorted([(tuple(f.normal), f.offset) for f in (h, g)])
+    assert repr(h) == "RationalHyperplane(normal=NPoint(0, 1), offset=-1)"
+    again = pickle.loads(pickle.dumps(h))
+    assert type(again) is RationalHyperplane and again == h
 
 
 def test_hyperplane_requires_primitive_normal():

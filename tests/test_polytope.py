@@ -414,8 +414,8 @@ def test_face_links_match_vertex_scan(name):
 
 def test_census_square(square):
     census = square.census()
-    assert census.n_points == 9
-    assert census.n_interior == 1
+    assert len(census.face_of) == 9
+    assert census.n_saturating[0] == 1
     for f in square.faces(1):
         assert census.n_on(f.fmask) == 3
         assert census.n_saturating[f.fmask] == 1
@@ -423,12 +423,12 @@ def test_census_square(square):
 
 def test_census_cube_partition(cube4):
     census = cube4.census()
-    assert census.n_points == 81
+    assert len(census.face_of) == 81
     oracle = grid_points([tuple(v) for v in cube4.vertices])
     assert {tuple(p) for p in census.points} == set(oracle)
     by_dim = {}
-    for p in census.boundary:
-        face = cube4.faces().by_fmask[census.face_of[p]]
+    for sat in filter(None, census.face_of.values()):
+        face = cube4.faces().by_fmask[sat]
         by_dim[face.dim] = by_dim.get(face.dim, 0) + 1
     assert by_dim == {3: 8, 2: 24, 1: 32, 0: 16}
 
@@ -436,8 +436,8 @@ def test_census_cube_partition(cube4):
 def test_census_partition_identity(square, cube4, cross4, example_s3, quintic):
     for p in (square, cube4, cross4, example_s3, quintic):
         census = p.census()
-        total = census.n_interior + sum(census.n_saturating[f.fmask] for f in p.faces())
-        assert total == census.n_points
+        total = census.n_saturating[0] + sum(census.n_saturating[f.fmask] for f in p.faces())
+        assert total == len(census.face_of)
 
 
 def test_edge_point_relation(cube4):
@@ -455,8 +455,8 @@ def assert_census_matches_grid_oracle(poly):
     assert [tuple(p) for p in census.points] == list(oracle)
     saturated = {p: frozenset(_bits(census.face_of[p])) for p in census.points}
     assert [saturated[p] for p in census.points] == list(oracle.values())
-    assert list(census.interior) == [p for p in census.points if not saturated[p]]
-    assert list(census.boundary) == [p for p in census.points if saturated[p]]
+    assert census.n_saturating[0] == sum(1 for s in oracle.values() if not s)
+    assert poly.boundary_points() == [p for p in census.points if saturated[p]]
     for face in poly.faces():
         assert census.n_on(face.fmask) == sum(1 for s in oracle.values() if facet_set(face) <= s)
         assert census.n_saturating[face.fmask] == sum(
@@ -591,14 +591,14 @@ def test_census_ridge_bounds_only_prune():
             continue
     assert {p.dim for p in polytopes} == {1, 2, 3, 4}
     for poly in polytopes:
-        walk = functools.partial(polytope_module._lattice_points, poly.vertices, poly._planes)
+        walk = functools.partial(polytope_module._lattice_points, poly.vertices, poly.facets)
         assert list(walk(ridge_pairs(poly))) == list(walk(())), poly
 
 
 def test_census_walk_leaves_no_reference_cycle():
     # the walk's recursion is a module function, freed by reference counting
     p = fixture_polytope("cross4d")
-    args = p.vertices, p._planes, ridge_pairs(p)
+    args = p.vertices, p.facets, ridge_pairs(p)
     n_points = p.n_points
     gc.collect()
     gc.disable()
@@ -1016,7 +1016,7 @@ def test_random_reflexive_polygons_duality_properties():
         assert hull(list(d.vertices)).dual().vertex_set == p.vertex_set
         census = p.census()
         l_star = sum(census.n_saturating[f.fmask] for f in p.faces())
-        assert census.n_interior + l_star == census.n_points
+        assert census.n_saturating[0] + l_star == len(census.face_of)
 
     run()
 
