@@ -515,14 +515,19 @@ class WeilDivisor:
         return not self.coeffs
 
     def __add__(self, other):
-        out = {r: c for r, c in self.coeffs}
-        for r, c in other.coeffs:
-            out[r] = out.get(r, Fraction(0)) + c
+        out = dict(self.coeffs)
+        for r, c in _divisor(other).coeffs:
+            out[r] = out.get(r, _ZERO) + c
         return WeilDivisor.from_dict(out)
+
+    def __sub__(self, other):
+        return self + -_divisor(other)
 
     def __rmul__(self, k):
         k = _exact(k)
         return WeilDivisor.from_dict({r: k * c for r, c in self.coeffs})
+
+    __mul__ = __rmul__
 
     def __neg__(self):
         return WeilDivisor.from_dict({r: -c for r, c in self.coeffs})
@@ -532,6 +537,13 @@ class WeilDivisor:
             return "WeilDivisor(0)"
         parts = [f"{c}*D{tuple(r)}" for r, c in self.coeffs]
         return "WeilDivisor(" + " + ".join(parts) + ")"
+
+
+def _divisor(other):
+    """`other`, refused unless it is a WeilDivisor."""
+    if not isinstance(other, WeilDivisor):
+        raise InputError(f"divisors add and subtract only with divisors, got {other!r}")
+    return other
 
 
 def is_qcartier(fan: Fan, divisor: WeilDivisor):

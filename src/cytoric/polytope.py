@@ -20,7 +20,9 @@ a hand-assembled polytope has its slack table evaluated there.  The face
 lattice is read from the incidence alone: inside a (k+1)-face the k-faces
 are the inclusion-maximal intersections with the other (k+1)-faces (the
 diamond property; Kaibel and Pfetsch 2002), so no rank is taken and
-nothing assumes general position.
+nothing assumes general position.  That step runs from both ends of the
+table: down from the facets' vertex masks to the middle level, and up
+from the vertices' facet masks, which are the dual's facets, below it.
 
 A face is a plain value: its dimension and those two masks.  Point counts
 are not stored on faces but read from the census, one table mapping each
@@ -111,10 +113,22 @@ class Face:
 
 
 class FaceLattice:
-    """All proper faces of a polytope, indexed by dimension and by facet mask."""
+    """All proper faces of a polytope, indexed by dimension and by facet mask,
+    from {dim: {vertex mask: facet mask}}.  A level is sorted on vertex
+    indices: no face of it contains another, so of two faces the one with
+    the lowest bit of v ^ w comes first, read off the binary digits of v
+    from bit 0 as a string, 1 before 0."""
 
-    def __init__(self, by_dim):
-        self.by_dim = {d: tuple(faces) for d, faces in by_dim.items()}
+    def __init__(self, levels, pool):
+        # tuple(list), not tuple(generator): CPython grows a generator's tuple
+        # without taking one off its free lists, yet parks it there when freed
+        self.by_dim = {
+            d: tuple([
+                Face(d, v, f, pool)
+                for _, v, f in sorted(((bin(v)[:1:-1], v, f) for v, f in level.items()), reverse=True)
+            ])
+            for d, level in levels.items()
+        }
         self.by_fmask = {f.fmask: f for faces in self.by_dim.values() for f in faces}
 
     def __call__(self, dim):
@@ -387,53 +401,33 @@ class Polytope:
         return self._faces(dim)
 
     def _build_faces(self):
-        """Faces from the vertex masks, facets down to edges: inside a
-        (k+1)-face, the k-faces are the inclusion-maximal cuts face & other
-        with the other (k+1)-faces that keep more than k vertices.  For
-        k <= 2 every such cut is maximal, as a face of dimension below k has
-        at most k vertices.  A face's facet mask is the AND of its vertices'.
-        Sorting a level on vertex indices sorts it on vertex tuples."""
-        d, pool = self.ambient_dim, self.vertices
-        sat = self._saturated
-        level = self._facet_vertices
-        by_dim = {d - 1: level}
-        for k in range(d - 2, 0, -1):
-            members = list(map(_bits, level))
-            through = [[] for _ in pool]  # vertex -> faces of level
-            for a, on in enumerate(members):
-                for j in on:
-                    through[j].append(a)
-            found = set()
-            for a, face in enumerate(level):
-                neighbours = {b for j in members[a] for b in through[j]}
-                neighbours.discard(a)
-                cuts = [c for c in {face & level[b] for b in neighbours} if c.bit_count() > k]
-                if k > 2:
-                    cuts = [c for c in cuts if not any(c & e == c != e for e in cuts)]
-                found.update(cuts)
-            by_dim[k] = level = list(found)
-        by_dim[0] = [1 << j for j in range(len(sat))]
-        return FaceLattice({
-            k: [
-                Face(k, vmask, functools.reduce(int.__and__, map(sat.__getitem__, on)), pool)
-                for on, vmask in sorted((_bits(vmask), vmask) for vmask in level)
-            ]
-            for k, level in by_dim.items()
-        })
+        """Faces cut from both ends of the incidence table (see `_cuts`): the
+        facets' vertex masks down to level d // 2, and the vertices' facet
+        masks, the dual's facets, up to level d // 2 - 1.  A ridge lies on
+        two facets and an edge holds two vertices, so the pair that cut it
+        is its other mask; a deeper face ANDs its members' masks."""
+        d, sat, fv = self.ambient_dim, self._saturated, self._facet_vertices
+        masks = {0: {1 << j: m for j, m in enumerate(sat)}, d - 1: {m: 1 << i for i, m in enumerate(fv)}}
+        level = fv
+        for k in range(d - 2, d // 2 - 1, -1):
+            level = _cuts(level, k)
+            masks[k] = level if k == d - 2 else {v: _meet(sat, v) for v in level}
+        level = sat
+        for k in range(1, d // 2):
+            level = _cuts(level, d - 1 - k)
+            masks[k] = {v: f for f, v in level.items()} if k == 1 else {_meet(fv, f): f for f in level}
+        return FaceLattice(masks, self.vertices)
 
     def _transposed_faces(self, lattice):
         """Our face lattice from the dual's: the dual's k-face with vertex
         mask V and facet mask S is our (d-1-k)-face with vertex mask S and
         facet mask V, since dual vertex i is our facet i and dual facet j is
-        our vertex j.  Each level is sorted as `_build_faces` sorts it."""
+        our vertex j."""
         top = self.ambient_dim - 1
-        return FaceLattice({
-            top - k: [
-                Face(top - k, f.fmask, f.vmask, self.vertices)
-                for f in sorted(level, key=lambda f: _bits(f.fmask))
-            ]
-            for k, level in lattice.by_dim.items()
-        })
+        return FaceLattice(
+            {top - k: {f.fmask: f.vmask for f in level} for k, level in lattice.by_dim.items()},
+            self.vertices,
+        )
 
     # -- lattice points ------------------------------------------------------
 
@@ -537,6 +531,38 @@ def _bits(mask):
         out.append((mask & -mask).bit_length() - 1)
         mask &= mask - 1
     return out
+
+
+def _cuts(level, k):
+    """The k-faces from the (k+1)-faces' masks: {a & b: the mask of i, j}
+    over the inclusion-maximal cuts of members a = level[i], b = level[j]
+    holding more than k bits, each pair sharing a bit visited once, j < i.
+    For k <= 2 every such cut is maximal, as a face of dimension below k
+    has at most k vertices; from k = 3 a cut is kept if no other cut of the
+    same member strictly contains it."""
+    level = list(level)
+    through = [0] * max(level).bit_length()  # bit -> mask of the members so far holding it
+    found, mine = {}, [set() for _ in level] if k > 2 else None  # mine[i]: member i's cuts
+    for i, a in enumerate(level):
+        near = 0
+        for b in _bits(a):
+            near |= through[b]
+            through[b] |= 1 << i
+        for j in _bits(near):
+            c = a & level[j]
+            if c.bit_count() > k:
+                found[c] = 1 << i | 1 << j
+                if k > 2:
+                    mine[i].add(c)
+                    mine[j].add(c)
+    if k <= 2:
+        return found
+    return {c: found[c] for cuts in mine for c in cuts if not any(c & e == c != e for e in cuts)}
+
+
+def _meet(masks, mask):
+    """The AND of masks[i] over the set bits i of `mask`."""
+    return functools.reduce(int.__and__, map(masks.__getitem__, _bits(mask)))
 
 
 def _transpose(rows, n):
@@ -800,7 +826,7 @@ def hull(points) -> Polytope:
     vertices = [
         i
         for i, mask in enumerate(tight)
-        if mask and functools.reduce(int.__and__, map(columns.__getitem__, _bits(mask))) == 1 << i
+        if mask and _meet(columns, mask) == 1 << i
     ]
     saturated = [tight[i] for i in vertices]
     return Polytope(

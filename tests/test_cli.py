@@ -262,6 +262,19 @@ def test_census_past_the_point_budget_is_refused(runner, tmp_path, command):
     assert json.loads(result.output)["error"] == f"more than {CENSUS_POINT_BUDGET} lattice points to count"
 
 
+def test_census_of_one_slice_past_the_point_budget_is_refused(runner, tmp_path):
+    # conv(0, e1, e2, e3, 10^9 e4): every point beyond the budget lies on
+    # the one slice x0 = x1 = x2 = 0, so only the point count stops the walk
+    f = tmp_path / "needle.poly"
+    f.write_text("5 4\n0 0 0 0\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1000000000\n")
+    start = time.perf_counter()
+    result = runner.invoke(main, ["--json", "poly", "check", str(f)])
+    assert time.perf_counter() - start < 5
+    assert result.exit_code == 1
+    assert "Traceback" not in result.output
+    assert json.loads(result.output)["error"] == f"more than {CENSUS_POINT_BUDGET} lattice points to count"
+
+
 @pytest.mark.parametrize(
     "rows",
     [

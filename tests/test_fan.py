@@ -428,6 +428,19 @@ def test_singularity_census_smooth_fans(cube_mpcp, p4_fan):
     assert singularity_census(p4_fan) == []
 
 
+# -- divisors ------------------------------------------------------------------------
+
+
+def test_divisor_difference_and_right_scaling(p4_fan):
+    d = WeilDivisor.from_dict({p4_fan.rays[0]: 3, p4_fan.rays[2]: Fraction(-1, 2)})
+    e = WeilDivisor.from_dict({p4_fan.rays[2]: 1, p4_fan.rays[4]: 2})
+    assert d - e == d + (-e) != d + e
+    assert d - d == WeilDivisor.zero()
+    assert d * 2 == 2 * d == d + d
+    with pytest.raises(InputError):
+        d - 1
+
+
 # -- Q-Cartier -----------------------------------------------------------------------
 
 

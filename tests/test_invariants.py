@@ -317,6 +317,7 @@ SQUARE = [MPoint(p) for p in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
         (InputError, lambda: WeilDivisor.ray(_e(0), 0.5)),
         (InputError, lambda: WeilDivisor.ray(_e(0), True)),
         (InputError, lambda: 0.1 * WeilDivisor.ray(_e(0))),
+        (InputError, lambda: WeilDivisor.ray(_e(0)) + 1),
     ],
     ids=[
         "dual_face-on-a-non-reflexive-square",
@@ -355,6 +356,7 @@ SQUARE = [MPoint(p) for p in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
         "divisor-with-a-float-coefficient",
         "divisor-with-a-bool-coefficient",
         "divisor-scaled-by-a-float",
+        "divisor-plus-an-int",
     ],
 )
 def test_typed_refusals(error, refusal):

@@ -349,12 +349,16 @@ def test_face_lattice_random_hulls_against_diamond_oracle():
     # The whole lattice, (vertices, facet set) per face at every level, in
     # order.  Up to d = 4 every cut keeping more than k vertices is a k-face;
     # in 5-D box clouds two facets can meet in a polygon that is no ridge,
-    # which only the maximality filter drops.
+    # which only the maximality filter drops.  In 6-D both ends of the build
+    # take a second step, levels 4 and 3 from the facets and 1 and 2 from
+    # the vertices, each through the maximality filter.
     rng = random.Random(31)
     box = list(itertools.product(range(-1, 2), repeat=5))
+    box6 = list(itertools.product(range(-1, 2), repeat=6))
     clouds = itertools.chain(
         random_point_sets(rng, 60, 2, 4),
         ((5, sorted(rng.sample(box, rng.randint(7, 16)))) for _ in range(20)),
+        ((6, sorted(rng.sample(box6, rng.randint(8, 12)))) for _ in range(10)),
     )
     built = Counter()
     for d, pts in clouds:
@@ -367,7 +371,7 @@ def test_face_lattice_random_hulls_against_diamond_oracle():
         for k, level in expected.items():
             assert [(f.vertices, facet_set(f)) for f in p.faces(k)] == level, (pts, k)
         built[d] += 1
-    assert sorted(built) == [2, 3, 4, 5] and min(built.values()) >= 10, built
+    assert sorted(built) == [2, 3, 4, 5, 6] and min(built.values()) >= 10, built
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -829,6 +833,25 @@ def test_handed_incidence_matches_the_constructors_slack_table(group):
             rebuilt = Polytope(list(side.vertices), list(side.facets))
             assert side._saturated == rebuilt._saturated
             assert side._facet_vertices == rebuilt._facet_vertices
+
+
+@pytest.mark.parametrize("group", ["fixtures", "weighted"])
+def test_each_side_builds_the_lattice_the_other_reads_upside_down(group):
+    # the facet end of one side's build is the vertex end of the other's, so
+    # a from-scratch build equals the other side's build turned upside down,
+    # mask for mask and in order
+    sides = [fixture_polytope(name) for name in ALL] if group == "fixtures" else weighted_ray_simplices()
+    assert len(sides) == {"fixtures": 20, "weighted": 69}[group]
+    for p in sides:
+        d = p.dual()
+        for side, other in ((p, d), (d, p)):
+            built = side._build_faces()
+            turned = side._transposed_faces(other._build_faces())
+            assert sorted(built.by_dim) == sorted(turned.by_dim) == list(range(p.dim))
+            for k, level in built.by_dim.items():
+                assert [(f.vmask, f.fmask) for f in level] == [
+                    (f.vmask, f.fmask) for f in turned(k)
+                ], (p, k)
 
 
 def test_hull_and_dual_evaluate_no_slack_and_keep_every_span_check(monkeypatch):
