@@ -3,21 +3,18 @@
 Everything takes and returns ``int`` tuples/lists, never floats or
 Fractions; the geometric predicates elsewhere rely on that exactness, and
 a caller with rational data clears its denominators first, as the divisor
-audits do.  Ranks, determinants, adjugates, solutions and kernels all
-read one fraction-free Gauss-Jordan elimination, :func:`_eliminate`,
-whose steps divide exactly by the previous pivot (Bareiss, Math. Comp. 22,
-1968; for any m x n matrix, Nakos, Turner and Williams, SIGSAM Bull.
-31(3), 1997).  Every reduced pivot ends equal
-to the last one, so solutions are integer numerators over that one
-denominator, and a kernel basis is primitive integer vectors.
+audits do.  Ranks, pivot columns and determinants read one fraction-free
+echelon elimination, :func:`_eliminate`, whose steps divide exactly by
+the previous pivot (Bareiss, Math. Comp. 22, 1968; for any m x n matrix,
+Nakos, Turner and Williams, SIGSAM Bull. 31(3), 1997).
 
-The one exception is dimension 4, the dimension of every cone, cell,
-initial hull simplex and facet normal there: :func:`int_det` and
-:func:`dual_basis` expand a 4 x 4 determinant and adjugate in closed form
-along the 2 x 2 minors of rows (0, 1) and (2, 3) (:func:`_laplace4`), and
-:func:`spans_hyperplane` certifies that a facet's vertices span its plane
-with one such determinant, with no elimination.  Every other size, and
-every rank, solution and nullspace, reads the Bareiss kernel.
+Dimension 4 is the dimension of every cone, cell, initial hull simplex
+and facet normal there: :func:`int_det` and :func:`dual_basis` expand a
+4 x 4 determinant and adjugate in closed form along the 2 x 2 minors of
+rows (0, 1) and (2, 3) (:func:`_laplace4`), and :func:`spans_hyperplane`
+certifies that a facet's vertices span its plane with one such
+determinant, with no elimination.  An adjugate of any other size is its
+cofactors, each an :func:`int_det` of a minor.
 """
 
 from math import gcd
@@ -39,30 +36,22 @@ def dot(a, b):
     return sum(map(mul, a, b))
 
 
-def _eliminate(a, reduced=True):
-    """Fraction-free Gauss-Jordan elimination of the int rows `a`, in place.
+def _eliminate(a):
+    """Fraction-free echelon elimination of the int rows `a`, in place.
 
-    Returns (pivots, swaps, last): the pivot columns, the row swaps as
-    (pivot row, row) pairs, and the last pivot (1 if none).  Pivots go left
-    to right, the first nonzero row at or below the next pivot row wins,
-    and a column with no such row is skipped, as is every column once
-    rank = rows.
-    The step on pivot p in row r, column c sets a row to (p * row - f *
-    row r) // prev, f its entry in column c and prev the previous pivot:
-    every entry stays a minor, so the division is exact.  ``reduced=False``
-    leaves the rows above r alone and writes into no row: an echelon form,
-    all a rank or a determinant needs.
-
-    ``reduced=True`` eliminates [A | I] in place, so the rows must be
-    lists: after step r left column c is p times a unit vector, so it takes
-    right column r instead, and pivot column c of pivot row k holds column
-    k of the row operations.  With a pivot in every row the swaps are then
-    undone on those columns, which for a square A hold last * A^-1.  Every
-    pivot entry ends equal to `last`, so off the pivot columns, pivot row
-    k over `last` is row k of the reduced row echelon form.
+    Returns (pivots, swaps, last): the pivot columns, the number of row
+    swaps, and the last pivot (1 if none).  Pivots go left to right, the
+    first nonzero row at or below the next pivot row wins, and a column
+    with no such row is skipped, as is every column once rank = rows.
+    The step on pivot p in row r, column c sets each row below r to (p *
+    row - f * row r) // prev, f its entry in column c and prev the previous
+    pivot: every entry stays a minor, so the division is exact.  Rows are
+    replaced, never written into, so they may be tuples.  With a pivot in
+    every row of a square matrix, the last pivot is its determinant up to
+    the swaps' sign.
     """
     m = len(a)
-    pivots, swaps = [], []
+    pivots, swaps = [], 0
     prev = 1
     for c in range(len(a[0]) if m else 0):
         r = len(pivots)
@@ -73,26 +62,16 @@ def _eliminate(a, reduced=True):
             continue
         if i != r:
             a[r], a[i] = a[i], a[r]
-            swaps.append((r, i))
+            swaps += 1
         top = a[r]
         p = top[c]
-        for i in range(0 if reduced else r + 1, m):
+        for i in range(r + 1, m):
             row = a[i]
             f = row[c]
-            if i == r or (not f and p == prev):
-                continue  # the step would leave the row as it is
-            row = [(p * x - f * y) // prev for x, y in zip(row, top)]
-            if reduced:
-                row[c] = -f  # right column r: (p * 0 - f * prev) / prev
-            a[i] = row
-        if reduced:
-            top[c] = prev
+            if f or p != prev:  # else the step would leave the row as it is
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
         pivots.append(c)
         prev = p
-    if reduced and len(pivots) == m:
-        for k, i in reversed(swaps):
-            for row in a:
-                row[pivots[k]], row[pivots[i]] = row[pivots[i]], row[pivots[k]]
     return pivots, swaps, prev
 
 
@@ -117,8 +96,8 @@ def int_det(rows):
         return _laplace4(rows)[0]
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-    pivots, swaps, last = _eliminate(list(rows), reduced=False)
-    return 0 if len(pivots) < n else -last if len(swaps) % 2 else last
+    pivots, swaps, last = _eliminate(list(rows))
+    return 0 if len(pivots) < n else -last if swaps % 2 else last
 
 
 def dual_basis(rows):
@@ -126,10 +105,9 @@ def dual_basis(rows):
 
     Returns (det, duals) with <duals[i], rows[j]> = det * (i == j): on
     4 x 4 the cofactors of row i, each a sum of three products of an entry
-    and a minor of :func:`_laplace4`; else read off the reduced
-    elimination's row operations, last * A^-1, with det the last pivot
-    signed by the row swaps.  Raises ValueError on a singular matrix, whose
-    rows have no dual basis.
+    and a minor of :func:`_laplace4`; else the cofactors of row i, signed
+    :func:`int_det` of the minors without row i.  Raises ValueError on a
+    singular matrix, whose rows have no dual basis.
     """
     n = len(rows)
     if n == 4 and len(rows[0]) == len(rows[1]) == len(rows[2]) == len(rows[3]) == 4:
@@ -151,18 +129,21 @@ def dual_basis(rows):
         ]
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-    a = [list(r) for r in rows]
-    pivots, swaps, last = _eliminate(a)
-    if len(pivots) < n:
+    det = int_det(rows)
+    if not det:
         raise ValueError("singular matrix has no dual basis")
-    sign = -1 if len(swaps) % 2 else 1
-    return sign * last, [tuple(sign * row[i] for row in a) for i in range(n)]
+    # the rows without column r, then without row i: cofactor (i, r) is
+    # (-1)^(i + r) times its determinant
+    cut = [[row[:r] + row[r + 1:] for row in rows] for r in range(n)]
+    return det, [
+        tuple((-1) ** (i + r) * int_det(m[:i] + m[i + 1:]) for r, m in enumerate(cut)) for i in range(n)
+    ]
 
 
 def pivot_columns(rows):
     """The pivot columns of an echelon form of the int rows, left to right:
     the columns where the rank of the columns so far grows."""
-    return _eliminate(list(rows), reduced=False)[0]
+    return _eliminate(list(rows))[0]
 
 
 def matrix_rank(rows):
@@ -216,55 +197,3 @@ def spans_hyperplane(points, normal, offset):
         if w0 * (c0 - f0) + w1 * (c1 - f1) + w2 * (c2 - f2) + w3 * (c3 - f3):
             return True
     return False
-
-
-def solve_linear(a_rows, b):
-    """One exact solution of A x = b, or None if the system is inconsistent.
-
-    The solution is (numerators, denominator), x_j = numerators[j] /
-    denominator, in lowest terms with the denominator positive.  Free
-    variables are set to zero, which makes the returned solution
-    deterministic; that determinism is load-bearing for memoised callers.
-    """
-    if not a_rows:
-        return (), 1
-    ncols = len(a_rows[0])
-    a = [list(row) + [bi] for row, bi in zip(a_rows, b, strict=True)]
-    pivots, _, den = _eliminate(a)
-    if pivots and pivots[-1] == ncols:
-        return None
-    num = [0] * ncols
-    for row, c in zip(a, pivots):
-        num[c] = row[-1]
-    g = gcd(den, *num)
-    if den < 0:
-        g = -g
-    return tuple(x // g for x in num), den // g
-
-
-def nullspace(a_rows):
-    """Basis of {x : A x = 0}: a primitive int tuple per free column,
-    positive there.  It is the reduced echelon form's vector, 1 at the free
-    column, times the last pivot and over the gcd; that pivot can be
-    negative, so the gcd takes its sign."""
-    if not a_rows:
-        return []
-    ncols = len(a_rows[0])
-    a = [list(row) for row in a_rows]
-    pivots, _, den = _eliminate(a)
-    basis = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        vec = [0] * ncols
-        vec[f] = den
-        for row, c in zip(a, pivots):
-            vec[c] = -row[f]
-        g = gcd(*vec)
-        if den < 0:
-            g = -g
-        basis.append(tuple([x // g for x in vec]))
-    return basis
-
-
-def left_nullspace(a_rows):
-    """Basis of {w : w A = 0}, i.e. the nullspace of the transpose."""
-    return nullspace([list(col) for col in zip(*a_rows)])

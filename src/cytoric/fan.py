@@ -22,6 +22,11 @@ volume.
 The nef test is toric Kleiman on the wall relations (Cox-Little-Schenck,
 Toric Varieties, Thm 6.3.12 and 6.4): a divisor is nef iff it pairs
 nonnegatively with the relation of every wall, one integer test per wall.
+The Q-Cartier test and the Picard rank read each maximal cone's first d
+linearly independent rays and their integer dual basis, in any fan: a
+divisor's Cartier data on the cone is one functional m, read off that
+basis (ibid., 4.2), and each other ray of the cone is a relation among
+its rays that the data must satisfy.
 A :class:`Fan` owns every fact about itself: its rays, whether it is fine,
 and for a simplicial fan its skeleton (the cones on each wall, each
 maximal cone's integer dual basis and the wall relations), each built
@@ -44,10 +49,9 @@ from ._linalg import (
     dot,
     dual_basis,
     int_det,
-    left_nullspace,
     matrix_rank,
+    pivot_columns,
     primitive_vector,
-    solve_linear,
 )
 from .errors import (
     InputError,
@@ -70,6 +74,8 @@ class Cone:
         kind = type(self.rays[0])
         if kind not in (MPoint, NPoint) or any(type(r) is not kind for r in self.rays):
             raise InputError("cone rays must be MPoint or NPoint, all of one lattice")
+        if any(len(r) != len(self.rays[0]) for r in self.rays):
+            raise InputError("cone rays must all have one dimension")
         rays = tuple(sorted(self.rays))
         if len(set(rays)) != len(rays):
             raise InputError("cone has a repeated ray generator")
@@ -139,6 +145,10 @@ class Fan:
         )
         if not self.maximal_cones:
             raise InputError("fan needs at least one cone")
+        # a cone's rays share one lattice and dimension, so one ray per cone tells
+        kind, d = type(self.maximal_cones[0].rays[0]), len(self.maximal_cones[0].rays[0])
+        if any(type(c.rays[0]) is not kind or len(c.rays[0]) != d for c in self.maximal_cones):
+            raise InputError("fan cones must all have one lattice and one dimension")
         self.provenance = provenance
         self.base = base
         rays = sorted({r for c in self.maximal_cones for r in c.rays})
@@ -161,7 +171,14 @@ class Fan:
     def is_fine(self) -> bool:
         """Whether the rays are all the boundary lattice points of the
         base's dual, as on the full crepant refinement."""
-        return set(self.rays) == set(self.base.dual().boundary_points())
+        return set(self.rays) == set(self._base_dual().boundary_points())
+
+    def _base_dual(self) -> Polytope:
+        """The polytope the cones subdivide, the base's dual; refused on a
+        fan built without a base."""
+        if self.base is None:
+            raise InputError("fan has no base polytope")
+        return self.base.dual()
 
     @cached_property
     def _dual_bases(self):
@@ -204,7 +221,7 @@ class Fan:
         the base's dual."""
         if self.is_simplicial:
             return self.owners
-        dual = self.base.dual()
+        dual = self._base_dual()
         cone_pos = {frozenset(cone.rays): ci for ci, cone in enumerate(self.maximal_cones)}
         return {
             tuple(sorted(map(self.ray_index, ridge.vertices))): tuple(
@@ -447,7 +464,7 @@ def _validate_mpcp(fan: Fan):
     if not fan.wall_consistency():
         raise InputError("refinement broke wall consistency")
     total = sum(fan.dets)
-    dual = fan.base.dual()
+    dual = fan._base_dual()
     if total != dual.normalized_volume():
         raise InputError(
             f"refined cones cover {total}, expected {dual.normalized_volume()}"
@@ -546,47 +563,69 @@ def _divisor(other):
     return other
 
 
+def _cone_dual_basis(cone: Cone):
+    """(basis, det, duals) of a maximal cone: the positions in `cone.rays`
+    of its first d linearly independent rays b_i (the pivot columns of the
+    rays as columns), their determinant made positive, and their integer
+    dual basis, <duals[i], b_j> = det * (i == j).  Refused unless the cone
+    is full-dimensional."""
+    rays = cone.rays
+    basis = pivot_columns(list(zip(*rays)))
+    if len(basis) != len(rays[0]):
+        raise InputError(f"maximal cone {cone} is not full-dimensional")
+    det, duals = dual_basis([rays[k] for k in basis])
+    if det < 0:
+        det, duals = -det, [tuple(map(neg, n)) for n in duals]
+    return basis, det, duals
+
+
 def is_qcartier(fan: Fan, divisor: WeilDivisor):
     """Whether per-cone linear support data exists, m with <m, v> = -a_v on
     every ray v of the cone; if so, also the smallest positive integer
     clearing all denominators (the Cartier index).
 
-    Each cone is solved on the integer coefficients a_v * scale of
-    :meth:`Fan.scaled_coeffs`, which give scale * m as num / den in lowest
-    terms, so m's denominator is den * scale over its gcd with num."""
+    On the integer coefficients A_v = a_v * scale of
+    :meth:`Fan.scaled_coeffs` and a cone's dual basis n_i
+    (:func:`_cone_dual_basis`), num = -sum A_{b_i} n_i is det * scale * m.
+    So the divisor is Q-Cartier on the cone iff <num, v> = -det * A_v on
+    every ray v, and m's denominator is det * scale over its gcd with num."""
     scaled, scale = fan.scaled_coeffs(divisor)  # refuses a divisor off the rays
     index = 1
     for cone, top in zip(fan.maximal_cones, fan.cones):
-        m = solve_linear([tuple(r) for r in cone.rays], [-scaled.get(i, 0) for i in top])
-        if m is None:
+        basis, det, duals = _cone_dual_basis(cone)
+        a = [scaled.get(i, 0) for i in top]
+        num = [-sum(a[k] * x for k, x in zip(basis, column)) for column in zip(*duals)]
+        if any(dot(num, v) != -det * a_v for v, a_v in zip(cone.rays, a)):
             return False, None
-        num, den = m
-        den *= scale
-        index = math.lcm(index, den // math.gcd(den, *num))
+        det *= scale
+        index = math.lcm(index, det // math.gcd(det, *num))
     return True, index
 
 
 def picard_rank_q(fan: Fan) -> int:
     """Dimension over Q of Q-Cartier Weil divisors modulo principal ones.
 
-    Q-Cartier conditions come from the left kernels of the non-simplicial
-    maximal cones' ray matrices; principal divisors contribute the ambient
-    dimension (their map is injective on a complete fan).
+    A divisor is Q-Cartier on a cone iff its coefficients satisfy the
+    cone's linear relations among its rays: with the cone's dual basis n_i
+    (:func:`_cone_dual_basis`), det * v = sum <n_i, v> b_i for each ray v
+    off the basis, so a row with det at v and -<n_i, v> at b_i.  Principal
+    divisors contribute the ambient dimension (their map is injective on a
+    complete fan).
     """
     n = len(fan.rays)
     if fan.is_simplicial:
         return n - fan.dim  # no cone imposes a condition
     constraints = []
     for cone, top in zip(fan.maximal_cones, fan.cones):
-        if cone.is_simplicial:
-            continue
-        for w in left_nullspace([tuple(r) for r in cone.rays]):
-            full = [0] * n
-            for coeff, i in zip(w, top):
-                full[i] = coeff
-            constraints.append(full)
-    rank = matrix_rank(constraints) if constraints else 0
-    return n - rank - fan.dim
+        basis, det, duals = _cone_dual_basis(cone)
+        for k, v in enumerate(cone.rays):
+            if k not in basis:
+                row = [0] * n
+                row[top[k]] = det
+                for i, n_i in zip(basis, duals):
+                    row[top[i]] = -dot(n_i, v)
+                constraints.append(row)
+    return n - matrix_rank(constraints) - fan.dim
 
 
 def is_nef(fan: Fan, divisor: WeilDivisor) -> bool:

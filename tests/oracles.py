@@ -159,7 +159,8 @@ def fraction_rref(rows):
         for i in range(len(a)):
             if i != r and a[i][c] != 0:
                 f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                # a zero of the pivot row leaves its column as it is
+                a[i] = [x - f * y if y else x for x, y in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
         if r == len(a):
@@ -263,6 +264,27 @@ def fraction_cartier_index(fan, divisor):
         for x in m:
             index = index * x.denominator // gcd(index, x.denominator)
     return index
+
+
+def fraction_picard_rank(fan):
+    """n - rank - d, the rank over Fraction of the Q-Cartier conditions:
+    each non-simplicial maximal cone's relations among its rays (the
+    nullspace of its transposed ray matrix), placed on the fan's ray
+    indices.  On a complete fan a cone of d rays is simplicial."""
+    n = len(fan.rays)
+    # rays in descending order: a relation's free column, its own 1, comes
+    # before the cone's first rays, so one cone's rows start in echelon form
+    index = {r: n - 1 - i for i, r in enumerate(fan.rays)}
+    rows = []
+    for cone in fan.maximal_cones:
+        if len(cone.rays) == fan.dim:
+            continue
+        for w in fraction_nullspace([list(col) for col in zip(*cone.rays)]):
+            row = [0] * n
+            for x, r in zip(w, cone.rays):
+                row[index[r]] = x
+            rows.append(row)
+    return n - len(fraction_rref(rows)[1]) - fan.dim
 
 
 def pull_every_cell(dual, facet, points):

@@ -31,11 +31,11 @@ from cytoric.fan import (
     picard_rank_q,
     singularity_census,
 )
-from cytoric.fixtures import ALL, POLYGONS, fixture_polytope
+from cytoric.fixtures import ALL, CORPUS_4D, POLYGONS, fixture_points, fixture_polytope
 from cytoric.lattice import NPoint, pairing
 from cytoric.polytope import hull
 from conftest import mpoints, ray_simplex, shear
-from oracles import fraction_cartier_index, fraction_is_nef, pull_every_cell
+from oracles import fraction_cartier_index, fraction_is_nef, fraction_picard_rank, pull_every_cell
 
 
 def npt(*coords):
@@ -497,20 +497,25 @@ def seeded_divisors(fan, seed, count):
     return out
 
 
-def test_qcartier_index_matches_fraction_reference(example_face_fan, quintic):
+def test_qcartier_index_matches_fraction_reference(example_face_fan, quintic, example_mpcp, cross4d_mpcp):
     # the mirror quintic's face fan is P4/(Z5)^3: simplicial, every cone of
-    # multiplicity 125, every ray divisor of Cartier index 5
+    # multiplicity 125, every ray divisor of Cartier index 5; the example's
+    # refinement keeps cones of multiplicity 2
     mirror_fan = face_fan(quintic.dual())
     assert {c.multiplicity for c in mirror_fan.maximal_cones} == {125}
     for r in mirror_fan.rays:
         assert is_qcartier(mirror_fan, WeilDivisor.ray(r)) == (True, 5)
-    for fan in (mirror_fan, example_face_fan):
+    for fan in (mirror_fan, example_face_fan, example_mpcp, cross4d_mpcp):
         divisors = [WeilDivisor.anticanonical(fan)]
         divisors += [WeilDivisor.ray(r) for r in fan.rays]
         divisors += seeded_divisors(fan, 41, 20)
+        indices = set()
         for d in divisors:
             index = fraction_cartier_index(fan, d)
             assert is_qcartier(fan, d) == (index is not None, index)
+            indices.add(index)
+        if fan is example_mpcp:
+            assert {1, 2} <= indices
 
 
 def _ints_only(fn):
@@ -541,7 +546,7 @@ def test_divisor_audits_hand_the_kernel_ints_only(monkeypatch, example_face_fan,
     # the Bareiss kernel, and the kernel calls fan makes and reads back:
     # rational divisor coefficients are cleared before they reach either
     monkeypatch.setattr(_linalg, "_eliminate", _ints_only(_linalg._eliminate))
-    for name in ("solve_linear", "matrix_rank", "left_nullspace"):
+    for name in ("matrix_rank", "pivot_columns", "dual_basis"):
         monkeypatch.setattr(fan_module, name, _ints_only(getattr(fan_module, name)))
     fans = [example_face_fan, face_fan(quintic.dual()), face_fan(fixture_polytope("cross4d"))]
     fans += [face_fan(fixture_polytope(name)) for name in POLYGONS]
@@ -570,6 +575,28 @@ def test_picard_rank_p4(p4_fan):
 def test_picard_rank_simplicial_is_rays_minus_dim(cube_mpcp, example_mpcp, p4_fan):
     for f in (cube_mpcp, example_mpcp, p4_fan):
         assert picard_rank_q(f) == len(f.rays) - f.dim
+
+
+def test_picard_rank_matches_fraction_reference():
+    # face fans of both sides of the 4-D fixtures and of the polygon
+    # products P x Q: the face fan of P x Q is simplicial, its cones over
+    # the facets of the free sum of the duals, each the join of two edges;
+    # the face fan of the dual is not, as a facet E x Q has 2 |Q| vertices
+    for name in CORPUS_4D:
+        delta = fixture_polytope(name)
+        for fan in (face_fan(delta), face_fan(delta.dual())):
+            assert picard_rank_q(fan) == fraction_picard_rank(fan)
+    rows = [[tuple(v) for v in fixture_points(name)] for name in POLYGONS]
+    ranks, non_simplicial = set(), 0
+    for p, q in itertools.combinations_with_replacement(rows, 2):
+        delta = hull(mpoints([a + b for a in p for b in q]))
+        for fan in (face_fan(delta), face_fan(delta.dual())):
+            rank = picard_rank_q(fan)
+            assert rank == fraction_picard_rank(fan)
+            ranks.add(rank)
+            non_simplicial += not fan.is_simplicial
+    assert non_simplicial == 136
+    assert ranks == set(range(1, 9))
 
 
 # -- nef tests ----------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from cytoric.errors import (
     NotReflexiveError,
     NotSimplicialError,
 )
-from cytoric.fan import Cone, Fan, WeilDivisor, face_fan, mpcp_triangulate
+from cytoric.fan import Cone, Fan, WeilDivisor, face_fan, is_qcartier, mpcp_triangulate, picard_rank_q
 from cytoric.fixtures import fixture_polytope
 from cytoric.lattice import MPoint, NPoint, RationalHyperplane
 from cytoric.polytope import PointCensus, Polytope, hull
@@ -151,7 +151,8 @@ def test_every_linalg_kernel_has_a_caller():
     while frontier:
         frontier = _names(defined[name] for name in frontier) & set(defined) - live
         live |= frontier
-    assert len(defined) >= 10
+    kernel_names = {"_eliminate", "int_det", "dual_basis", "pivot_columns", "matrix_rank", "spans_hyperplane"}
+    assert kernel_names <= set(defined)
     assert sorted(set(defined) - live) == []
 
 
@@ -275,6 +276,18 @@ def _e(i):
     return NPoint(tuple(int(i == j) for j in range(4)))
 
 
+def _flat_fan():
+    # its one maximal cone spans a plane in Z^4
+    return Fan([Cone((_e(0), _e(1)))], "face", None)
+
+
+def _baseless_fan():
+    return Fan(_cross4d_face_fan().maximal_cones, "sheared", None)
+
+
+PLANE_N, PLANE_M = (NPoint((1, 0)), NPoint((0, 1))), (MPoint((1, 0)), MPoint((0, 1)))
+
+
 SQUARE = [MPoint(p) for p in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
 
 
@@ -314,6 +327,13 @@ SQUARE = [MPoint(p) for p in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
         (InputError, lambda: Cone(((1, 0), (0, 1)))),
         (InputError, lambda: Cone((MPoint((1, 0)), NPoint((0, 1))))),
         (InputError, lambda: Fan([], "face", None).dim),
+        (InputError, lambda: Cone((NPoint((1, 0)), NPoint((0, 1, 0))))),
+        (InputError, lambda: Fan([Cone(PLANE_N), Cone(PLANE_M)], "face", None)),
+        (InputError, lambda: Fan([Cone(PLANE_N), Cone((_e(0), _e(1), _e(2), _e(3)))], "face", None)),
+        (InputError, lambda: _baseless_fan().is_fine),
+        (InputError, lambda: _baseless_fan().walls()),
+        (InputError, lambda: picard_rank_q(_flat_fan())),
+        (InputError, lambda: is_qcartier(_flat_fan(), WeilDivisor.ray(_e(0)))),
         (InputError, lambda: WeilDivisor.ray(_e(0), 0.5)),
         (InputError, lambda: WeilDivisor.ray(_e(0), True)),
         (InputError, lambda: 0.1 * WeilDivisor.ray(_e(0))),
@@ -353,6 +373,13 @@ SQUARE = [MPoint(p) for p in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
         "cone-of-plain-tuples",
         "cone-of-mixed-lattices",
         "fan-of-no-cones",
+        "cone-of-mixed-dimensions",
+        "fan-of-mixed-lattices",
+        "fan-of-mixed-dimensions",
+        "is_fine-of-a-fan-without-a-base",
+        "walls-of-a-non-simplicial-fan-without-a-base",
+        "picard-of-a-fan-with-a-flat-cone",
+        "qcartier-on-a-fan-with-a-flat-cone",
         "divisor-with-a-float-coefficient",
         "divisor-with-a-bool-coefficient",
         "divisor-scaled-by-a-float",
