@@ -10,7 +10,6 @@ from .fan import (
     Cone,
     Fan,
     WeilDivisor,
-    cone_mult,
     face_fan,
     is_nef,
     is_qcartier,
@@ -50,7 +49,6 @@ __all__ = [
     "Cone",
     "Fan",
     "WeilDivisor",
-    "cone_mult",
     "face_fan",
     "is_nef",
     "is_qcartier",

@@ -19,6 +19,7 @@ still get their results; the status is the worst one.
 from __future__ import annotations
 
 import json
+import re
 import traceback
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -56,21 +57,9 @@ def parse_divisor(spec: str, fan) -> WeilDivisor:
     if spec in ("anticanonical", "-K"):
         return WeilDivisor.anticanonical(fan)
     coeffs = {}
-    depth = 0
-    term = ""
-    terms = []
-    for ch in spec:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            terms.append(term)
-            term = ""
-        else:
-            term += ch
-    if term:
-        terms.append(term)
+    terms = re.split(r",(?![^(]*\))", spec)  # the commas outside parentheses
+    if not terms[-1]:
+        terms.pop()
     if not terms:
         raise click.UsageError("divisor is empty; give ray=coeff terms, 'anticanonical' or '-K'")
     for raw in terms:

@@ -27,13 +27,14 @@ linearly independent rays and their integer dual basis, in any fan: a
 divisor's Cartier data on the cone is one functional m, read off that
 basis (ibid., 4.2), and each other ray of the cone is a relation among
 its rays that the data must satisfy.
-A :class:`Fan` owns every fact about itself: its rays, whether it is fine,
-and for a simplicial fan its skeleton (the cones on each wall, each
-maximal cone's integer dual basis and the wall relations), each built
-once.  Walls, edges, the nef test and the intersection form in
-:mod:`cytoric.chern` all read it, and every divisor audit refuses a
-divisor off the rays in :meth:`Fan.scaled_coeffs`, which also gives its
-integer coefficients on the ray indices.
+A :class:`Fan` owns every fact about itself, each built once: its rays,
+whether it is fine, each maximal cone's dual basis, and for a simplicial
+fan its walls (the cones on each, the ray off it, and whether every wall
+lies on two cones) and the wall relations.  The audits, the nef test and
+the intersection form in :mod:`cytoric.chern` all read them, and every
+divisor audit refuses a divisor off the rays in
+:meth:`Fan.scaled_coeffs`, which also gives its integer coefficients on
+the ray indices.
 """
 
 from __future__ import annotations
@@ -116,27 +117,26 @@ class Cone:
         return f"Cone({', '.join(str(tuple(r)) for r in self.rays)})"
 
 
-def cone_mult(cone: Cone) -> int:
-    return cone.multiplicity
-
-
 class Fan:
     """Complete fan presented by its maximal cones.
 
     `base` is the defining reflexive polytope; the cones subdivide the
     boundary of its dual.
 
-    A simplicial fan also owns its skeleton, built once and shared by the
-    walls, the edges, the nef test and the intersection form.  `cones[c]`
-    holds the ascending ray indices of maximal cone c.  `owners` maps each
-    wall, as ascending ray indices, to the maximal cones containing it in
-    cone order (two in a complete fan); `walls()` shares it, so do not
-    mutate it.  The walk that builds it also keeps the second cone's ray
-    off the wall, which the wall relations read.  For cone c with rays
-    v_0 .. v_{d-1}, `dets[c]` is its multiplicity |det| and `duals[c][i]`
-    the integer vector n_i with <n_i, v_j> = dets[c] * (i == j), one
-    :func:`dual_basis` per cone in any dimension (the determinants that
-    show the fan simplicial; closed-form cofactors in dimension 4).
+    A fan owns its tables, each built once.  `cones[c]` holds the ascending
+    ray indices of maximal cone c and `bases[c]` its dual basis (basis,
+    det, duals): the positions among the cone's rays of its first d
+    linearly independent rays v_i, their |det|, and the integer vectors
+    n_i with <n_i, v_j> = det * (i == j).  A cone of d rays is its own
+    basis and takes one :func:`dual_basis` (closed-form cofactors in
+    dimension 4), so the determinants show the fan simplicial, and on a
+    simplicial fan `dets` and `duals` read them.  A simplicial fan also
+    owns its walls: `walls()` maps each, as ascending ray indices, to the
+    maximal cones containing it in cone order (two in a complete fan), and
+    is shared, so do not mutate it.  The walk that builds it also keeps the
+    last cone's ray off each wall, which the wall relations read, and
+    whether every wall lies on two cones, which the completeness checks
+    read.
     """
 
     def __init__(self, maximal_cones, provenance, base):
@@ -161,11 +161,10 @@ class Fan:
 
     @cached_property
     def is_simplicial(self) -> bool:
-        """Whether every maximal cone is spanned by d independent rays: d
-        rays and a nonzero determinant (the maximal cones of a complete fan
-        are full-dimensional).  Read from the dual bases, so a simplicial
-        fan takes one :func:`dual_basis` per cone."""
-        return self._dual_bases is not None
+        """Whether every maximal cone is its own basis: d rays of nonzero
+        determinant.  Read from `bases`, which refuses a cone that is not
+        full-dimensional."""
+        return all(len(c.rays) == len(b) for c, (b, _, _) in zip(self.maximal_cones, self.bases))
 
     @cached_property
     def is_fine(self) -> bool:
@@ -181,26 +180,17 @@ class Fan:
         return self.base.dual()
 
     @cached_property
-    def _dual_bases(self):
-        """(dets, duals) of the maximal cones, one :func:`dual_basis` each,
-        with each det made positive; None at the first cone without d rays
-        or with det 0."""
-        d = self.dim
-        dets, duals = [], []
-        for cone in self.maximal_cones:
-            if len(cone.rays) != d:
-                return None
-            try:
-                det, ns = dual_basis(cone.rays)
-            except ValueError:
-                return None
-            if det < 0:
-                det, ns = -det, [tuple(map(neg, n)) for n in ns]
-            dets.append(det)
-            duals.append(ns)
-        return tuple(dets), tuple(duals)
+    def bases(self):
+        """(basis, det, duals) of each maximal cone, by
+        :func:`_cone_dual_basis`; the cones of d rays share one basis."""
+        own = tuple(range(self.dim))
+        return tuple([_cone_dual_basis(cone, own) for cone in self.maximal_cones])
 
     def ray_index(self, ray) -> int:
+        """The index of `ray` among the rays, KeyError off the fan; refused
+        on a point of another lattice, which compares equal as a tuple."""
+        if type(ray) is not type(self.rays[0]):
+            raise InputError(f"{ray!r} is not a point of the fan's lattice")
         return self._ray_index[ray]
 
     def scaled_coeffs(self, divisor: WeilDivisor):
@@ -214,87 +204,74 @@ class Fan:
         scale = math.lcm(*[c.denominator for _, c in divisor.coeffs])
         return {index[r]: c.numerator * (scale // c.denominator) for r, c in divisor.coeffs}, scale
 
-    def walls(self):
-        """Each wall (codimension-one face) as ascending ray indices, with
-        the maximal cones sharing it: two each in a complete fan.  Read off
-        the maximal cones, or for a non-simplicial face fan the ridges of
-        the base's dual."""
-        if self.is_simplicial:
-            return self.owners
-        dual = self._base_dual()
-        cone_pos = {frozenset(cone.rays): ci for ci, cone in enumerate(self.maximal_cones)}
-        return {
-            tuple(sorted(map(self.ray_index, ridge.vertices))): tuple(
-                sorted(cone_pos[frozenset(f.vertices)] for f in dual.faces().parents(ridge))
-            )
-            for ridge in dual.faces(dual.dim - 2)
-        }
-
-    def wall_consistency(self) -> bool:
-        return all(len(v) == 2 for v in self.walls().values())
-
     def _simplicial_bases(self):
-        """`_dual_bases`, refused on a fan that is not simplicial."""
-        if self._dual_bases is None:
+        """`bases`, refused on a fan that is not simplicial."""
+        if not self.is_simplicial:
             raise NotSimplicialError("cone table needs a simplicial fan")
-        return self._dual_bases
+        return self.bases
 
     @property
     def dets(self):
-        return self._simplicial_bases()[0]
+        return tuple([det for _, det, _ in self._simplicial_bases()])
 
     @property
     def duals(self):
-        return self._simplicial_bases()[1]
+        return tuple([duals for _, _, duals in self._simplicial_bases()])
 
     @cached_property
     def cones(self):
-        return tuple(tuple(map(self.ray_index, c.rays)) for c in self.maximal_cones)
+        return tuple(tuple(map(self._ray_index.__getitem__, c.rays)) for c in self.maximal_cones)
 
     @cached_property
     def _wall_walk(self):
-        """(owners, off): each wall's maximal cones in cone order, and the
-        last one's ray off the wall, the second cone's on a complete fan; a
-        cone's k-th wall omits top[~k]."""
-        self._simplicial_bases()  # walls of a simplicial fan only
-        owners, off = {}, {}
+        """(walls, off, two): each wall's maximal cones in cone order, the
+        last one's ray off the wall (the second cone's on a complete fan),
+        and whether every wall lies on exactly two cones; a cone's k-th
+        wall omits top[~k].  Refused on a fan that is not simplicial."""
+        self._simplicial_bases()
+        walls, off = {}, {}
         for c, top in enumerate(self.cones):
             for k, wall in enumerate(combinations(top, len(top) - 1)):
-                owners[wall] = owners.get(wall, ()) + (c,)
+                walls[wall] = walls.get(wall, ()) + (c,)
                 off[wall] = top[~k]
-        return owners, off
+        return walls, off, all(len(cs) == 2 for cs in walls.values())
 
-    @property
-    def owners(self):
+    def walls(self):
+        """Each wall (codimension-one face) as ascending ray indices, with
+        the maximal cones sharing it: two each in a complete fan."""
         return self._wall_walk[0]
 
+    def wall_consistency(self) -> bool:
+        return self._wall_walk[2]
+
     def require_complete(self):
-        if not self.wall_consistency():
+        if not self._wall_walk[2]:
             raise InputError("fan is not complete: some wall has one incident cone")
 
     @cached_property
     def relations(self):
-        """The wall relations, one per wall in `owners` order, as (ray
+        """The wall relations, one per wall in `walls()` order, as (ray
         indices, primitive integer coefficients b).
 
-        For the wall between sigma = owners[0] and sigma', with u' the ray
-        of sigma' off the wall, det_sigma * u' = sum_i <n_i, u'> v_i over
-        the rays v_i of sigma.  The indices are sigma's rays, then u'; the
-        coefficients -<n_i, u'> and det_sigma, over their gcd.  Both rays
-        off the wall get b > 0 and sum b_v v = 0 (Cox-Little-Schenck,
+        For the wall between sigma, its first cone, and sigma', with u' the
+        ray of sigma' off the wall, det_sigma * u' = sum_i <n_i, u'> v_i
+        over the rays v_i of sigma.  The indices are sigma's rays, then u';
+        the coefficients -<n_i, u'> and det_sigma, over their gcd.  Both
+        rays off the wall get b > 0 and sum b_v v = 0 (Cox-Little-Schenck,
         Toric Varieties, 6.4).  Up to positive multiples, D . V(tau) =
         sum b_v a_v, so on a projective fan the relations span the Mori
         cone (ibid., Thm 6.3.20).
         """
         self.require_complete()
-        rays, cones, dets, duals = self.rays, self.cones, self.dets, self.duals
-        owners, off = self._wall_walk
+        rays, cones, bases = self.rays, self.cones, self.bases
+        walls, off, _ = self._wall_walk
         out = []
-        for wall, (ci, _) in owners.items():
+        for wall, (ci, _) in walls.items():
             u = off[wall]
             v = rays[u]
-            b = [-sum(map(mul, n, v)) for n in duals[ci]]
-            b.append(dets[ci])
+            _, det, duals = bases[ci]
+            b = [-sum(map(mul, n, v)) for n in duals]
+            b.append(det)
             g = math.gcd(*b)
             out.append((cones[ci] + (u,), tuple([x // g for x in b])))
         return tuple(out)
@@ -563,17 +540,21 @@ def _divisor(other):
     return other
 
 
-def _cone_dual_basis(cone: Cone):
+def _cone_dual_basis(cone: Cone, own):
     """(basis, det, duals) of a maximal cone: the positions in `cone.rays`
-    of its first d linearly independent rays b_i (the pivot columns of the
-    rays as columns), their determinant made positive, and their integer
-    dual basis, <duals[i], b_j> = det * (i == j).  Refused unless the cone
-    is full-dimensional."""
+    of its first d linearly independent rays b_i, their determinant made
+    positive, and their integer dual basis, <duals[i], b_j> = det * (i ==
+    j).  A cone of d rays is its own basis, `own` = (0, .., d - 1), and
+    takes no elimination; any other takes the pivot columns of its rays as
+    columns.  Refused unless the cone is full-dimensional: :func:`dual_basis`
+    raises ValueError on d rays of det 0 and on fewer than d pivot rows,
+    which are not square."""
     rays = cone.rays
-    basis = pivot_columns(list(zip(*rays)))
-    if len(basis) != len(rays[0]):
-        raise InputError(f"maximal cone {cone} is not full-dimensional")
-    det, duals = dual_basis([rays[k] for k in basis])
+    basis = own if len(rays) == len(own) else tuple(pivot_columns(list(zip(*rays))))
+    try:
+        det, duals = dual_basis([rays[k] for k in basis])
+    except ValueError:
+        raise InputError(f"maximal cone {cone} is not full-dimensional") from None
     if det < 0:
         det, duals = -det, [tuple(map(neg, n)) for n in duals]
     return basis, det, duals
@@ -586,13 +567,12 @@ def is_qcartier(fan: Fan, divisor: WeilDivisor):
 
     On the integer coefficients A_v = a_v * scale of
     :meth:`Fan.scaled_coeffs` and a cone's dual basis n_i
-    (:func:`_cone_dual_basis`), num = -sum A_{b_i} n_i is det * scale * m.
-    So the divisor is Q-Cartier on the cone iff <num, v> = -det * A_v on
-    every ray v, and m's denominator is det * scale over its gcd with num."""
+    (:attr:`Fan.bases`), num = -sum A_{b_i} n_i is det * scale * m.  So the
+    divisor is Q-Cartier on the cone iff <num, v> = -det * A_v on every ray
+    v, and m's denominator is det * scale over its gcd with num."""
     scaled, scale = fan.scaled_coeffs(divisor)  # refuses a divisor off the rays
     index = 1
-    for cone, top in zip(fan.maximal_cones, fan.cones):
-        basis, det, duals = _cone_dual_basis(cone)
+    for cone, top, (basis, det, duals) in zip(fan.maximal_cones, fan.cones, fan.bases):
         a = [scaled.get(i, 0) for i in top]
         num = [-sum(a[k] * x for k, x in zip(basis, column)) for column in zip(*duals)]
         if any(dot(num, v) != -det * a_v for v, a_v in zip(cone.rays, a)):
@@ -607,8 +587,8 @@ def picard_rank_q(fan: Fan) -> int:
 
     A divisor is Q-Cartier on a cone iff its coefficients satisfy the
     cone's linear relations among its rays: with the cone's dual basis n_i
-    (:func:`_cone_dual_basis`), det * v = sum <n_i, v> b_i for each ray v
-    off the basis, so a row with det at v and -<n_i, v> at b_i.  Principal
+    (:attr:`Fan.bases`), det * v = sum <n_i, v> b_i for each ray v off the
+    basis, so a row with det at v and -<n_i, v> at b_i.  Principal
     divisors contribute the ambient dimension (their map is injective on a
     complete fan).
     """
@@ -616,8 +596,7 @@ def picard_rank_q(fan: Fan) -> int:
     if fan.is_simplicial:
         return n - fan.dim  # no cone imposes a condition
     constraints = []
-    for cone, top in zip(fan.maximal_cones, fan.cones):
-        basis, det, duals = _cone_dual_basis(cone)
+    for cone, top, (basis, det, duals) in zip(fan.maximal_cones, fan.cones, fan.bases):
         for k, v in enumerate(cone.rays):
             if k not in basis:
                 row = [0] * n

@@ -478,10 +478,14 @@ class Polytope:
         Defined for reflexive polytopes; dimensions satisfy
         dim(face) + dim(dual) = ambient_dim - 1 and the map is an involution.
         Dual facet j is cut out by our vertex j, so the dual face is the one
-        whose facet mask is `face`'s vertex mask.
+        whose facet mask is `face`'s vertex mask, so a face of another
+        polytope is refused: its vertices differ from ours, or only their
+        lattice does, which tuple equality does not see.
         """
         if not self.is_reflexive():
             raise NotReflexiveError("dual faces need a reflexive polytope")
+        if type(face._pool[0]) is not self.point_cls or face._pool != self.vertices:
+            raise InputError("dual_face takes a face of this polytope")
         dual_face = self.dual().faces().by_fmask[face.vmask]
         if face.dim + dual_face.dim != self.ambient_dim - 1:
             raise InternalInvariantError("dual face has the wrong dimension")

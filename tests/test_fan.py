@@ -23,7 +23,6 @@ from cytoric.fan import (
     _facet_points,
     _pull_triangulate_facet,
     _validate_mpcp,
-    cone_mult,
     face_fan,
     is_nef,
     is_qcartier,
@@ -108,7 +107,10 @@ def test_face_fan_rejects_non_reflexive():
 
 
 def test_face_fan_wall_consistency(example_face_fan, p4_fan):
-    assert example_face_fan.wall_consistency()
+    # walls are walked on a simplicial fan only: the example's face fan
+    # has a cone of five rays
+    with pytest.raises(NotSimplicialError):
+        example_face_fan.wall_consistency()
     assert p4_fan.wall_consistency()
 
 
@@ -117,23 +119,23 @@ def test_face_fan_wall_consistency(example_face_fan, p4_fan):
 
 def test_cone_mult_identity():
     cone = Cone((npt(1, 0, 0, 0), npt(0, 1, 0, 0), npt(0, 0, 1, 0), npt(0, 0, 0, 1)))
-    assert cone_mult(cone) == 1
+    assert cone.multiplicity == 1
 
 
 def test_cone_mult_example_singular_chart():
     cone = Cone((npt(1, 0, 0, 0), npt(0, 1, 0, 0), npt(0, 0, -1, 0), npt(1, 1, 1, -2)))
-    assert cone_mult(cone) == 2
+    assert cone.multiplicity == 2
 
 
 def test_cone_mult_2d():
     cone = Cone((NPoint((1, 0)), NPoint((1, 2))))
-    assert cone_mult(cone) == 2
+    assert cone.multiplicity == 2
 
 
 def test_cone_mult_rejects_non_simplicial(example_face_fan):
     big = [c for c in example_face_fan.maximal_cones if not c.is_simplicial][0]
     with pytest.raises(NotSimplicialError):
-        cone_mult(big)
+        big.multiplicity
 
 
 # -- MPCP refinement -------------------------------------------------------------
@@ -287,7 +289,7 @@ def test_validate_mpcp_rejects_broken_refinements(cube4, cube_mpcp, quintic):
     e = [npt(*(int(i == j) for j in range(4))) for i in range(4)]
     flat = Cone((e[0], npt(-1, 0, 0, 0), e[1], e[2]))
     broken = [
-        (cones[1:] + [flat], "non-simplicial"),  # det 0: four rays in a 3-space
+        (cones[1:] + [flat], "not full-dimensional"),  # det 0: four rays in a 3-space
         (cones[1:], "wall consistency"),  # one cone removed
     ]
     for maximal_cones, message in broken:
@@ -364,11 +366,11 @@ def test_dual_bases_of_a_four_dimensional_fan_take_no_elimination(cross4d_mpcp, 
 
     monkeypatch.setattr(_linalg, "_eliminate", counted)
     fan = Fan(cross4d_mpcp.maximal_cones, "mpcp", cross4d_mpcp.base)
-    dets, duals = fan._dual_bases
+    bases = fan.bases
     assert calls == []
-    assert len(dets) == len(duals) == 384
-    for cone, det, ns in zip(fan.maximal_cones, dets, duals):
-        assert det > 0
+    assert len(bases) == 384
+    for cone, (basis, det, ns) in zip(fan.maximal_cones, bases):
+        assert basis == (0, 1, 2, 3) and det > 0
         assert [[sum(map(mul, n, r)) for r in cone.rays] for n in ns] == [
             [det * (i == j) for j in range(4)] for i in range(4)
         ]
@@ -389,8 +391,8 @@ def test_star_matches_every_cone_subset(p4_fan, example_mpcp, cross4d_mpcp, wp11
                 for g in itertools.combinations(top, k):
                     expected.setdefault(g, []).append(c)
         assert fan.walls() == {g: tuple(c) for g, c in expected.items() if len(g) == fan.dim - 1}
-        owners, off = fan._wall_walk
-        for wall, (_, cj) in owners.items():
+        walls, off, _ = fan._wall_walk
+        for wall, (_, cj) in walls.items():
             assert {off[wall]} == set(fan.cones[cj]) - set(wall)
         pairs = {(a, b) for cone in fan.maximal_cones for a, b in itertools.combinations(cone.rays, 2)}
         assert fan.edges() == sorted(pairs)
@@ -654,7 +656,7 @@ def test_wall_relations(p4_fan, quintic, example_mpcp, cross4d_mpcp, wp11222_mpc
     fans += [face_fan(fixture_polytope(name)) for name in POLYGONS]
     for fan in fans:
         assert len(fan.relations) == len(fan.maximal_cones) * fan.dim // 2
-        for (wall, (ci, cj)), (indices, b) in zip(fan.owners.items(), fan.relations):
+        for (wall, (ci, cj)), (indices, b) in zip(fan.walls().items(), fan.relations):
             rays = [fan.rays[i] for i in indices]
             sigma, other = fan.maximal_cones[ci].rays, fan.maximal_cones[cj].rays
             assert set(rays) == set(sigma) | set(other) and set(rays[:-1]) == set(sigma)

@@ -285,6 +285,20 @@ def _baseless_fan():
     return Fan(_cross4d_face_fan().maximal_cones, "sheared", None)
 
 
+def _s3_face_fan_less_a_cone():
+    # the example's face fan, whose last cone has five rays, without its
+    # first cone, which is simplicial
+    fan = face_fan(_polytope("example_s3"))
+    return Fan(fan.maximal_cones[1:], "face", fan.base)
+
+
+def _failing_then_flat_fan():
+    # the example's five-ray cone, on which D_(1,1,1,-2) is not Q-Cartier,
+    # then a cone spanning a plane
+    big = face_fan(_polytope("example_s3")).maximal_cones[-1]
+    return Fan([big, Cone((_e(0), _e(1)))], "face", None)
+
+
 PLANE_N, PLANE_M = (NPoint((1, 0)), NPoint((0, 1))), (MPoint((1, 0)), MPoint((0, 1)))
 
 
@@ -331,13 +345,19 @@ SQUARE = [MPoint(p) for p in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
         (InputError, lambda: Fan([Cone(PLANE_N), Cone(PLANE_M)], "face", None)),
         (InputError, lambda: Fan([Cone(PLANE_N), Cone((_e(0), _e(1), _e(2), _e(3)))], "face", None)),
         (InputError, lambda: _baseless_fan().is_fine),
-        (InputError, lambda: _baseless_fan().walls()),
+        (NotSimplicialError, lambda: _baseless_fan().walls()),
         (InputError, lambda: picard_rank_q(_flat_fan())),
         (InputError, lambda: is_qcartier(_flat_fan(), WeilDivisor.ray(_e(0)))),
         (InputError, lambda: WeilDivisor.ray(_e(0), 0.5)),
         (InputError, lambda: WeilDivisor.ray(_e(0), True)),
         (InputError, lambda: 0.1 * WeilDivisor.ray(_e(0))),
         (InputError, lambda: WeilDivisor.ray(_e(0)) + 1),
+        (InputError, lambda: _quintic_form().value((MPoint(tuple(_quintic_form().rays[0])),) * 4)),
+        (InputError, lambda: _polytope("quintic").dual_face(_polytope("quintic").dual().faces(1)[0])),
+        (InputError, lambda: _polytope("pgon_square").dual_face(_polytope("pgon_diamond").dual().faces(0)[0])),
+        (NotSimplicialError, lambda: _s3_face_fan_less_a_cone().walls()),
+        (NotSimplicialError, lambda: _s3_face_fan_less_a_cone().wall_consistency()),
+        (InputError, lambda: is_qcartier(_failing_then_flat_fan(), WeilDivisor.ray(NPoint((1, 1, 1, -2))))),
     ],
     ids=[
         "dual_face-on-a-non-reflexive-square",
@@ -384,6 +404,12 @@ SQUARE = [MPoint(p) for p in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
         "divisor-with-a-bool-coefficient",
         "divisor-scaled-by-a-float",
         "divisor-plus-an-int",
+        "form-value-of-M-points",
+        "dual_face-of-a-face-of-the-dual",
+        "dual_face-of-an-equal-face-in-the-other-lattice",
+        "walls-of-a-non-simplicial-fan-less-a-cone",
+        "wall_consistency-of-a-non-simplicial-fan-less-a-cone",
+        "qcartier-failing-before-a-flat-cone",
     ],
 )
 def test_typed_refusals(error, refusal):
