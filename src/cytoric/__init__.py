@@ -17,15 +17,8 @@ from .fan import (
     picard_rank_q,
     singularity_census,
 )
-from .hodge import classify_boundary, divisor_census, euler, h11, h12
-from .lattice import (
-    MPoint,
-    NPoint,
-    RationalHyperplane,
-    integral_distance,
-    pairing,
-    primitive,
-)
+from .hodge import classify_boundary, divisor_census, h11, h12
+from .lattice import MPoint, NPoint, RationalHyperplane
 from .polytope import Face, Polytope, RationalPolytope, hull
 
 __version__ = "0.1.0"
@@ -34,16 +27,12 @@ __all__ = [
     "MPoint",
     "NPoint",
     "RationalHyperplane",
-    "integral_distance",
-    "pairing",
-    "primitive",
     "Face",
     "Polytope",
     "RationalPolytope",
     "hull",
     "classify_boundary",
     "divisor_census",
-    "euler",
     "h11",
     "h12",
     "Cone",

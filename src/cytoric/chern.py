@@ -288,16 +288,14 @@ def curve_census(delta: Polytope, fan: Fan) -> CurveCensus:
     entries = []
     covered = set()
     for a, b in fan.edges():
-        ka = kinds[a]
-        kb = kinds[b]
         face = faces[census.face_of[a] & census.face_of[b]]
-        if ka is PointType.IN_3FACE or kb is PointType.IN_3FACE or face.dim == 3:
+        if face.dim == 3:  # a facet-interior end puts the edge inside its facet
             entries.append(CurveEntry((a, b), CurveClass.EMPTY, 0, face.dim))
             continue
         if face.dim == 2:
             n = l_star[face.vmask] + 1  # the dual edge's lattice length
             entries.append(CurveEntry((a, b), CurveClass.RATIONAL_FAMILY, n, 2))
-        elif ka is PointType.VERTEX and kb is PointType.VERTEX:
+        elif kinds[a] is PointType.VERTEX and kinds[b] is PointType.VERTEX:
             entries.append(CurveEntry((a, b), CurveClass.SMOOTH_SECTION, 1, face.dim))
         else:
             entries.append(CurveEntry((a, b), CurveClass.BRANCH_INTERSECTION, 1, face.dim))
@@ -331,12 +329,14 @@ class ChernReport:
 
 
 def c2_audit(delta: Polytope, form: IntersectionForm, candidates):
-    """c2 pairings against -K and each ray divisor, and a nef/positivity
+    """c2 pairings against -K and each ray divisor, read off the form's one
+    c2 functional (-K is the sum of the ray divisors), and a nef/positivity
     entry for each (label, divisor) candidate."""
+    _check_is_refinement_of(delta, form.fan)
+    f, den = form._c2_rays
+    values = [("-K", Fraction(sum(f), den))]
+    values += [(f"D{tuple(r)}", Fraction(x, den)) for r, x in zip(form.rays, f)]
     minus_k = WeilDivisor.anticanonical(form.fan)
-    values = [("-K", c2_dot(delta, form, minus_k))]
-    for r in form.rays:
-        values.append((f"D{tuple(r)}", c2_dot(delta, form, WeilDivisor.ray(r))))
     audits = []
     for label, div in candidates:
         nef = is_nef(form.fan, div)

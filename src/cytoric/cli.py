@@ -72,7 +72,8 @@ def parse_divisor(spec: str, fan) -> WeilDivisor:
         except (ValueError, ZeroDivisionError):
             raise click.UsageError(f"bad coefficient {coeff_part!r}")
         if ray_part.startswith("("):
-            inner = ray_part.strip("()")
+            whole = re.fullmatch(r"\(([^()]*)\)", ray_part)  # exactly one pair
+            inner = whole[1] if whole else ""
             try:
                 coords = tuple(int(c) for c in inner.split(","))
             except ValueError:

@@ -49,7 +49,6 @@ from operator import mul, neg
 from ._linalg import (
     dot,
     dual_basis,
-    int_det,
     matrix_rank,
     pivot_columns,
     primitive_vector,
@@ -65,7 +64,9 @@ from .polytope import Polytope, _bits, hull  # noqa: F401  bench/spans.py wraps 
 
 @dataclass(frozen=True)
 class Cone:
-    """Rational polyhedral cone given by its extreme ray generators."""
+    """Rational polyhedral cone given by its extreme ray generators.  Its
+    dimension, simpliciality and multiplicity are a fan's facts, read from
+    :attr:`Fan.bases`."""
 
     rays: tuple
 
@@ -91,27 +92,6 @@ class Cone:
         cone = object.__new__(cls)
         object.__setattr__(cone, "rays", tuple(sorted(rays)))
         return cone
-
-    @cached_property
-    def dim(self) -> int:
-        return matrix_rank([tuple(r) for r in self.rays])
-
-    @property
-    def is_simplicial(self) -> bool:
-        return len(self.rays) == self.dim
-
-    @cached_property
-    def multiplicity(self) -> int:
-        """|det| of the primitive generators; 1 exactly for smooth charts.
-
-        Defined only for simplicial cones of full dimension in their ambient
-        lattice."""
-        if not self.is_simplicial:
-            raise NotSimplicialError("multiplicity is defined for simplicial cones")
-        d = self.rays[0].dim
-        if len(self.rays) != d:
-            raise NotSimplicialError("multiplicity needs a full-dimensional cone")
-        return abs(int_det([tuple(r) for r in self.rays]))
 
     def __repr__(self):
         return f"Cone({', '.join(str(tuple(r)) for r in self.rays)})"

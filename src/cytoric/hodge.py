@@ -104,11 +104,6 @@ def h12(delta: Polytope) -> int:
     return h11(delta.dual())
 
 
-def euler(delta: Polytope) -> int:
-    """Euler characteristic 2*(h11 - h12) of the hypersurface threefold."""
-    return 2 * (h11(delta) - h12(delta))
-
-
 def divisor_census(delta: Polytope) -> DivisorCensus:
     """Bucket the dual boundary points, in lexicographic order, by the
     dimension of their face: a vertex or edge point gives one irreducible

@@ -10,10 +10,10 @@ points of different lattices, ``Polytope._validate`` refuses facet normals
 that do not live in the lattice dual to the vertices, and a ``Cone``
 refuses rays of two lattices.  A :class:`RationalHyperplane` is the pair
 (normal, offset), a primitive lattice normal and an int, checked where it
-is made, so a polytope's facets are its plane table.  :func:`pairing` is
-the checked way across the boundary; the hot loops (``Polytope._slacks``,
-``hull`` and the refinement's pulling cells) pair M with N through the
-unchecked ``_linalg.dot``, on points whose types those checks fixed.
+is made, so a polytope's facets are its plane table.  Every crossing of
+the boundary (``Polytope._slacks``, ``hull``, the refinement's pulling
+cells and the fan audits) pairs M with N through ``_linalg.dot``, on
+points whose types those checks fixed.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 from math import gcd
 from operator import itemgetter
 
-from ._linalg import primitive_vector
 from .errors import InputError
 
 
@@ -101,31 +100,6 @@ class NPoint(LatticeVector):
 DUAL_LATTICE = {MPoint: NPoint, NPoint: MPoint}
 
 
-def pairing(x, y) -> int:
-    """Evaluate the canonical pairing M x N -> Z.
-
-    Exactly one argument must be an MPoint and the other an NPoint; the
-    result is the integer dot product.  Same-lattice products are rejected,
-    they are always a sign of confused duals.
-    """
-    kinds = {type(x), type(y)}
-    if kinds != {MPoint, NPoint}:
-        raise InputError(
-            f"pairing needs one M point and one N point, got "
-            f"{type(x).__name__} and {type(y).__name__}"
-        )
-    if len(x) != len(y):
-        raise InputError(f"dimension mismatch: {len(x)} vs {len(y)}")
-    return sum(a * b for a, b in zip(x, y))
-
-
-def primitive(v: LatticeVector) -> LatticeVector:
-    """The primitive vector on the ray through v (gcd of coordinates = 1)."""
-    if v.is_zero():
-        raise InputError("zero vector has no primitive representative")
-    return type(v)(primitive_vector(v))
-
-
 class RationalHyperplane(tuple):
     """Affine hyperplane {x : <x, normal> = offset} generated by its lattice
     points, as the pair (normal, offset): it unpacks, sorts and hashes as
@@ -158,8 +132,3 @@ class RationalHyperplane(tuple):
 
     def __repr__(self):
         return f"RationalHyperplane(normal={self[0]!r}, offset={self[1]!r})"
-
-
-def integral_distance(h: RationalHyperplane, p: LatticeVector) -> int:
-    """Lattice distance |offset - <p, normal>| between a hyperplane and a point."""
-    return abs(h.offset - pairing(p, h.normal))

@@ -147,12 +147,6 @@ class FaceLattice:
         fm = face.fmask
         return [g for g in self.by_dim.get(face.dim - 1, ()) if g.fmask & fm == fm]
 
-    def parents(self, face):
-        """The faces one dimension up containing `face`: those whose facet
-        masks lie in face.fmask."""
-        fm = face.fmask
-        return [g for g in self.by_dim.get(face.dim + 1, ()) if g.fmask & fm == g.fmask]
-
 
 class PointCensus:
     """Every lattice point of a polytope, in lexicographic order, as the keys

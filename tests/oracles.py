@@ -419,7 +419,8 @@ class MemoIntersectionForm:
         self.rays = fan.rays
         self._memo = {}
         self._max_sets = {
-            frozenset(cone.rays): Fraction(1, cone.multiplicity) for cone in fan.maximal_cones
+            frozenset(cone.rays): Fraction(1, abs(naive_det([tuple(r) for r in cone.rays])))
+            for cone in fan.maximal_cones
         }
         self._spanning = set()
         self._star = {}

@@ -95,8 +95,8 @@ def test_non_spanning_support_is_zero(example_form):
 
 def test_smooth_cone_spanning_rays_give_one(p4_form, cross_form):
     for form in (p4_form, cross_form):
-        for cone in form.fan.maximal_cones:
-            if cone.multiplicity == 1:
+        for cone, det in zip(form.fan.maximal_cones, form.fan.dets):
+            if det == 1:
                 assert form.value(cone.rays) == 1
 
 

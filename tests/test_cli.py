@@ -189,6 +189,19 @@ def test_cli_refusals(runner, tmp_path, args, status, message):
         assert json.loads(result.output)["reflexive"] is False
 
 
+@pytest.mark.parametrize(
+    "spec, status",
+    [("((1,0)=1", 2), ("(1,0)))=1", 2), ("((1,0)=1,2=1", 2), ("(1,0)=1", 0), ("(1,0)=1,2=1", 0)],
+)
+def test_divisor_ray_is_one_pair_of_parentheses(runner, spec, status):
+    # a coordinate ray is exactly "(" ints ")": doubled or unbalanced
+    # parentheses are a usage error, not the ray inside them
+    result = runner.invoke(main, ["fan", "nef", "--divisor", spec, fixture_file("pgon_hexagon")])
+    assert result.exit_code == status
+    if status:
+        assert "Error: bad ray coordinates" in result.stderr
+
+
 @pytest.mark.parametrize("spec", ["", "   "])
 @pytest.mark.parametrize("command", [["fan", "nef", "--resolve"], ["chern", "c2"]])
 def test_empty_divisor_is_a_usage_error(runner, command, spec):

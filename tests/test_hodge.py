@@ -110,9 +110,9 @@ def test_h12_example_against_oracle(example_s3):
 
 
 def test_euler_values(example_s3, quintic, cube4):
-    assert hodge.euler(example_s3) == 2 * (4 - 52) == -96
-    assert hodge.euler(quintic) == 2 * (1 - 101) == -200
-    assert hodge.euler(cube4) == 2 * (4 - 68) == -128
+    assert hodge.report(example_s3).euler == 2 * (4 - 52) == -96
+    assert hodge.report(quintic).euler == 2 * (1 - 101) == -200
+    assert hodge.report(cube4).euler == 2 * (4 - 68) == -128
 
 
 def test_mirror_exchange(example_s3, quintic, cube4, cross4):

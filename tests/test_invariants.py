@@ -7,6 +7,7 @@ import inspect
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -154,6 +155,43 @@ def test_every_linalg_kernel_has_a_caller():
     kernel_names = {"_eliminate", "int_det", "dual_basis", "pivot_columns", "matrix_rank", "spans_hyperplane"}
     assert kernel_names <= set(defined)
     assert sorted(set(defined) - live) == []
+
+
+# functions, methods and properties no module of the package reads by name,
+# each kept for a reason outside it
+UNREAD_DEFINITIONS = {
+    # held by the bench, which wraps them (ROADMAP item 12's worklist)
+    "chern_report": "bench/spans.py wraps chern.chern_report",
+    "dual_face": "bench/spans.py wraps Polytope.dual_face",
+    # public entry points
+    "euler_characteristic": "chern's ring chi, the check against Batyrev's count",
+    "fixture_polytope": "a bundled fixture by name, as the README tour reads it",
+    "zero": "WeilDivisor.zero, the zero divisor beside ray and anticanonical",
+}
+
+
+def _read_names(root):
+    """Each name and attribute read under `root`, with repeats."""
+    for node in ast.walk(root):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_every_function_has_a_reader():
+    # a function, method or property is read if a module of the package
+    # names it outside its own body; the language reads the dunders
+    reads, own, defined = Counter(), Counter(), set()
+    for path in PACKAGE.rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads.update(_read_names(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add(node.name)
+                own[node.name] += sum(name == node.name for name in _read_names(node))
+    unread = {n for n in defined if reads[n] <= own[n] and not (n.startswith("__") and n.endswith("__"))}
+    assert sorted(unread) == sorted(UNREAD_DEFINITIONS)
 
 
 def _mark_a_boundary_point_interior(p):
@@ -316,7 +354,7 @@ SQUARE = [MPoint(p) for p in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
         (InputError, lambda: Cone(())),
         (InputError, lambda: Cone((_e(0), _e(1), _e(0)))),
         (InputError, lambda: Cone((_e(0), NPoint((0, 2, 0, 0))))),
-        (NotSimplicialError, lambda: Cone((_e(0), _e(1))).multiplicity),
+        (InputError, lambda: _flat_fan().dets),
         (NotSimplicialError, lambda: _cross4d_face_fan().edges()),
         (NotSimplicialError, lambda: _cross4d_face_fan().dets),
         (NotSimplicialError, lambda: IntersectionForm(_cross4d_face_fan())),
