@@ -17,10 +17,13 @@ multiplying by X = -K on the simplicial fan.  With c(V) = prod_u (1 + D_u),
 c_k(V) is the sum of W(g) over the k-cones; c2(X) . L =
 c2(V) . X . L and, by adjunction, chi(X) = (c3(V) - c2(V) . X) . X.
 
-The form reads the fan's maximal cones and dual bases; divisors become
-integer coefficients through :meth:`~cytoric.fan.Fan.scaled_coeffs`, and
-the fan's :attr:`~cytoric.fan.Fan.is_fine` shows it is the full crepant
-refinement.
+The form reads the fan's maximal cones and dual bases and numbers the
+k-cones of each level k, so a class on the k-cones is one list of integer
+numerators over one denominator, indexed by those numbers.  Divisors
+become integer coefficients through
+:meth:`~cytoric.fan.Fan.scaled_coeffs`, made dense over the rays once per
+product, and the fan's :attr:`~cytoric.fan.Fan.is_fine` shows it is the
+full crepant refinement.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import lcm
 from operator import mul
 
@@ -42,22 +46,29 @@ from .polytope import Polytope
 class IntersectionForm:
     """The Chow ring of a simplicial complete 4-fan, built once.
 
-    Cones are ascending tuples of ray indices.  `_cones[g]` holds the
-    determinant det of g's host (the first maximal cone containing g),
-    M / det for the lcm M of all maximal cones' determinants, and g's links
-    in two kinds.  A host link (u, g + u) has u a ray of the host, so
+    Cones are ascending tuples of ray indices, numbered level by level (a
+    cone's level is its number of rays): level 0 is the origin, level 1
+    the rays in ray order, levels 2 and 3 the faces in the order the build
+    pass first meets them, and level 4 the maximal cones in the fan's cone
+    order.  `_levels[k][i]` is the row (g, det, M / det, host links, cross
+    links) of cone i on level k < 4: det is the determinant of g's host
+    (the first maximal cone containing g), M the lcm of all maximal cones'
+    determinants, and each link names its child g + u by its number on
+    level k + 1.  A host link (u, child) has u a ray of the host, so
     <m_i, u> = 0 for the host's dual basis m_i, as <n_i, v_j> =
     det * (i == j): one multiply in the product rule.  A cross link
-    (u, g + u, c) has <m_i, u> = c_i / det.  `_top[g]` is M / mult(g) for
-    the maximal cones.  Classes are integer numerators on the W(g) over one
-    denominator.
+    (u, child, c) has <m_i, u> = c_i / det.  `_top[i]` is M / mult for
+    maximal cone i.  A class on level k is (k, integer numerators on the
+    W(g), one per cone of the level, one denominator), and a divisor is
+    (integer coefficients, one per ray, one denominator).
 
     The table is one pass over the maximal cones.  Each, with rays
     a < b < e < d and dual basis n_a .. n_d, walks its faces as literal
-    tuples, smallest first, then itself.  A face h not yet in the table is
-    new at its host, this cone: it takes the host's det and the n_i at its
-    rays, and for each ray u of h the face g = h - u gets the link (u, h):
-    a host link if g is new at this cone too, else a cross link with c the
+    tuples, smallest first, then itself.  A face h not yet numbered is new
+    at its host, this cone: it takes the next number on its level (its own
+    ray index on level 1), the host's det and the n_i at its rays, and for
+    each ray u of h the face g = h - u gets the link (u, h's number): a
+    host link if g is new at this cone too, else a cross link with c the
     dot products of g's dual vectors with ray u.  So each (face, link ray)
     pair comes out once, from the larger face.
     """
@@ -73,85 +84,103 @@ class IntersectionForm:
         vs = list(map(tuple, fan.rays))
         tops, dets = fan.cones, fan.dets
         m = self._lcm = lcm(*dets)
-        self._top = {top: m // det for top, det in zip(tops, dets)}
+        self._top = [m // det for det in dets]
         # the origin: every ray links it; det 1 and M keep det * M / det = M
         origin = []
-        cones = self._cones = {(): (1, m, origin, ())}
+        ones, twos, threes = [None] * len(vs), [], []
+        self._levels = ([((), 1, m, origin, ())], ones, twos, threes)
         at = {}  # face -> (its host, its two link lists, the host's n_i at its rays)
         for c, (top, (na, nb, ne, nd), det) in enumerate(zip(tops, fan.duals, dets)):
             a, b, e, d = top
             w = m // det
             for h, n in (((a,), na), ((b,), nb), ((e,), ne), ((d,), nd)):
-                if h not in cones:
+                if h not in at:
                     host, cross = [], []
-                    cones[h] = (det, w, host, cross)
+                    u = h[0]
+                    ones[u] = (h, det, w, host, cross)
                     at[h] = (c, host, cross, n)
-                    origin.append((h[0], h))
+                    origin.append((u, u))
             for h, ns in (((a, b), (na, nb)), ((a, e), (na, ne)), ((a, d), (na, nd)),
                           ((b, e), (nb, ne)), ((b, d), (nb, nd)), ((e, d), (ne, nd))):
-                if h not in cones:
+                if h not in at:
                     host, cross = [], []
-                    cones[h] = (det, w, host, cross)
+                    k = len(twos)
+                    twos.append((h, det, w, host, cross))
                     at[h] = (c, host, cross, ns)
                     u0, u1 = h
                     for g, u in (((u1,), u0), ((u0,), u1)):
                         gc, host_g, cross_g, (p0, p1, p2, p3) = at[g]
                         if gc == c:
-                            host_g.append((u, h))
+                            host_g.append((u, k))
                         else:
                             x0, x1, x2, x3 = vs[u]
-                            cross_g.append((u, h, (p0 * x0 + p1 * x1 + p2 * x2 + p3 * x3,)))
+                            cross_g.append((u, k, (p0 * x0 + p1 * x1 + p2 * x2 + p3 * x3,)))
             for h, ns in (((a, b, e), (na, nb, ne)), ((a, b, d), (na, nb, nd)),
                           ((a, e, d), (na, ne, nd)), ((b, e, d), (nb, ne, nd))):
-                if h not in cones:
+                if h not in at:
                     host, cross = [], []
-                    cones[h] = (det, w, host, cross)
+                    k = len(threes)
+                    threes.append((h, det, w, host, cross))
                     at[h] = (c, host, cross, ns)
                     u0, u1, u2 = h
                     for g, u in (((u1, u2), u0), ((u0, u2), u1), ((u0, u1), u2)):
                         gc, host_g, cross_g, ((p0, p1, p2, p3), (q0, q1, q2, q3)) = at[g]
                         if gc == c:
-                            host_g.append((u, h))
+                            host_g.append((u, k))
                         else:
                             x0, x1, x2, x3 = vs[u]
-                            cross_g.append((u, h, (p0 * x0 + p1 * x1 + p2 * x2 + p3 * x3,
+                            cross_g.append((u, k, (p0 * x0 + p1 * x1 + p2 * x2 + p3 * x3,
                                                    q0 * x0 + q1 * x1 + q2 * x2 + q3 * x3)))
             for g, u in (((b, e, d), a), ((a, e, d), b), ((a, b, d), e), ((a, b, e), d)):
                 gc, host_g, cross_g, ((p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3)) = at[g]
                 if gc == c:
-                    host_g.append((u, top))
+                    host_g.append((u, c))
                 else:
                     x0, x1, x2, x3 = vs[u]
-                    cross_g.append((u, top, (p0 * x0 + p1 * x1 + p2 * x2 + p3 * x3,
-                                             q0 * x0 + q1 * x1 + q2 * x2 + q3 * x3,
-                                             r0 * x0 + r1 * x1 + r2 * x2 + r3 * x3)))
-        self._all_rays = (dict.fromkeys(range(len(fan.rays)), 1), 1)
+                    cross_g.append((u, c, (p0 * x0 + p1 * x1 + p2 * x2 + p3 * x3,
+                                           q0 * x0 + q1 * x1 + q2 * x2 + q3 * x3,
+                                           r0 * x0 + r1 * x1 + r2 * x2 + r3 * x3)))
+        self._size = [1, len(ones), len(twos), len(threes), len(tops)]
+        self._all_rays = ([1] * len(vs), 1)
+
+    def _dense(self, divisor):
+        """A divisor (ray index -> integer coefficient, denominator) with
+        its coefficients dense over the rays."""
+        coeffs, scale = divisor
+        a = [0] * len(self.rays)
+        for i, x in coeffs.items():
+            a[i] = x
+        return a, scale
 
     def _times(self, cls, divisor):
-        """The class `cls` = (cone -> numerator, denominator) times a divisor
-        (ray index -> integer coefficient, denominator), by the product rule."""
-        coeffs, scale = divisor
-        out = {}
-        for g, x in cls[0].items():
-            det, w, host, cross = self._cones[g]
-            xw = x * w
+        """The class `cls` = (level k, numerators, denominator) times a dense
+        divisor, by the product rule: a class on level k + 1."""
+        k, xs, den = cls
+        a, scale = divisor
+        out = [0] * self._size[k + 1]
+        rows = self._levels[k]
+        for i in compress(range(len(xs)), xs):  # the cones the class is nonzero on
+            g, det, w, host, cross = rows[i]
+            xw = xs[i] * w
             xwd = xw * det
             for u, child in host:
-                a = coeffs.get(u)
-                if a:
-                    out[child] = out.get(child, 0) + xwd * a
-            ag = [coeffs.get(i, 0) for i in g]
+                au = a[u]
+                if au:
+                    out[child] += xwd * au
+            ag = [a[v] for v in g]
             for u, child, c in cross:
-                y = det * coeffs.get(u, 0) - sum(map(mul, ag, c))
+                y = det * a[u] - sum(map(mul, ag, c))
                 if y:
-                    out[child] = out.get(child, 0) + xw * y
-        return out, cls[1] * scale * self._lcm
+                    out[child] += xw * y
+        return k + 1, out, den * scale * self._lcm
 
-    def _degree(self, divisors, cls=({(): 1}, 1)) -> Fraction:
-        """Degree of the class `cls` (by default V(0) = [V]) times the divisors."""
+    def _degree(self, divisors, cls=(0, (1,), 1)) -> Fraction:
+        """Degree of the class `cls` (by default V(0) = [V], on level 0)
+        times the dense divisors, which bring it to level 4."""
         for d in divisors:
             cls = self._times(cls, d)
-        return Fraction(sum(x * self._top[g] for g, x in cls[0].items()), cls[1] * self._lcm)
+        _, xs, den = cls
+        return Fraction(sum(map(mul, xs, self._top)), den * self._lcm)
 
     def value(self, multiset) -> Fraction:
         """Intersection number of the four prime divisors in `multiset`
@@ -160,15 +189,15 @@ class IntersectionForm:
         if len(multiset) != 4:
             raise InputError("the form takes exactly four divisors")
         try:
-            divisors = [({self.fan.ray_index(r): 1}, 1) for r in multiset]
+            divisors = [self._dense(({self.fan.ray_index(r): 1}, 1)) for r in multiset]
         except KeyError:
             return Fraction(0)  # a ray off the fan: its divisor is zero
         return self._degree(divisors)
 
     @cached_property
     def _c2_x(self):
-        """c2(V) . X, a class on the 3-cones."""
-        return self._times(({g: 1 for g in self._cones if len(g) == 2}, 1), self._all_rays)
+        """c2(V) . X, a class on level 3."""
+        return self._times((2, [1] * self._size[2], 1), self._all_rays)
 
     @cached_property
     def _c2_rays(self):
@@ -176,15 +205,16 @@ class IntersectionForm:
         denominator: each wall's term of c2(V) . X times D_l by the product
         rule, scattered over the rays in one pass."""
         f = [0] * len(self.rays)
-        walls, den = self._c2_x
-        for wall, x in walls.items():
-            det, w, host, cross = self._cones[wall]
-            for u, top in host:
-                f[u] += x * w * self._top[top] * det
-            for u, top, c in cross:
-                y = x * w * self._top[top]
+        top = self._top
+        _, xs, den = self._c2_x
+        for x, (wall, det, w, host, cross) in zip(xs, self._levels[3]):
+            xw = x * w
+            for u, c in host:
+                f[u] += xw * top[c] * det
+            for u, c, cs in cross:
+                y = xw * top[c]
                 f[u] += y * det
-                for i, ci in zip(wall, c):
+                for i, ci in zip(wall, cs):
                     f[i] -= y * ci
         return f, den * self._lcm**2
 
@@ -193,18 +223,16 @@ def intersection_number(form, d1, d2, d3, d4) -> Fraction:
     """d1 . d2 . d3 . d4 for rational divisor combinations: V(0) times each
     divisor in turn by the product rule, then the degree."""
     form = _as_form(form)
-    return form._degree([form.fan.scaled_coeffs(d) for d in (d1, d2, d3, d4)])
+    return form._degree([form._dense(form.fan.scaled_coeffs(d)) for d in (d1, d2, d3, d4)])
 
 
 def euler_characteristic(fan_or_form) -> Fraction:
     """chi of the anticanonical hypersurface from the intersection ring,
     (c3(V) - c2(V) . X) . X; Batyrev's count gives 2 (h11 - h12)."""
     form = _as_form(fan_or_form)
-    c2x, den = form._c2_x
-    cls = {g: den for g in form._cones if len(g) == 3}  # c3(V), over den
-    for g, x in c2x.items():
-        cls[g] -= x
-    return form._degree([form._all_rays], (cls, den))
+    _, c2x, den = form._c2_x
+    cls = [den - x for x in c2x]  # c3(V) - c2(V) . X on level 3, over den
+    return form._degree([form._all_rays], (3, cls, den))
 
 
 def _as_form(fan_or_form) -> IntersectionForm:

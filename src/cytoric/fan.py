@@ -253,7 +253,7 @@ class Fan:
             b = [-sum(map(mul, n, v)) for n in duals]
             b.append(det)
             g = math.gcd(*b)
-            out.append((cones[ci] + (u,), tuple([x // g for x in b])))
+            out.append((cones[ci] + (u,), tuple(b) if g == 1 else tuple([x // g for x in b])))
         return tuple(out)
 
     def edges(self):
@@ -327,9 +327,11 @@ def _pull_triangulate_facet(dual: Polytope, facet, points):
     The walls of q * F are F and, for each ridge R = F & G of the cell (R
     lies on exactly two walls; on a simplex every two walls meet in one),
     q * R with normal (v_F * n_G - v_G * n_F) / g, g the gcd of its
-    entries.  A held point with values w lies on that wall at
-    (v_F * w_G - v_G * w_F) / g, so which pyramids hold it (all values >= 0)
-    and the values it carries there cost two products per wall.
+    entries.  When v_G > 0 too, q * R is also a wall of the twin pyramid
+    q * G: the split computes it once, keeps it with its g, and gives the
+    twin the negated normal.  A held point with values w lies on that wall
+    at (v_F * w_G - v_G * w_F) / g, so which pyramids hold it (all values
+    >= 0) and the values it carries there cost two products per wall.
     Returns the simplices as frozensets of rays.
     """
     i = facet.fmask.bit_length() - 1  # a facet's mask is its own bit
@@ -358,6 +360,7 @@ def _pull_triangulate_facet(dual: Polytope, facet, points):
             cell.held = None
             walls = cell.walls
             simplex = cell.rays.bit_count() == d
+            twins = {}  # (a, b) -> q * (F_a & F_b) as pyramid b built it: normal, rays, gcd
             for a, (n_f, on_f) in enumerate(walls):
                 v_f = values[a]
                 if v_f == 0:
@@ -365,13 +368,23 @@ def _pull_triangulate_facet(dual: Polytope, facet, points):
                 pyramid = [(n_f, on_f)]
                 cuts = []
                 for b, (n_g, on_g) in enumerate(walls):
+                    v_g = values[b]
+                    if b < a and v_g:  # pyramid b is built and holds the twin of the wall
+                        twin = twins.get((a, b))
+                        if twin:
+                            normal, on, g = twin
+                            pyramid.append((tuple(map(neg, normal)), on))
+                            cuts.append((b, v_g, g))
+                        continue
                     ridge = on_f & on_g
                     if b != a and (simplex or sum(ridge & on == ridge for _, on in walls) == 2):
-                        v_g = values[b]
                         normal = [v_f * x - v_g * y for x, y in zip(n_g, n_f)]
                         g = math.gcd(*normal)
-                        pyramid.append((tuple(x // g for x in normal), ridge | bit_q))
+                        normal = tuple([x // g for x in normal])
+                        pyramid.append((normal, ridge | bit_q))
                         cuts.append((b, v_g, g))
+                        if v_g:
+                            twins[b, a] = (normal, ridge | bit_q, g)
                 inside = {}
                 for p, w in held.items():
                     w_f = w[a]
@@ -602,6 +615,6 @@ def is_nef(fan: Fan, divisor: WeilDivisor) -> bool:
     scaled, _ = fan.scaled_coeffs(divisor)
     a = [scaled.get(i, 0) for i in range(len(fan.rays))]
     return all(
-        sum(b * a[i] for i, b in zip(indices, coeffs)) >= 0
+        sum(map(mul, coeffs, map(a.__getitem__, indices))) >= 0
         for indices, coeffs in fan.relations
     )

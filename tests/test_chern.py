@@ -154,9 +154,15 @@ def test_value_matches_memo_oracle_on_random_supports(forms):
     assert 300 < spanning < 600
 
 
+def _numbered_faces(form):
+    """The cones of each level of the form by number, levels 0 to 4."""
+    return [[row[0] for row in level] for level in form._levels] + [list(form.fan.cones)]
+
+
 def test_form_cones_match_combination_oracle(example_form):
     # the one-pass form against the old subset loop that dotted every
-    # (face, link ray) pair: same host, link and pairings for every face.
+    # (face, link ray) pair: same host, link and pairings for every face,
+    # each link's child read back from its number on the next level.
     # Host links are exactly the oracle's entries whose link ray is a ray
     # of the face's host, each with c all zero, and cross links the rest;
     # the empty face has det 1 here, the oracle its host's (the same
@@ -171,8 +177,16 @@ def test_form_cones_match_combination_oracle(example_form):
             for k in range(1, 4):
                 for g in itertools.combinations(top, k):
                     host_of.setdefault(g, set(top))
-        assert form._cones.keys() == expected.keys()
-        for g, (det, w, host, cross) in form._cones.items():
+        faces = _numbered_faces(form)
+        table = {}
+        for k, level in enumerate(form._levels):
+            for g, det, w, host, cross in level:
+                host = [(u, faces[k + 1][i]) for u, i in host]
+                cross = [(u, faces[k + 1][i], c) for u, i, c in cross]
+                table[g] = (det, w, host, cross)
+        assert len(table) == sum(map(len, form._levels))
+        assert table.keys() == expected.keys()
+        for g, (det, w, host, cross) in table.items():
             entries = [(u, h, (0,) * len(g)) for u, h in host] + list(cross)
             assert len(set(entries)) == len(entries)
             if g:
@@ -184,6 +198,36 @@ def test_form_cones_match_combination_oracle(example_form):
             else:
                 assert det * w == expected[g][0] * expected[g][1] and set(entries) == expected[g][2]
                 assert not cross
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: hull(fixture_points("cross4d")),
+        lambda: ray_simplex((1, 2, 2, 2)),
+        lambda: ray_simplex((1, 1, 1, 4)),
+    ],
+    ids=["cross4d", "wp11222_mirror", "wp11114_mirror"],
+)
+def test_form_numbers_each_face_once_per_level(make):
+    # level 1 is the ray order and level 4 the fan's cone order; levels 2
+    # and 3 number every 2- and 3-subset of a maximal cone exactly once;
+    # every link's child number names the face g + u on the next level
+    fan = mpcp_triangulate(make())
+    form = IntersectionForm(fan)
+    faces = _numbered_faces(form)
+    assert faces[0] == [()]
+    assert faces[1] == [(i,) for i in range(len(fan.rays))]
+    assert form._size[4] == len(fan.cones)
+    assert form._top == [form._lcm // det for det in fan.dets]
+    for k in range(1, 4):
+        subsets = {g for top in fan.cones for g in itertools.combinations(top, k)}
+        assert len(faces[k]) == len(set(faces[k])) == len(subsets) == form._size[k]
+        assert set(faces[k]) == subsets
+    for k, level in enumerate(form._levels):
+        for g, _, _, host, cross in level:
+            for u, child, *_ in [*host, *cross]:
+                assert faces[k + 1][child] == tuple(sorted(g + (u,)))
 
 
 @pytest.mark.parametrize("name", ["quintic", "cube", "example_s3"])
@@ -424,13 +468,14 @@ def assert_riemann_roch(form):
     restricts to a Cartier divisor on it: D^3 . X and c2 . D are integers,
     and so is chi(O_X(D)) = D^3 / 6 + c2 . D / 12 (Hirzebruch-Riemann-
     Roch), that is 2 D^3 + c2 . D = 0 mod 12.  D^3 . X starts from
-    D . V(0) = W(D), the class of D's own ray, so each ray sweeps its star
-    only; c2 . D is the form's sweep over all rays at once."""
+    D . V(0) = W(D), the one-hot level-1 class of D's own ray, so each ray
+    sweeps its star only; c2 . D is the form's sweep over all rays at once."""
     numerators, den = form._c2_rays
     for i, n in enumerate(numerators):
         c2 = Fraction(n, den)
-        ray = ({i: 1}, 1)
-        cube = form._degree([ray, ray, form._all_rays], ({(i,): 1}, 1))
+        one_hot = [0] * len(form.rays)
+        one_hot[i] = 1
+        cube = form._degree([(one_hot, 1), (one_hot, 1), form._all_rays], (1, one_hot, 1))
         assert cube.denominator == 1 and c2.denominator == 1, form.rays[i]
         assert (2 * cube + c2) % 12 == 0, form.rays[i]
 
