@@ -2,22 +2,34 @@
 and divisor-level audits: cone multiplicities, Q-Cartier tests, Picard
 ranks over Q, and nef checks.
 
-The refinement engine triangulates the cone over each facet of the dual
-polytope with an iterated pulling subdivision driven by one global point
-order.  Cells are cones in the ambient lattice, each kept as its rays, its
-walls (primitive integer normals with the rays on them) and the later
-points it holds with their values on those walls, a conflict list
+The refinement triangulates the cone over each facet of the dual
+polytope by iterated pulling in one global point order, points on fewer
+facets first.  A face's relative-interior points lie on exactly its
+facets and its boundary points on more, so the order pulls every face's
+interior before its boundary, and a pulling triangulation restricted to
+a face is the pulling of that face's own points (De Loera, Rambau and
+Santos, Triangulations, 4.3).  So the pulls run face by face: a face
+pulls only its relative-interior points, each cell is then S * G with S
+those of its rays and G the face of the boundary the others span, and
+pulling a later point q of G turns S * G into S * (q * H) over the faces
+H of G missing q, which is pulling G alone.  So the cell ends as S
+joined to each simplex of G's own triangulation, built once per face.  A
+face with no relative-interior point pulls all its points, an edge is
+its unit segments and a vertex is itself.  One engine does every pull,
+in the cone over the face in the ambient lattice: a cell keeps its rays,
+its walls (primitive integer normals with the rays on them) and the
+later points it holds with their values on those walls, a conflict list
 (Clarkson-Shor).  A point's values on a pyramid's new walls are integer
 combinations of its values on the old ones, so after the first cell no
 point is dotted with a wall again, and pulling a point visits only the
-cells that hold it: no chart, no hull, no scan over all cells.  Pulling at
-every available lattice point makes the triangulation fine (all boundary
-points become rays) and face-local (shared 2-faces of adjacent facets are
-split identically), and pulling refinements of the trivial subdivision are
-regular, which is what makes the refined variety projective.  The refined
-fan is checked with one dual basis per cone: a nonzero determinant shows
-the cone simplicial, and the determinants sum to the dual's normalized
-volume.
+cells that hold it: no chart, no hull, no scan over all cells.  Pulling
+at every available lattice point makes the triangulation fine (all
+boundary points become rays) and face-local (shared faces of adjacent
+facets are split identically), and pulling refinements of the trivial
+subdivision are regular, which is what makes the refined variety
+projective.  The refined fan is checked with one dual basis per cone: a
+nonzero determinant shows the cone simplicial, and the determinants sum
+to the dual's normalized volume.
 
 The nef test is toric Kleiman on the wall relations (Cox-Little-Schenck,
 Toric Varieties, Thm 6.3.12 and 6.4): a divisor is nef iff it pairs
@@ -42,9 +54,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
-from operator import mul, neg
+from operator import and_, mul, neg
 
 from ._linalg import (
     dot,
@@ -289,7 +301,7 @@ def face_fan(delta: Polytope) -> Fan:
 
 class _Cell:
     """A cell of a pulling triangulation: its rays and its walls as (primitive
-    normal, rays on the wall), ray sets as bitmasks over the facet's points,
+    normal, rays on the wall), ray sets as bitmasks over the face's points,
     and `held`, each later point it holds with its values <n, p> on the walls."""
 
     __slots__ = ("rays", "walls", "held")
@@ -300,54 +312,59 @@ class _Cell:
         self.held = held
 
 
-def _facet_points(dual: Polytope):
-    """Each facet of `dual` with its lattice points in the global pull order:
-    points on fewer facets first, ties lexicographic."""
+def _pull_order(dual: Polytope):
+    """The boundary points of `dual` in the global pull order: points on
+    fewer facets first, ties lexicographic.  A face's relative-interior
+    points lie on exactly its facets and its boundary points on more, so
+    every face's relative-interior points come before its boundary points."""
     face_of = dual.census().face_of
-    order = sorted(dual.boundary_points(), key=lambda p: (face_of[p].bit_count(), tuple(p)))
-    for facet in dual.faces(dual.dim - 1):
-        # a facet's mask is its one bit, so sharing it is lying on the facet
-        yield facet, [p for p in order if face_of[p] & facet.fmask]
+    return sorted(dual.boundary_points(), key=lambda p: (face_of[p].bit_count(), tuple(p)))
 
 
-def _pull_triangulate_facet(dual: Polytope, facet, points):
-    """Iterated pulling triangulation of the cone over one dual facet, with
-    `points` (the facet's lattice points) in the global pull order.
+def _pull_triangulate_face(dual: Polytope, face, points):
+    """Iterated pulling triangulation of the cone over one face of the dual,
+    pulling `points` (lattice points of the face) in the order given; the
+    face's vertices are the first cell's rays whether listed or not.
 
     A cell is a cone in the ambient lattice: its rays, its walls as
     (primitive normal, nonnegative on the cell; rays on the wall), and the
     later points it holds with their values on its walls (a conflict list,
-    Clarkson-Shor).  Ray sets are int bitmasks over `points`, so a ridge
-    test is one AND.  The first cell has one wall per ridge of the dual in
-    the facet: on facet i, where <m_i, x> = -1, the ridge shared with facet
-    j is <m_j - m_i, x> = 0; it holds every point, one dot product per wall.
-    A map from each point to the cells holding it means pulling q visits
-    only those.  Pulling q into a cell that is not already a pyramid with
-    apex q gives the pyramids q * F over the walls F with v_F = <n_F, q> > 0.
-    The walls of q * F are F and, for each ridge R = F & G of the cell (R
-    lies on exactly two walls; on a simplex every two walls meet in one),
-    q * R with normal (v_F * n_G - v_G * n_F) / g, g the gcd of its
-    entries.  When v_G > 0 too, q * R is also a wall of the twin pyramid
-    q * G: the split computes it once, keeps it with its g, and gives the
-    twin the negated normal.  A held point with values w lies on that wall
-    at (v_F * w_G - v_G * w_F) / g, so which pyramids hold it (all values
-    >= 0) and the values it carries there cost two products per wall.
+    Clarkson-Shor).  Ray sets are int bitmasks over the points, so a ridge
+    test is one AND.  The first cell has one wall per facet G of the face:
+    with facet i of the dual through the face, where <m_i, x> = -1, and
+    facet k through G but not the face, the wall is <m_k - m_i, x> = 0,
+    which is positive on the rest of the face; the first cell holds every
+    point, one dot product per wall.  A map from each point to the cells
+    holding it means pulling q visits only those.  Pulling q into a cell
+    that is not already a pyramid with apex q gives the pyramids q * F
+    over the walls F with v_F = <n_F, q> > 0.  The walls of q * F are F
+    and, for each ridge R = F & G of the cell (R lies on exactly two walls;
+    on a simplex every two walls meet in one), q * R with normal
+    (v_F * n_G - v_G * n_F) / g, g the gcd of its entries.  When v_G > 0
+    too, q * R is also a wall of the twin pyramid q * G: the split computes
+    it once, keeps it with its g, and gives the twin the negated normal.  A
+    held point with values w lies on that wall at (v_F * w_G - v_G * w_F) /
+    g, so which pyramids hold it (all values >= 0) and the values it
+    carries there cost two products per wall.  Below a facet, G may lie on
+    several facets k off the face; on the face's span their walls differ by
+    a positive factor, which no sign test sees, so the highest one serves.
     Returns the simplices as frozensets of rays.
     """
-    i = facet.fmask.bit_length() - 1  # a facet's mask is its own bit
+    i = face.fmask.bit_length() - 1
     m_i = dual.facets[i].normal
     bit = {p: 1 << k for k, p in enumerate(points)}
+    for v in face.vertices:
+        bit.setdefault(v, 1 << len(bit))
     walls = []
-    for ridge in dual.faces(dual.dim - 2):
-        if ridge.fmask & facet.fmask:
-            j = (ridge.fmask ^ facet.fmask).bit_length() - 1  # a ridge lies on two facets
-            normal = [a - b for a, b in zip(dual.facets[j].normal, m_i)]
-            walls.append((primitive_vector(normal), sum(bit[v] for v in ridge.vertices)))
-    rays = sum(bit[v] for v in facet.vertices)
+    for g in dual.faces().children(face):
+        k = (g.fmask & ~face.fmask).bit_length() - 1
+        normal = [a - b for a, b in zip(dual.facets[k].normal, m_i)]
+        walls.append((primitive_vector(normal), sum(bit[v] for v in g.vertices)))
+    rays = sum(bit[v] for v in face.vertices)
     first = _Cell(rays, walls, {p: [dot(n, p) for n, _ in walls] for p in points})
     cells = [first]
     cells_of = {p: [first] for p in points}  # split cells are dropped lazily
-    d = dual.dim
+    d = face.dim + 1
     for q in points:
         bit_q = bit[q]
         for cell in cells_of.pop(q):
@@ -400,24 +417,79 @@ def _pull_triangulate_facet(dual: Polytope, facet, points):
                 cells.append(cell_f)
                 for p in inside:
                     cells_of[p].append(cell_f)
-    return [frozenset(map(points.__getitem__, _bits(c.rays))) for c in cells if c.held is not None]
+    pool = list(bit)
+    return [frozenset(map(pool.__getitem__, _bits(c.rays))) for c in cells if c.held is not None]
+
+
+def _face_cells(dual: Polytope, face, order, inner, memo):
+    """The pulling triangulation of one face of the dual in the global pull
+    `order`, as frozensets of rays, built once per face into `memo` by
+    facet mask; `inner` maps a facet mask to its face's relative-interior
+    points in that order.  A vertex is itself, an edge its unit segments in
+    lexicographic order, and a face with no relative-interior point pulls
+    all its points.  Any other face pulls only those: each cell is then
+    S * G, S its rays inside the face and G the face its other rays span
+    (the AND of their facet masks), and ends as S joined to each of G's
+    cells, as the module docstring shows; a cell with no other rays is
+    final.  A module function, as a recursive closure would be a reference
+    cycle.
+    """
+    fm = face.fmask
+    out = memo.get(fm)
+    if out is not None:
+        return out
+    interior = inner.get(fm, [])
+    if face.dim == 0:
+        out = [frozenset(face.vertices)]
+    elif face.dim == 1:
+        line = sorted([*face.vertices, *interior])
+        out = [frozenset(pair) for pair in zip(line, line[1:])]
+    elif not interior:
+        face_of = dual.census().face_of
+        out = _pull_triangulate_face(dual, face, [p for p in order if face_of[p] & fm == fm])
+    else:
+        face_of, by_fmask = dual.census().face_of, dual.faces().by_fmask
+        inside, out = frozenset(interior), []
+        for cell in _pull_triangulate_face(dual, face, interior):
+            s = cell & inside
+            rest = cell - s
+            if not rest:
+                out.append(cell)
+                continue
+            g = by_fmask[reduce(and_, map(face_of.__getitem__, rest))]
+            out += [s | t for t in _face_cells(dual, g, order, inner, memo)]
+    memo[fm] = out
+    return out
+
+
+def _pull_cells(dual: Polytope):
+    """The simplices of the pulling triangulation of every facet of `dual`,
+    as frozensets of rays: each facet through :func:`_face_cells`, with
+    one memo for the call, so every face is triangulated once."""
+    order, face_of = _pull_order(dual), dual.census().face_of
+    inner, memo = {}, {}
+    for p in order:
+        inner.setdefault(face_of[p], []).append(p)
+    return [cell for facet in dual.faces(dual.dim - 1) for cell in _face_cells(dual, facet, order, inner, memo)]
 
 
 def mpcp_triangulate(delta: Polytope) -> Fan:
     """Crepant simplicial refinement of the face fan whose rays are all the
     boundary lattice points of the dual polytope.
 
-    The cone over each dual facet is triangulated by iterated pulling with
-    one global point order, points on fewer facets first and ties
-    lexicographic (see :func:`_pull_triangulate_facet`), so the result is
-    fine, face-respecting, and regular by construction.
+    The cone over each dual facet is triangulated by iterated pulling of
+    all its lattice points in one global order, points on fewer facets
+    first and ties lexicographic (:func:`_pull_order`), so the result is
+    fine, face-respecting, and regular by construction.  That order puts
+    every face's relative-interior points before its boundary points, and
+    a pulling triangulation restricted to a face is the pulling of the
+    face's own points (De Loera, Rambau and Santos, Triangulations, 4.3),
+    so the pulls run face by face (:func:`_face_cells`): a face pulls only
+    its relative-interior points and joins each cell to the triangulation
+    of the boundary face under it, which is built once per call.
     """
     dual = _require_reflexive(delta, "refinement")
-    cones = [
-        Cone._from_rays(simplex)  # boundary points are primitive
-        for facet, points in _facet_points(dual)
-        for simplex in _pull_triangulate_facet(dual, facet, points)
-    ]
+    cones = [Cone._from_rays(cell) for cell in _pull_cells(dual)]  # boundary points are primitive
     fan = Fan(cones, "mpcp", delta)
     _validate_mpcp(fan)
     return fan

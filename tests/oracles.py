@@ -287,11 +287,22 @@ def fraction_picard_rank(fan):
     return n - len(fraction_rref(rows)[1]) - fan.dim
 
 
-def pull_every_cell(dual, facet, points):
-    """Iterated pulling triangulation of the cone over one facet of `dual`,
-    testing each pulled point against every cell by dot products with its
-    walls; returns the cells as frozensets of rays.  Cells, walls and the
-    pyramid rule are those of the refinement, with no conflict lists."""
+def facet_points(dual, order):
+    """Each facet of `dual` with its lattice points in `order`, a list of
+    the boundary points: what pulling every point of every facet reads."""
+    face_of = dual.census().face_of
+    for facet in dual.faces(dual.dim - 1):
+        yield facet, [p for p in order if face_of[p] & facet.fmask]
+
+
+def pull_every_cell(dual, face, points):
+    """Iterated pulling triangulation of the cone over one face of `dual`,
+    pulling `points` in order and testing each against every cell by dot
+    products with its walls; returns the cells as frozensets of rays.
+    Cells, walls and the pyramid rule are those of the refinement, with no
+    conflict lists; a wall of the first cell is read off the lowest facet
+    through the face and the lowest facet through the wall but not the
+    face."""
 
     def primitive(v):
         g = vec_gcd(v)
@@ -300,14 +311,14 @@ def pull_every_cell(dual, facet, points):
     def indices(mask):
         return [k for k in range(mask.bit_length()) if mask >> k & 1]
 
-    (i,) = indices(facet.fmask)
+    i = indices(face.fmask)[0]
     m_i = dual.facets[i].normal
     walls = []
-    for ridge in dual.faces(dual.dim - 2):
-        if i in indices(ridge.fmask):
-            (j,) = indices(ridge.fmask & ~facet.fmask)
-            walls.append((primitive([a - b for a, b in zip(dual.facets[j].normal, m_i)]), frozenset(ridge.vertices)))
-    cells = [(frozenset(facet.vertices), walls)]
+    for g in dual.faces(face.dim - 1):
+        if g.fmask & face.fmask == face.fmask:
+            k = indices(g.fmask & ~face.fmask)[0]
+            walls.append((primitive([a - b for a, b in zip(dual.facets[k].normal, m_i)]), frozenset(g.vertices)))
+    cells = [(frozenset(face.vertices), walls)]
     for q in points:
         pulled = []
         for rays, walls in cells:

@@ -20,8 +20,9 @@ from cytoric.fan import (
     Cone,
     Fan,
     WeilDivisor,
-    _facet_points,
-    _pull_triangulate_facet,
+    _pull_cells,
+    _pull_order,
+    _pull_triangulate_face,
     _validate_mpcp,
     face_fan,
     is_nef,
@@ -33,8 +34,14 @@ from cytoric.fan import (
 from cytoric.fixtures import ALL, CORPUS_4D, POLYGONS, fixture_points, fixture_polytope
 from cytoric.lattice import NPoint
 from cytoric.polytope import hull
-from conftest import mpoints, ray_simplex, shear
-from oracles import fraction_cartier_index, fraction_is_nef, fraction_picard_rank, pull_every_cell
+from conftest import mpoints, ray_simplex, shear, weighted_ray_simplices
+from oracles import (
+    facet_points,
+    fraction_cartier_index,
+    fraction_is_nef,
+    fraction_picard_rank,
+    pull_every_cell,
+)
 
 
 def npt(*coords):
@@ -173,8 +180,8 @@ def test_mpcp_lex_order_knob(example_s3):
     dual = example_s3.dual()
     cones = [
         Cone._from_rays(simplex)
-        for facet, points in _facet_points(dual)
-        for simplex in _pull_triangulate_facet(dual, facet, sorted(points, key=tuple))
+        for facet, points in facet_points(dual, dual.boundary_points())
+        for simplex in _pull_triangulate_face(dual, facet, points)
     ]
     f = Fan(cones, "mpcp", example_s3)
     _validate_mpcp(f)
@@ -277,15 +284,117 @@ def test_mpcp_golden_cone_lists(cross4d_mpcp, example_mpcp, wp11222_mpcp, mirror
 def test_pulling_matches_every_cell_oracle():
     # the conflict lists visit only the cells holding each point; the
     # oracle tests every point against every cell.  cross4d's facets are
-    # cubes, so its cells are not simplices and the ridge test runs
+    # cubes, so its cells are not simplices and the ridge test runs.  The
+    # engine pulls every point of each facet in two orders, and each face
+    # of dimension 2 or more pulls only its relative-interior points, as
+    # the face recursion does; the recursion's cells of each facet are the
+    # oracle's pulls of all the facet's points in the global order
     sources = [fixture_polytope(name).dual() for name in ALL]  # all reflexive
     sources += [ray_simplex(w) for w, _, _ in GOLDEN_SIMPLICES]
     for dual in sources:
-        for facet, points in _facet_points(dual):
-            for order in (points, sorted(points, key=tuple)):  # incidence, lex
-                cells = _pull_triangulate_facet(dual, facet, order)
+        order, face_of, expected = _pull_order(dual), dual.census().face_of, set()
+        for facet, points in facet_points(dual, order):
+            expected |= pull_every_cell(dual, facet, points)
+            for pulls in (points, sorted(points, key=tuple)):  # global, lex
+                cells = _pull_triangulate_face(dual, facet, pulls)
                 assert len(set(cells)) == len(cells)
-                assert set(cells) == pull_every_cell(dual, facet, order)
+                assert set(cells) == pull_every_cell(dual, facet, pulls)
+        assert set(_pull_cells(dual)) == expected
+        for face in dual.faces():
+            interior = [p for p in order if face_of[p] == face.fmask]
+            if face.dim >= 2 and interior:
+                cells = _pull_triangulate_face(dual, face, interior)
+                assert len(set(cells)) == len(cells)
+                assert set(cells) == pull_every_cell(dual, face, interior)
+
+
+# the seed of the reflexive 3-D sample, fixed before the test first ran
+REFLEXIVE_3D_SEED = 2026
+
+
+def reflexive_3d_sample(n):
+    """n reflexive hulls of random sets of nonzero points of {-1, 0, 1}^3,
+    drawn with REFLEXIVE_3D_SEED, with their duals."""
+    rng = random.Random(REFLEXIVE_3D_SEED)
+    cube = [p for p in itertools.product((-1, 0, 1), repeat=3) if any(p)]
+    out = []
+    while len(out) < 2 * n:
+        try:
+            p = hull(mpoints(rng.sample(cube, rng.randint(4, 14))))
+        except InputError:  # flat
+            continue
+        if p.n_interior == 1 and p.is_reflexive():  # off the cube's boundary only 0
+            out += [p, p.dual()]
+    return out
+
+
+@pytest.fixture(scope="module")
+def refinement_sides():
+    """The 138 weighted sides (the 69 ray simplices and their duals), the
+    fixtures and their duals, and 40 seeded reflexive 3-D hulls and their
+    duals."""
+    simplices = weighted_ray_simplices()
+    fixtures = [fixture_polytope(name) for name in ALL]
+    return {
+        "weighted": simplices + [s.dual() for s in simplices],
+        "fixtures": fixtures + [f.dual() for f in fixtures],
+        "3-D": reflexive_3d_sample(40),
+    }
+
+
+def test_face_recursion_matches_pulling_every_facet(refinement_sides):
+    # the cells mpcp_triangulate takes (_pull_cells) against one engine run
+    # per facet over all the facet's points in the same global order
+    counts = {group: len(sides) for group, sides in refinement_sides.items()}
+    assert counts == {"weighted": 138, "fixtures": 40, "3-D": 80}
+    for sides in refinement_sides.values():
+        for delta in sides:
+            dual = delta.dual()
+            cells = _pull_cells(dual)
+            every_facet = [
+                cell
+                for facet, points in facet_points(dual, _pull_order(dual))
+                for cell in _pull_triangulate_face(dual, facet, points)
+            ]
+            assert len(set(cells)) == len(cells)
+            assert set(cells) == set(every_facet)
+
+
+def test_pull_order_puts_each_face_interior_first(refinement_sides):
+    # the face recursion is exact only if every face's relative-interior
+    # points come before all its boundary points in the pull order; a
+    # point's mask is its face's facet mask, and a point on the boundary
+    # of that face has a strictly larger mask
+    for group in ("weighted", "fixtures"):
+        for delta in refinement_sides[group]:
+            dual = delta.dual()
+            face_of, span = dual.census().face_of, {}
+            for k, p in enumerate(_pull_order(dual)):
+                first, _ = span.get(face_of[p], (k, k))
+                span[face_of[p]] = (first, k)
+            for mask, (_, last) in span.items():
+                for other, (first, _) in span.items():
+                    if other != mask and other & mask == mask:
+                        assert last < first, (mask, other)
+
+
+def test_refinement_keeps_no_cells_across_calls(monkeypatch):
+    # the per-face memo lives inside one call: two equal polytopes, built
+    # apart, each run the engine on every face it pulls
+    runs = []
+
+    def counted(dual, face, points):
+        runs.append(face.fmask)
+        return _pull_triangulate_face(dual, face, points)
+
+    monkeypatch.setattr(fan_module, "_pull_triangulate_face", counted)
+    first = mpcp_triangulate(ray_simplex((1, 1, 1, 4)))
+    once = len(runs)
+    second = mpcp_triangulate(ray_simplex((1, 1, 1, 4)))
+    assert once > 0 and len(runs) == 2 * once
+    assert runs[:once] == runs[once:]
+    assert len(set(runs[:once])) == once  # and each face once per call
+    assert cone_digest(first) == cone_digest(second)
 
 
 def test_validate_mpcp_rejects_broken_refinements(cube4, cube_mpcp, quintic):
@@ -319,20 +428,21 @@ def test_incomplete_fan_is_refused(cube4, cube_mpcp):
 
 def test_refinement_rejects_a_cell_pulled_twice(cube4, cube_mpcp, monkeypatch):
     # a duplicated cell puts three cones on each of its walls and covers
-    # its volume twice, in a hand-built fan and out of the pulling itself
+    # its volume twice, in a hand-built fan and out of the face-by-face
+    # pulling itself
     cones = list(cube_mpcp.maximal_cones)
     with pytest.raises(InputError, match="wall consistency"):
         _validate_mpcp(Fan(cones + cones[:1], "mpcp", cube4))
     pulled = []
 
     def twice_first(*args):
-        cells = _pull_triangulate_facet(*args)
+        cells = _pull_cells(*args)
         if not pulled:
             pulled.append(cells[0])
             cells = cells + cells[:1]
         return cells
 
-    monkeypatch.setattr(fan_module, "_pull_triangulate_facet", twice_first)
+    monkeypatch.setattr(fan_module, "_pull_cells", twice_first)
     with pytest.raises(InputError, match="wall consistency"):
         mpcp_triangulate(cube4)
     assert len(pulled) == 1
